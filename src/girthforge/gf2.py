@@ -24,17 +24,6 @@ def pack_rows(dense: np.ndarray) -> np.ndarray:
     return packed_bytes.view(np.uint64).reshape(n_rows, n_words)
 
 
-def pack_from_columns(col_lists, n_rows: int, n_cols: int) -> np.ndarray:
-    """Pack rows given per-column row-index lists."""
-    n_words = max(1, (n_cols + 63) // 64)
-    out = np.zeros((n_rows, n_words), dtype=np.uint64)
-    for col, rows in enumerate(col_lists):
-        w, b = divmod(col, 64)
-        for r in rows:
-            out[r, w] ^= np.uint64(1) << np.uint64(b)
-    return out
-
-
 def unpack_rows(packed: np.ndarray, n_cols: int) -> np.ndarray:
     """Inverse of :func:`pack_rows`."""
     packed = np.ascontiguousarray(packed, dtype=np.uint64)

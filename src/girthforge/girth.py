@@ -41,12 +41,13 @@ class BaseGraphView:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def adjacency_arrays(self, odd_depth: bool):
-        """(edge-id array, neighbor array) per vertex label on one side."""
-        adj = self.sym_adj if odd_depth else self.con_adj
-        return [(np.array([e for e, _ in entries], dtype=np.int32),
-                 np.array([o for _, o in entries], dtype=np.int32))
-                for entries in adj]
+    def level_adjacency(self):
+        """(edge-id array, neighbor array) per vertex label, for the two
+        sides as a pair indexed by depth % 2: level d of a path tree expands
+        symbols when d is odd and constraints when d is even."""
+        return tuple([(np.array([e for e, _ in entries], dtype=np.int32),
+                       np.array([o for _, o in entries], dtype=np.int32))
+                      for entries in adj] for adj in (self.con_adj, self.sym_adj))
 
 
 @dataclass
@@ -81,53 +82,52 @@ class PathTree:
         return int(self.keep.sum()) if self.keep is not None else self.n_nodes
 
 
+def _expand_level(numbers: np.ndarray, edges: np.ndarray,
+                  adj) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Non-backtracking children of one tree level, grouped by parent label:
+    (parent position within the level, edge id, child label) per child."""
+    blk_parent, blk_edge, blk_other = [], [], []
+    for label in np.unique(numbers):
+        sel = np.nonzero(numbers == label)[0]
+        adj_e, adj_o = adj[label]
+        deg = adj_e.size
+        if deg == 0:
+            continue
+        par = np.repeat(sel, deg)
+        ch_e = np.tile(adj_e, sel.size)
+        ch_o = np.tile(adj_o, sel.size)
+        keep = ch_e != np.repeat(edges[sel], deg)
+        blk_parent.append(par[keep])
+        blk_edge.append(ch_e[keep])
+        blk_other.append(ch_o[keep])
+    if not blk_parent:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    return (np.concatenate(blk_parent), np.concatenate(blk_edge),
+            np.concatenate(blk_other))
+
+
 def _grow_tree(graph: BaseGraphView, root: int, max_depth: int,
-               adjacency=None) -> PathTree:
-    n_edges = graph.n_edges
-    if adjacency is None:
-        adjacency = (graph.adjacency_arrays(False), graph.adjacency_arrays(True))
+               adjacency) -> PathTree:
     numbers = [np.array([root], dtype=np.int32)]
     edges = [np.array([-1], dtype=np.int32)]
     parents = [np.array([-1], dtype=np.int32)]
-    volts = [np.zeros((1, n_edges), dtype=np.int8)]
+    volts = [np.zeros((1, graph.n_edges), dtype=np.int8)]
     levels = [(0, 1)]
 
-    start = 0
     for d in range(1, max_depth + 1):
         sign = -1 if d % 2 == 1 else 1  # odd depth: symbol -> constraint
-        adj = adjacency[d % 2]
-        prev_num, prev_edge = numbers[-1], edges[-1]
-        prev_global = np.arange(start, start + prev_num.size)
-        blk_parent, blk_edge, blk_other = [], [], []
-        for label in np.unique(prev_num):
-            sel = np.nonzero(prev_num == label)[0]
-            adj_e, adj_o = adj[label]
-            deg = adj_e.size
-            if deg == 0:
-                continue
-            par = np.repeat(prev_global[sel], deg)
-            ch_e = np.tile(adj_e, sel.size)
-            ch_o = np.tile(adj_o, sel.size)
-            keep = ch_e != np.repeat(prev_edge[sel], deg)
-            blk_parent.append(par[keep])
-            blk_edge.append(ch_e[keep])
-            blk_other.append(ch_o[keep])
-        if not blk_parent:
-            break
-        par = np.concatenate(blk_parent)
+        par, ch_e, ch_o = _expand_level(numbers[-1], edges[-1], adjacency[d % 2])
         if par.size == 0:
             break
-        ch_e = np.concatenate(blk_edge)
-        ch_o = np.concatenate(blk_other)
-        v = volts[-1][par - start].copy()
+        v = volts[-1][par].copy()
         v[np.arange(par.size), ch_e] += sign
         numbers.append(ch_o.astype(np.int32))
         edges.append(ch_e.astype(np.int32))
-        parents.append(par.astype(np.int32))
+        lo, hi = levels[-1]
+        parents.append((lo + par).astype(np.int32))
         volts.append(v)
-        new_start = start + prev_num.size
-        levels.append((new_start, new_start + par.size))
-        start = new_start
+        levels.append((hi, hi + par.size))
 
     depth_arr = np.concatenate([np.full(n.size, i, dtype=np.int16)
                                 for i, n in enumerate(numbers)])
@@ -147,7 +147,7 @@ def grow_trees(b: BaseMatrix, g: int) -> list[PathTree]:
     if g % 2 != 0 or g < 4:
         raise ValueError("target girth must be even and at least 4")
     graph = BaseGraphView.from_base(b)
-    adjacency = (graph.adjacency_arrays(False), graph.adjacency_arrays(True))
+    adjacency = graph.level_adjacency()
     return [_grow_tree(graph, j, g // 2 - 1, adjacency) for j in range(b.n_cols)]
 
 
@@ -310,27 +310,6 @@ def node_pair_count(trees: Sequence[PathTree]) -> int:
 # Assignment checking
 # ---------------------------------------------------------------------------
 
-def inequality_matrix(ineqs: Sequence[VoltageInequality]) -> np.ndarray:
-    """Stack inequality coefficients into an (N_L, n_edges) int64 matrix."""
-    if not ineqs:
-        return np.zeros((0, 0), dtype=np.int64)
-    return np.stack([iq.coeffs for iq in ineqs]).astype(np.int64)
-
-
-def check_assignment_list(trees_min: Sequence[PathTree],
-                          ineqs: Sequence[VoltageInequality],
-                          assignment: np.ndarray,
-                          modulus: int | None = None) -> bool:
-    """True iff every collected inequality evaluates nonzero (mod M)."""
-    del trees_min  # the reduced trees back the sorted variant only
-    if not ineqs:
-        return True
-    values = inequality_matrix(ineqs) @ np.asarray(assignment, dtype=np.int64)
-    if modulus is not None:
-        values %= modulus
-    return bool((values != 0).all())
-
-
 def _numeric_voltages(tree: PathTree, assignment: np.ndarray,
                       modulus: int | None) -> np.ndarray:
     values = np.zeros(tree.n_nodes, dtype=np.int64)
@@ -368,7 +347,11 @@ def check_assignment_sorted(trees_min: Sequence[PathTree],
 
 class GirthSystem:
     """Trees + inequalities for one (base, target girth) pair, reused across
-    many assignment checks."""
+    many assignment checks.
+
+    The inequality coefficients are stacked once into an (N_L, n_edges)
+    matrix; every list-form check evaluates it on a block of assignments.
+    """
 
     def __init__(self, base: BaseMatrix, g: int):
         self.base = base
@@ -377,35 +360,30 @@ class GirthSystem:
         self.trees = grow_trees(base, g)
         self.ineqs = collect_inequalities(self.trees)
         self.trees_min = reduce_trees(self.trees, self.ineqs)
-        self._matrix = inequality_matrix(self.ineqs)
+        self._matrix = np.array([iq.coeffs for iq in self.ineqs], dtype=np.int64
+                                ).reshape(len(self.ineqs), self.n_edges)
 
     @property
     def n_edges(self) -> int:
         return self.graph.n_edges
 
-    def check(self, assignment: np.ndarray, modulus: int | None = None,
-              sorted_variant: bool | None = None) -> bool:
-        """Check one assignment; picks the list variant for g <= 10 and the
-        sorted variant for larger girth unless overridden."""
-        if sorted_variant is None:
-            sorted_variant = self.g >= 12
-        if sorted_variant:
-            return check_assignment_sorted(self.trees_min, assignment, modulus)
-        return check_assignment_list(self.trees_min, self.ineqs, assignment, modulus)
+    def inequality_values(self, block: np.ndarray) -> np.ndarray:
+        """Integer inequality values of a (batch, n_edges) block of
+        assignments, or of one assignment (no modulus)."""
+        return np.asarray(block, dtype=np.int64) @ self._matrix.T
+
+    def _passes(self, block: np.ndarray, modulus: int) -> np.ndarray:
+        values = self.inequality_values(block)
+        values %= modulus
+        return (values != 0).all(axis=-1)
+
+    def check(self, assignment: np.ndarray, modulus: int) -> bool:
+        """True iff every inequality of one assignment is nonzero mod M."""
+        return bool(self._passes(assignment, modulus))
 
     def check_batch(self, assignments: np.ndarray, modulus: int) -> np.ndarray:
-        """Vectorized list check of a (batch, n_edges) block of assignments."""
-        if self._matrix.size == 0:
-            return np.ones(assignments.shape[0], dtype=bool)
-        values = assignments.astype(np.int64) @ self._matrix.T
-        values %= modulus
-        return (values != 0).all(axis=1)
-
-    def inequality_values(self, assignment: np.ndarray) -> np.ndarray:
-        """Integer inequality values for one assignment (no modulus)."""
-        if self._matrix.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        return self._matrix @ np.asarray(assignment, dtype=np.int64)
+        """Per-row :meth:`check` of a (batch, n_edges) block of assignments."""
+        return self._passes(assignments, modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -424,56 +402,26 @@ def free_girth(w: DegreeMatrix, cap: int) -> int | None:
         raise ValueError("cap must be even and at least 4")
     base = w.base()
     graph = BaseGraphView.from_base(base)
+    adjacency = graph.level_adjacency()
     assignment = w.entries[w.entries != NO_EDGE].astype(np.int64)
 
-    trees = [_seed_numeric_tree(j) for j in range(base.n_cols)]
+    # per tree: (labels, edges, integer path voltages) of its deepest level
+    levels = [(np.array([j]), np.array([-1]), np.zeros(1, dtype=np.int64))
+              for j in range(base.n_cols)]
     for d in range(1, cap // 2 + 1):
-        found = False
-        for tree in trees:
-            if _extend_numeric_level(tree, graph, assignment, d):
-                found = True
-        if not found:
+        sign = -1 if d % 2 == 1 else 1
+        for t, (numbers, edges, values) in enumerate(levels):
+            par, ch_e, ch_o = _expand_level(numbers, edges, adjacency[d % 2])
+            levels[t] = (ch_o, ch_e, values[par] + sign * assignment[ch_e])
+        if not any(numbers.size for numbers, _, _ in levels):
             return None
-        for tree in trees:
-            if _level_has_duplicate(tree, d):
-                return 2 * d
+        if any(_has_duplicate(numbers, values) for numbers, _, values in levels):
+            return 2 * d
     return None
 
 
-def _seed_numeric_tree(root: int) -> dict:
-    return {
-        "number": [np.array([root], dtype=np.int32)],
-        "edge": [np.array([-1], dtype=np.int32)],
-        "value": [np.array([0], dtype=np.int64)],
-    }
-
-
-def _extend_numeric_level(tree: dict, graph: BaseGraphView,
-                          assignment: np.ndarray, d: int) -> bool:
-    numbers = tree["number"][d - 1]
-    edges = tree["edge"][d - 1]
-    values = tree["value"][d - 1]
-    sign = -1 if d % 2 == 1 else 1
-    adj = graph.sym_adj if d % 2 == 1 else graph.con_adj
-    new_num: list[int] = []
-    new_edge: list[int] = []
-    new_val: list[int] = []
-    for n, pe, val in zip(numbers.tolist(), edges.tolist(), values.tolist()):
-        for e, other in adj[n]:
-            if e == pe:
-                continue
-            new_num.append(other)
-            new_edge.append(e)
-            new_val.append(val + sign * int(assignment[e]))
-    tree["number"].append(np.asarray(new_num, dtype=np.int32))
-    tree["edge"].append(np.asarray(new_edge, dtype=np.int32))
-    tree["value"].append(np.asarray(new_val, dtype=np.int64))
-    return bool(new_num)
-
-
-def _level_has_duplicate(tree: dict, d: int) -> bool:
-    numbers = tree["number"][d]
-    values = tree["value"][d]
+def _has_duplicate(numbers: np.ndarray, values: np.ndarray) -> bool:
+    """True iff two nodes of one level share label and path voltage."""
     if numbers.size < 2:
         return False
     order = np.lexsort((values, numbers))

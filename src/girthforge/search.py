@@ -4,6 +4,7 @@ tailbiting-length minimization, and incremental column extension.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -36,7 +37,6 @@ class Restrictions:
 
     zero_mask: bool = True
     first_row_ascending: bool = True
-    second_row_lex: bool = False  # only used by the exhaustive (3,4) mode
 
 
 @dataclass
@@ -147,6 +147,24 @@ def degree_matrix_to_assignment(w: DegreeMatrix) -> np.ndarray:
     return w.entries[w.entries != NO_EDGE].astype(np.int64)
 
 
+def _certify(system: GirthSystem, values: np.ndarray, m: int) -> int:
+    """BFS-certify an assignment the checker accepted at modulus M.
+
+    Returns the oracle girth of the lifted graph, or the target girth when no
+    cycle lies within the oracle cap.  An oracle girth below the target means
+    the checker and the oracle disagree, which raises.
+    """
+    w = assignment_to_degree_matrix(system.base, values, modulus=m)
+    g_cert = certified_girth(lift_tailbiting(w, m), cap=max(32, system.g + 2))
+    if g_cert is None:
+        return system.g
+    if g_cert < system.g:
+        raise AssertionError(
+            f"oracle girth {g_cert} below target {system.g} at M={m}: "
+            f"checker and BFS oracle disagree")
+    return g_cert
+
+
 def minimize_m(system: GirthSystem, assignment: np.ndarray, m_lo: int,
                m_hi: int, certify: bool = True) -> int | None:
     """Smallest M in [m_lo, m_hi] with every inequality nonzero mod M.
@@ -156,16 +174,12 @@ def minimize_m(system: GirthSystem, assignment: np.ndarray, m_lo: int,
     is cross-certified with the BFS oracle when ``certify`` is set.
     """
     values = system.inequality_values(assignment)
-    if values.size and (values == 0).any():
+    if (values == 0).any():
         return None
     for m in range(max(1, m_lo), m_hi + 1):
         if (values % m != 0).all():
             if certify:
-                w = assignment_to_degree_matrix(system.base, assignment, modulus=m)
-                g_cert = certified_girth(lift_tailbiting(w, m), cap=max(32, system.g))
-                if g_cert is not None and g_cert < system.g:
-                    raise AssertionError(
-                        f"oracle girth {g_cert} below target {system.g} at M={m}")
+                _certify(system, assignment, m)
             return m
     return None
 
@@ -177,71 +191,64 @@ def _feasibility_check(base: BaseMatrix, g: int) -> None:
             f"(requested {g})")
 
 
+# A scan returns its certified hit as (assignment, M, girth), or None, and
+# the number of assignments it tried.
+_Hit = tuple[np.ndarray, int, int]
+
+
 def _scan_once(system: GirthSystem, cfg: SearchConfig, rng: np.random.Generator,
-               deadline: float, attempts_so_far: int,
-               ) -> tuple[SearchResult | None, int]:
+               deadline: float) -> tuple[_Hit | None, int]:
     """One ascending sweep over candidate M values."""
-    base = system.base
     m_lo = cfg.m_min if cfg.m_min is not None else 1
     batch = 512
-    attempts = attempts_so_far
+    attempts = 0
     for m in range(max(1, m_lo), cfg.m_max + 1):
         done = 0
         while done < cfg.attempts_per_m:
             if time.monotonic() > deadline:
                 return None, attempts
             n = min(batch, cfg.attempts_per_m - done)
-            block = sample_assignment(base, rng, m, cfg.restrictions, size=n)
+            block = sample_assignment(system.base, rng, m, cfg.restrictions, size=n)
             ok = system.check_batch(block, m)
             attempts += n
             done += n
             if ok.any():
                 values = block[int(np.argmax(ok))]
-                w = assignment_to_degree_matrix(base, values, modulus=m)
-                g_cert = certified_girth(lift_tailbiting(w, m), cap=max(32, system.g + 2))
-                if g_cert is None or g_cert >= system.g:
-                    girth_val = system.g if g_cert is None else g_cert
-                    return SearchResult(w, m, girth_val, cfg.seed, attempts, 0.0), attempts
+                return (values, m, _certify(system, values, m)), attempts
     return None, attempts
 
 
 def _scan_integer(system: GirthSystem, cfg: SearchConfig, rng: np.random.Generator,
-                  deadline: float) -> tuple[SearchResult | None, int]:
+                  deadline: float) -> tuple[_Hit | None, int]:
     """Two-phase mode: integer voltages first, then modulus minimization."""
-    base = system.base
     attempts = 0
     m_lo = cfg.m_min if cfg.m_min is not None else 2
     while time.monotonic() <= deadline:
-        block = sample_assignment(base, rng, cfg.m_max, cfg.restrictions, size=256)
+        block = sample_assignment(system.base, rng, cfg.m_max, cfg.restrictions, size=256)
         attempts += block.shape[0]
-        values_ok = [v for v in block if (system.inequality_values(v) != 0).all()]
-        for v in values_ok:
-            m = minimize_m(system, v, max(m_lo, int(v.max()) + 1), cfg.m_max)
+        nonzero = (system.inequality_values(block) != 0).all(axis=1)
+        for v in block[nonzero]:
+            m = minimize_m(system, v, max(m_lo, int(v.max()) + 1), cfg.m_max,
+                           certify=False)
             if m is not None:
-                w = assignment_to_degree_matrix(base, v, modulus=m)
-                g_cert = certified_girth(lift_tailbiting(w, m), cap=max(32, system.g + 2))
-                if g_cert is None or g_cert >= system.g:
-                    girth_val = system.g if g_cert is None else g_cert
-                    return SearchResult(w, m, girth_val, cfg.seed, attempts, 0.0), attempts
+                return (v, m, _certify(system, v, m)), attempts
     return None, attempts
 
 
 def _run_shard(cfg: SearchConfig, shard_seed: int) -> SearchResult | None:
-    base = resolve_base(cfg.base)
-    system = GirthSystem(base, cfg.girth)
+    system = GirthSystem(resolve_base(cfg.base), cfg.girth)
     rng = np.random.default_rng(shard_seed)
-    deadline = time.monotonic() + cfg.budget_secs
     t0 = time.monotonic()
+    deadline = t0 + cfg.budget_secs
     attempts = 0
     scan = _scan_integer if cfg.integer_mode else _scan_once
     while time.monotonic() <= deadline:
-        if cfg.integer_mode:
-            result, attempts = scan(system, cfg, rng, deadline)
-        else:
-            result, attempts = scan(system, cfg, rng, deadline, attempts)
-        if result is not None:
-            return SearchResult(result.degree, result.m, result.girth,
-                                shard_seed, attempts, time.monotonic() - t0)
+        hit, n = scan(system, cfg, rng, deadline)
+        attempts += n
+        if hit is not None:
+            values, m, girth = hit
+            w = assignment_to_degree_matrix(system.base, values, modulus=m)
+            return SearchResult(w, m, girth, cfg.seed, attempts, time.monotonic() - t0)
     return None
 
 
@@ -305,11 +312,10 @@ def extend_column(w: DegreeMatrix, cfg: SearchConfig) -> SearchResult:
             attempts += block.shape[0]
             if ok.any():
                 values = block[int(np.argmax(ok))]
+                girth = _certify(system, values, m)
                 w_new = assignment_to_degree_matrix(base_new, values, modulus=m)
-                g_cert = certified_girth(lift_tailbiting(w_new, m), cap=max(32, cfg.girth + 2))
-                if g_cert is not None and g_cert >= cfg.girth:
-                    return SearchResult(w_new, m, g_cert, cfg.seed, attempts,
-                                        time.monotonic() - t0)
+                return SearchResult(w_new, m, girth, cfg.seed, attempts,
+                                    time.monotonic() - t0)
             if time.monotonic() > deadline:
                 break
     raise TimeBudgetExceeded(best=None)
@@ -321,6 +327,8 @@ def exhaustive_34(g: int, m_max: int, m_min: int = 2) -> SearchResult | None:
     Restrictions: zeros on the first column and last row, first free row
     non-decreasing, second row below the first when both are sorted in
     decreasing order (kills row/column permutations of known solutions).
+    Each first row's admissible second rows are checked as one block, in
+    enumeration order, so the first accepted row in that order wins.
     """
     base = all_ones_base(3, 4)
     if g > 12:
@@ -332,26 +340,22 @@ def exhaustive_34(g: int, m_max: int, m_min: int = 2) -> SearchResult | None:
     t0 = time.monotonic()
     attempts = 0
     for m in range(max(2, m_min), m_max + 1):
-        vals = range(m)
-        for a0 in vals:
-            for b0 in range(a0, m):
-                for c0 in range(b0, m):
-                    first = (a0, b0, c0)
-                    first_desc = tuple(sorted(first, reverse=True))
-                    for a1 in vals:
-                        for b1 in vals:
-                            for c1 in vals:
-                                second = (a1, b1, c1)
-                                if tuple(sorted(second, reverse=True)) >= first_desc:
-                                    continue
-                                assignment = np.zeros(len(edges), dtype=np.int64)
-                                assignment[row0] = first
-                                assignment[row1] = second
-                                attempts += 1
-                                if system.check(assignment, modulus=m):
-                                    w = assignment_to_degree_matrix(base, assignment, modulus=m)
-                                    g_cert = certified_girth(lift_tailbiting(w, m))
-                                    if g_cert is not None and g_cert >= g:
-                                        return SearchResult(w, m, g_cert, 0, attempts,
-                                                            time.monotonic() - t0)
+        seconds = np.array(list(itertools.product(range(m), repeat=3)), dtype=np.int64)
+        # a row's rank under the descending-sort order, as a base-M number
+        weights = np.array([m * m, m, 1], dtype=np.int64)
+        second_keys = -np.sort(-seconds, axis=1) @ weights
+        for first in itertools.combinations_with_replacement(range(m), 3):
+            second = seconds[second_keys < np.array(first[::-1]) @ weights]
+            if second.shape[0] == 0:
+                continue
+            block = np.zeros((second.shape[0], len(edges)), dtype=np.int64)
+            block[:, row0] = first
+            block[:, row1] = second
+            ok = system.check_batch(block, m)
+            attempts += block.shape[0]
+            if ok.any():
+                values = block[int(np.argmax(ok))]
+                girth = _certify(system, values, m)
+                return SearchResult(assignment_to_degree_matrix(base, values, modulus=m),
+                                    m, girth, 0, attempts, time.monotonic() - t0)
     return None

@@ -18,9 +18,8 @@ from girthforge import catalog
 from girthforge.bases import CANONICAL_STS, all_ones_base, shorten_sts_base, sts_base
 from girthforge.bounds import d2_bruteforce, distance_cap, theorem2_lower_bound, theorem3_applies
 from girthforge.girth import (certified_girth, collect_inequalities,
-                              check_assignment_list, check_assignment_sorted,
-                              complexity_counts, grow_trees, node_pair_count,
-                              GirthSystem)
+                              check_assignment_sorted, complexity_counts,
+                              grow_trees, node_pair_count, GirthSystem)
 from girthforge.lifting import TailbitingCode, lift_circulant, lift_tailbiting, reorder_to_circulant
 from girthforge.matrices import (DegreeMatrix, emit_alist, emit_degree_matrix,
                                  parse_alist, parse_degree_matrix)
@@ -201,7 +200,7 @@ def test_criterion7_search_feasibility():
     system = GirthSystem(all_ones_base(3, 4), 8)
     w = catalog.BY_NAME["g08_k4"].degree_matrix()
     values = degree_matrix_to_assignment(w)
-    published_ok = (check_assignment_list(system.trees_min, system.ineqs, values, 9)
+    published_ok = (system.check(values, 9)
                     and check_assignment_sorted(system.trees_min, values, 9)
                     and certified_girth(lift_tailbiting(w, 9)) == 8)
     elapsed = time.time() - t0
@@ -240,7 +239,7 @@ def test_criterion9_property_suites():
         n_edges = int(base.entries.sum())
         for _ in range(1000):
             values = rng.integers(0, m, size=n_edges).astype(np.int64)
-            a = check_assignment_list(system.trees_min, system.ineqs, values, m)
+            a = system.check(values, m)
             b = check_assignment_sorted(system.trees_min, values, m)
             if a != b:
                 violations += 1

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from girthforge.cli import CORPUS_DIR
 from girthforge.lifting import TailbitingCode
-from girthforge.matrices import gf2_rank
+from girthforge.matrices import gf2_rank, parse_degree_matrix
 from girthforge.mindist import min_weight_codeword
 from girthforge import catalog
 
@@ -83,3 +86,19 @@ def test_short_table_distances():
         code = TailbitingCode(e.degree_matrix(), e.m)
         res = min_distance_md(code, d + 3)
         assert res.exact and res.value == d, name
+
+
+def test_corpus_matches_catalog():
+    # the catalog is the one source; the corpus is its derived copy
+    # (scripts/build_corpus.py regenerates it)
+    index = json.loads((CORPUS_DIR / "index.json").read_text(encoding="utf-8"))
+    names = [e.name for e in catalog.CATALOG]
+    assert sorted(index) == sorted(names)
+    assert sorted(p.name for p in CORPUS_DIR.iterdir()) == sorted(
+        [f"{name}.wm" for name in names] + ["index.json"])
+    for e in catalog.CATALOG:
+        w = parse_degree_matrix((CORPUS_DIR / f"{e.name}.wm").read_text(encoding="ascii"))
+        assert w == e.degree_matrix(), e.name
+        assert index[e.name] == {"file": f"{e.name}.wm", "family": e.family,
+                                 "girth": e.girth, "k": e.k, "m": e.m, "n": e.n,
+                                 "dim": e.dim, "d_min": e.d_min}, e.name

@@ -114,6 +114,8 @@ def test_search_command_env_seed(tmp_path, monkeypatch):
     outdir = tmp_path / "out"
     assert main(["search", str(cfg), "-o", str(outdir)]) == 0
     first = (outdir / "result.wm").read_text()
+    sidecar = json.loads((outdir / "result.json").read_text())
+    assert sidecar["seed"] == 77
     outdir2 = tmp_path / "out2"
     assert main(["search", str(cfg), "-o", str(outdir2)]) == 0
     assert (outdir2 / "result.wm").read_text() == first

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from girthforge.bases import all_ones_base, sts_base, CANONICAL_STS
-from girthforge.girth import (GirthSystem, certified_girth, check_assignment_list,
-                              check_assignment_sorted, collect_inequalities,
-                              complexity_counts, free_girth, girth_bfs_oracle,
-                              grow_trees, node_pair_count, reduce_trees)
+from girthforge.girth import (GirthSystem, certified_girth, check_assignment_sorted,
+                              collect_inequalities, complexity_counts, free_girth,
+                              girth_bfs_oracle, grow_trees, node_pair_count,
+                              reduce_trees)
 from girthforge.lifting import lift_circulant, lift_tailbiting
 from girthforge.matrices import DegreeMatrix, SparseParityCheck
 from girthforge.search import degree_matrix_to_assignment
@@ -62,7 +62,6 @@ def test_toy_code_fails_girth6(toy_degrees):
     system = GirthSystem(all_ones_base(3, 4), 6)
     values = degree_matrix_to_assignment(toy_degrees)
     assert not system.check(values, modulus=2)
-    assert not check_assignment_list(system.trees_min, system.ineqs, values, 2)
     assert not check_assignment_sorted(system.trees_min, values, 2)
 
 
@@ -70,7 +69,7 @@ def test_published_g8_assignment_passes():
     system = GirthSystem(all_ones_base(3, 4), 8)
     w = catalog.BY_NAME["g08_k4"].degree_matrix()
     values = degree_matrix_to_assignment(w)
-    assert check_assignment_list(system.trees_min, system.ineqs, values, 9)
+    assert system.check(values, 9)
     assert check_assignment_sorted(system.trees_min, values, 9)
 
 
@@ -93,7 +92,7 @@ def test_list_and_sorted_checkers_agree(seed, m, g):
     system = GirthSystem(all_ones_base(3, 4), g)
     for _ in range(20):
         values = rng.integers(0, m, size=12).astype(np.int64)
-        a = check_assignment_list(system.trees_min, system.ineqs, values, m)
+        a = system.check(values, m)
         b = check_assignment_sorted(system.trees_min, values, m)
         assert a == b
 
