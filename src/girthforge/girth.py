@@ -230,58 +230,98 @@ def _candidate_pairs(tree: PathTree) -> tuple[np.ndarray, np.ndarray]:
     return u[order], v[order]
 
 
-def _tree_unique_inequalities(tree: PathTree):
-    """Per-tree canonical inequality rows with their first witness pair,
+def _key_weights(trees: Sequence[PathTree]) -> np.ndarray:
+    """(n_edges, n_words) int64 weights that map a coefficient row exactly
+    to integer words: balanced base B, edge 0 the most significant digit.
+
+    With every path voltage bounded by m, a pair difference is bounded by
+    2m, so B = 4m + 1 keeps the map injective, the words fit in int64, and
+    the sign of a row's first nonzero word is the sign of its first nonzero
+    coefficient.  Keys are linear, so a pair's key is the difference of its
+    two nodes' keys.
+    """
+    n_edges = trees[0].voltages.shape[1]
+    m = max(1, *(int(np.abs(t.voltages).max(initial=0)) for t in trees))
+    base = 4 * m + 1
+    per_word = 1
+    while base ** (per_word + 1) < 2 ** 63:
+        per_word += 1
+    weights = np.zeros((n_edges, -(-n_edges // per_word)), dtype=np.int64)
+    for e in range(n_edges):
+        weights[e, e // per_word] = base ** (per_word - 1 - e % per_word)
+    return weights
+
+
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct key row.
+    The sort is stable, so within a run of equal rows the first index
+    comes first."""
+    perm = np.lexsort(keys.T[::-1])  # first word is the primary key
+    new_run = np.zeros(keys.shape[0], dtype=bool)
+    new_run[:1] = True
+    for word in keys.T:
+        w = word[perm]
+        new_run[1:] |= w[1:] != w[:-1]
+    return np.sort(perm[new_run])
+
+
+def _tree_unique_inequalities(tree: PathTree, weights: np.ndarray):
+    """Per-tree canonical inequality keys with their first witness pair,
     kept in pair-enumeration order."""
     u_nodes, v_nodes = _candidate_pairs(tree)
     if u_nodes.size == 0:
         return None
-    # coefficients are bounded by the tree depth, so int8 cannot overflow
-    diffs = tree.voltages[u_nodes] - tree.voltages[v_nodes]
-    diffs = _canonical_rows(diffs)
-    diffs = np.ascontiguousarray(diffs, dtype=np.int8)
-    keys = diffs.view(np.dtype((np.void, diffs.shape[1])))[:, 0]
-    _, first_idx = np.unique(keys, return_index=True)
-    order = np.sort(first_idx)
-    return diffs[order], u_nodes[order], v_nodes[order]
+    node_keys = tree.voltages.astype(np.int64) @ weights
+    keys = node_keys[u_nodes] - node_keys[v_nodes]
+    sign = np.sign(keys[:, 0])
+    for word in keys.T[1:]:
+        sign = np.where(sign == 0, np.sign(word), sign)
+    keys[sign < 0] *= -1  # canonical sign: first nonzero coefficient positive
+    order = _first_occurrences(keys)
+    return keys[order], u_nodes[order], v_nodes[order]
 
 
 def collect_inequalities(trees: Sequence[PathTree]) -> list[VoltageInequality]:
     """Unique voltage inequalities over all trees, first witness recorded."""
+    if not trees:
+        return []
+    weights = _key_weights(trees)
     blocks = []
     for t_idx, tree in enumerate(trees):
-        per_tree = _tree_unique_inequalities(tree)
+        per_tree = _tree_unique_inequalities(tree, weights)
         if per_tree is not None:
             blocks.append((t_idx, *per_tree))
     if not blocks:
         return []
-    diffs_all = np.vstack([b[1] for b in blocks])
+    keys_all = np.vstack([b[1] for b in blocks])
     u_all = np.concatenate([b[2] for b in blocks])
     v_all = np.concatenate([b[3] for b in blocks])
     t_all = np.concatenate([np.full(b[2].size, b[0], dtype=np.int32) for b in blocks])
-    keys = diffs_all.view(np.dtype((np.void, diffs_all.shape[1])))[:, 0]
-    _, first_idx = np.unique(keys, return_index=True)
-    order = np.sort(first_idx)  # global first occurrences in enumeration order
-    coeff_rows = diffs_all[order]
-    return [
-        VoltageInequality(coeffs=coeff_rows[i],
-                          witness=(int(t_all[fi]), int(u_all[fi]), int(v_all[fi])))
-        for i, fi in enumerate(order)
-    ]
+    order = _first_occurrences(keys_all)  # global first occurrences, in order
+    t_first, u_first, v_first = t_all[order], u_all[order], v_all[order]
+    # coefficients are bounded by the tree depth, so int8 cannot overflow
+    coeff_rows = np.empty((order.size, weights.shape[0]), dtype=np.int8)
+    for t_idx in np.unique(t_first):
+        sel = t_first == t_idx
+        volts = trees[t_idx].voltages
+        coeff_rows[sel] = volts[u_first[sel]] - volts[v_first[sel]]
+    coeff_rows = _canonical_rows(coeff_rows)
+    witnesses = zip(t_first.tolist(), u_first.tolist(), v_first.tolist())
+    return [VoltageInequality(row, w)
+            for row, w in zip(coeff_rows, witnesses)]
 
 
 def reduce_trees(trees: Sequence[PathTree],
                  ineqs: Sequence[VoltageInequality]) -> list[PathTree]:
     """Keep only nodes on the witness paths of the unique inequalities."""
-    keeps = [np.zeros(t.n_nodes, dtype=bool) for t in trees]
-    for iq in ineqs:
-        t_idx, u, v = iq.witness
-        keep = keeps[t_idx]
-        parent = trees[t_idx].parent
-        for node in (u, v):
-            while node >= 0 and not keep[node]:
-                keep[node] = True
-                node = parent[node]
+    witness = np.array([iq.witness for iq in ineqs], dtype=np.int64).reshape(-1, 3)
+    keeps = []
+    for t_idx, tree in enumerate(trees):
+        keep = np.zeros(tree.n_nodes, dtype=bool)
+        keep[witness[witness[:, 0] == t_idx, 1:]] = True
+        keeps.append(keep)
+        for lo, hi in reversed(tree.levels[1:]):  # ancestors, deepest level first
+            keep[tree.parent[lo:hi][keep[lo:hi]]] = True
     return [
         PathTree(t.root, t.number, t.depth, t.parent, t.edge, t.voltages,
                  t.levels, keep=k)
