@@ -385,12 +385,24 @@ def check_assignment_sorted(trees_min: Sequence[PathTree],
     return True
 
 
+# The staged evaluator checks the stacked inequalities in chunks: the first
+# holds the shortest cycles, which reject nearly every random assignment, and
+# each later chunk is _CHUNK_GROWTH times larger than the one before.
+_FIRST_CHUNK = 32
+_CHUNK_GROWTH = 4
+# float64 represents every integer of magnitude below 2**53 exactly
+_EXACT_LIMIT = 2 ** 53
+
+
 class GirthSystem:
     """Trees + inequalities for one (base, target girth) pair, reused across
     many assignment checks.
 
     The inequality coefficients are stacked once into an (N_L, n_edges)
-    matrix; every list-form check evaluates it on a block of assignments.
+    float64 matrix, rows stably sorted by support size so that the shortest
+    cycles come first; ``ineqs`` keeps the witness order.  Every check
+    evaluates that matrix on a block of assignments in growing column
+    chunks, dropping the rows a chunk rejects.
     """
 
     def __init__(self, base: BaseMatrix, g: int):
@@ -400,22 +412,49 @@ class GirthSystem:
         self.trees = grow_trees(base, g)
         self.ineqs = collect_inequalities(self.trees)
         self.trees_min = reduce_trees(self.trees, self.ineqs)
-        self._matrix = np.array([iq.coeffs for iq in self.ineqs], dtype=np.int64
-                                ).reshape(len(self.ineqs), self.n_edges)
+        coeffs = np.array([iq.coeffs for iq in self.ineqs], dtype=np.float64
+                          ).reshape(len(self.ineqs), self.n_edges)
+        order = np.argsort(np.count_nonzero(coeffs, axis=1), kind="stable")
+        self._matrix = coeffs[order]
+        self._max_row_l1 = int(np.abs(coeffs).sum(axis=1).max(initial=0))
 
     @property
     def n_edges(self) -> int:
         return self.graph.n_edges
 
+    def _exact_block(self, block: np.ndarray) -> np.ndarray:
+        """The block as float64, after checking that every inequality value
+        of it is an integer float64 represents exactly."""
+        block = np.asarray(block)
+        if block.size:
+            largest = max(int(block.max()), -int(block.min()))
+            if self._max_row_l1 * largest >= _EXACT_LIMIT:
+                raise ValueError(
+                    f"assignment entries up to {largest} can give inequality "
+                    f"values of 2**53 or more, which float64 cannot hold exactly")
+        return block.astype(np.float64)
+
     def inequality_values(self, block: np.ndarray) -> np.ndarray:
-        """Integer inequality values of a (batch, n_edges) block of
-        assignments, or of one assignment (no modulus)."""
-        return np.asarray(block, dtype=np.int64) @ self._matrix.T
+        """Exact integer inequality values of a (batch, n_edges) block of
+        assignments, or of one assignment (no modulus), in the stacked order:
+        fewest nonzero coefficients first."""
+        return (self._exact_block(block) @ self._matrix.T).astype(np.int64)
 
     def _passes(self, block: np.ndarray, modulus: int) -> np.ndarray:
-        values = self.inequality_values(block)
-        values %= modulus
-        return (values != 0).all(axis=-1)
+        if modulus < 1:
+            raise ValueError("modulus must be at least 1")
+        rows = self._exact_block(block)
+        live = rows.reshape(-1, self.n_edges)
+        alive = np.arange(live.shape[0])
+        lo, size = 0, _FIRST_CHUNK
+        while alive.size and lo < self._matrix.shape[0]:
+            values = live @ self._matrix[lo:lo + size].T
+            keep = (np.fmod(values, modulus, out=values) != 0).all(axis=1)
+            live, alive = live[keep], alive[keep]
+            lo, size = lo + size, size * _CHUNK_GROWTH
+        ok = np.zeros(rows.shape[:-1], dtype=bool)
+        ok.flat[alive] = True
+        return ok
 
     def check(self, assignment: np.ndarray, modulus: int) -> bool:
         """True iff every inequality of one assignment is nonzero mod M."""

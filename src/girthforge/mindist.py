@@ -138,8 +138,11 @@ def _branch_and_bound(w: DegreeMatrix, m: int, t: int, strengthened: bool,
             extend(tuple(b ^ x for b, x in zip(blocks, cs)), used, count + 1, root)
             used.discard(cid)
 
-    for root in range(c):
-        extend(col_synd[root], {root}, 1, root)
+    try:
+        for root in range(c):
+            extend(col_synd[root], {root}, 1, root)
+    finally:
+        sys.setrecursionlimit(limit)
     return best, support
 
 

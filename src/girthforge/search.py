@@ -101,34 +101,33 @@ def resolve_base(spec: dict | BaseMatrix) -> BaseMatrix:
     raise ValueError(f"unknown base kind {kind!r}")
 
 
-def _mask_edge_ids(base: BaseMatrix) -> np.ndarray:
-    mask = zero_voltage_mask(base)
+def _restricted_edges(base: BaseMatrix,
+                      restrictions: Restrictions) -> tuple[np.ndarray, np.ndarray]:
+    """Edge ids the restrictions pin to zero, and the unpinned first-row edge
+    ids they sort ascending."""
     edges = base.edges()
-    return np.array([e for e, pos in enumerate(edges) if pos in mask], dtype=np.int64)
-
-
-def _first_row_free_edges(base: BaseMatrix, masked: np.ndarray) -> np.ndarray:
-    edges = base.edges()
-    masked_set = set(masked.tolist())
-    return np.array(
-        [e for e, (i, _) in enumerate(edges) if i == 0 and e not in masked_set],
-        dtype=np.int64,
-    )
+    mask = zero_voltage_mask(base) if restrictions.zero_mask else set()
+    masked = [e for e, pos in enumerate(edges) if pos in mask]
+    free = [e for e, pos in enumerate(edges)
+            if restrictions.first_row_ascending and pos[0] == 0 and pos not in mask]
+    return np.array(masked, dtype=np.int64), np.array(free, dtype=np.int64)
 
 
 def sample_assignment(base: BaseMatrix, rng: np.random.Generator, high: int,
                       restrictions: Restrictions = Restrictions(),
-                      size: int = 1) -> np.ndarray:
-    """Sample a (size, n_edges) block of voltage assignments in [0, high)."""
+                      size: int = 1, *,
+                      edges: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Sample a (size, n_edges) block of voltage assignments in [0, high).
+
+    ``edges`` is ``_restricted_edges(base, restrictions)``, passed by callers
+    that sample many blocks so that it is not recomputed for each one.
+    """
+    masked, free = edges if edges is not None else _restricted_edges(base, restrictions)
     n_edges = int(base.entries.sum())
     values = rng.integers(0, high, size=(size, n_edges), dtype=np.int64)
-    if restrictions.zero_mask:
-        values[:, _mask_edge_ids(base)] = 0
-    if restrictions.first_row_ascending:
-        free = _first_row_free_edges(base, _mask_edge_ids(base) if restrictions.zero_mask
-                                     else np.zeros(0, dtype=np.int64))
-        if free.size:
-            values[:, free] = np.sort(values[:, free], axis=1)
+    values[:, masked] = 0
+    if free.size:
+        values[:, free] = np.sort(values[:, free], axis=1)
     return values
 
 
@@ -202,13 +201,15 @@ def _scan_once(system: GirthSystem, cfg: SearchConfig, rng: np.random.Generator,
     m_lo = cfg.m_min if cfg.m_min is not None else 1
     batch = 512
     attempts = 0
+    edges = _restricted_edges(system.base, cfg.restrictions)
     for m in range(max(1, m_lo), cfg.m_max + 1):
         done = 0
         while done < cfg.attempts_per_m:
             if time.monotonic() > deadline:
                 return None, attempts
             n = min(batch, cfg.attempts_per_m - done)
-            block = sample_assignment(system.base, rng, m, cfg.restrictions, size=n)
+            block = sample_assignment(system.base, rng, m, cfg.restrictions, size=n,
+                                      edges=edges)
             ok = system.check_batch(block, m)
             attempts += n
             done += n
@@ -223,8 +224,10 @@ def _scan_integer(system: GirthSystem, cfg: SearchConfig, rng: np.random.Generat
     """Two-phase mode: integer voltages first, then modulus minimization."""
     attempts = 0
     m_lo = cfg.m_min if cfg.m_min is not None else 2
+    edges = _restricted_edges(system.base, cfg.restrictions)
     while time.monotonic() <= deadline:
-        block = sample_assignment(system.base, rng, cfg.m_max, cfg.restrictions, size=256)
+        block = sample_assignment(system.base, rng, cfg.m_max, cfg.restrictions,
+                                  size=256, edges=edges)
         attempts += block.shape[0]
         nonzero = (system.inequality_values(block) != 0).all(axis=1)
         for v in block[nonzero]:

@@ -126,6 +126,89 @@ def test_checker_matches_bfs_oracle_exhaustively():
                 assert verdict == (oracle is None or oracle >= g), (m, combo, g)
 
 
+# -- staged evaluator ----------------------------------------------------------
+
+_STAGED_BASES = {"3x4": all_ones_base(3, 4), "3x5": all_ones_base(3, 5),
+                 "sts9": sts_base(CANONICAL_STS[9])}
+
+
+def _coefficients(system: GirthSystem) -> np.ndarray:
+    return np.array([iq.coeffs for iq in system.ineqs], dtype=np.int64
+                    ).reshape(len(system.ineqs), system.n_edges)
+
+
+@pytest.mark.parametrize("g", [6, 8, 10])
+@pytest.mark.parametrize("base_name", sorted(_STAGED_BASES))
+def test_staged_evaluator_matches_full_reference(base_name, g):
+    # the reference evaluates every inequality row on every assignment in
+    # exact integer arithmetic; large moduli give blocks that mix accepted
+    # and rejected rows, so survivors reach the later chunks
+    system = GirthSystem(_STAGED_BASES[base_name], g)
+    coeffs = _coefficients(system)
+    rng = np.random.default_rng(g)
+    for m in (1, 2, int(rng.integers(3, 100)), int(rng.integers(100, 10_000))):
+        for size in (0, 1, 513):
+            block = rng.integers(0, m, size=(size, system.n_edges), dtype=np.int64)
+            values = block @ coeffs.T
+            assert np.array_equal(system.check_batch(block, m),
+                                  (values % m != 0).all(axis=1)), (m, size)
+            assert np.array_equal(np.sort(system.inequality_values(block), axis=1),
+                                  np.sort(values, axis=1)), (m, size)
+
+
+def test_staged_evaluator_without_inequalities_passes_everything():
+    from girthforge.matrices import BaseMatrix
+    cycle = BaseMatrix(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8))
+    system = GirthSystem(cycle, 6)
+    assert system.ineqs == []
+    block = np.random.default_rng(3).integers(0, 7, size=(40, system.n_edges))
+    assert system.check_batch(block, 7).all()
+    assert system.check(np.zeros(system.n_edges, dtype=np.int64), 1)
+    assert system.inequality_values(block).shape == (40, 0)
+
+
+def test_check_matches_first_row_of_check_batch():
+    system = GirthSystem(all_ones_base(3, 5), 8)
+    rng = np.random.default_rng(12)
+    for m in (2, 13, 97, 5000):
+        block = rng.integers(0, m, size=(3, system.n_edges), dtype=np.int64)
+        assert system.check(block[0], m) == system.check_batch(block, m)[0]
+
+
+@pytest.mark.parametrize("entry", [2 ** 52, -2 ** 52, np.iinfo(np.int64).min])
+def test_staged_evaluator_rejects_inexact_blocks(entry):
+    # every (3,4) g=8 row has L1 norm >= 4, so these entries could give
+    # values float64 cannot hold exactly
+    system = GirthSystem(all_ones_base(3, 4), 8)
+    block = np.zeros((2, system.n_edges), dtype=np.int64)
+    block[1, 5] = entry
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        system.check_batch(block, 9)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        system.check(block[1], 9)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        system.inequality_values(block)
+
+
+def test_staged_evaluator_rejects_modulus_below_one():
+    # fmod by zero gives NaN, which would compare as nonzero and accept
+    system = GirthSystem(all_ones_base(3, 4), 8)
+    with pytest.raises(ValueError, match="modulus"):
+        system.check_batch(np.ones((2, system.n_edges), dtype=np.int64), 0)
+
+
+def test_stacked_inequalities_shortest_first():
+    # unit assignments read the stacked matrix back column by column: it
+    # holds every inequality once, ordered by non-decreasing support
+    for base in _STAGED_BASES.values():
+        system = GirthSystem(base, 10)
+        stacked = system.inequality_values(np.eye(system.n_edges, dtype=np.int64)).T
+        assert stacked.shape == (len(system.ineqs), system.n_edges)
+        assert (np.diff(np.count_nonzero(stacked, axis=1)) >= 0).all()
+        assert np.array_equal(np.unique(stacked, axis=0),
+                              np.unique(_coefficients(system), axis=0))
+
+
 def test_lift_girth_at_least_base_girth():
     # the lifted graph covers the base graph, so girth can only grow
     from girthforge.bases import sts_base, CANONICAL_STS

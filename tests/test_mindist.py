@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,13 @@ def test_md_and_bruteforce_agree_small():
         md = min_distance_md(code, 26)
         assert md.exact
         assert md.value == min_distance_bruteforce(code.h_tb)
+
+
+def test_branch_and_bound_restores_recursion_limit():
+    # a cap above the recursion limit raises it for the search only
+    limit = sys.getrecursionlimit()
+    assert min_distance_md(code_for("g06_k4"), limit + 100) == Distance(6, True)
+    assert sys.getrecursionlimit() == limit
 
 
 def test_toy_code_both_engines(toy_degrees):

@@ -91,6 +91,18 @@ def test_search_deterministic_for_seed():
     assert a.m == b.m and a.degree == b.degree and a.attempts == b.attempts
 
 
+@pytest.mark.parametrize("girth,seed,m_max,m,attempts,entries", [
+    (8, 1, 24, 9, 35840, [[0, 1, 4, 6], [0, 5, 2, 3], [0, 0, 0, 0]]),
+    (8, 2, 24, 10, 38400, [[0, 3, 4, 8], [0, 6, 9, 2], [0, 0, 0, 0]]),
+    (10, 2, 96, 43, 173056, [[0, 1, 3, 36], [0, 27, 18, 14], [0, 0, 0, 0]]),
+])
+def test_seeded_search_outcomes_pinned(girth, seed, m_max, m, attempts, entries):
+    # a checker or sampler change must not change what a seeded search finds
+    result = search(cfg34(girth=girth, seed=seed, m_max=m_max))
+    assert (result.degree.entries.tolist(), result.m, result.attempts) == (
+        entries, m, attempts)
+
+
 def test_search_g4_immediate():
     # no cycle shorter than 4 exists in a bipartite graph, so the zero
     # assignment at M = max degree + 1 = 1 already qualifies
