@@ -12,8 +12,9 @@ our own GF(2) rank and branch-and-bound engines; six published values failed
 that audit and are corrected here (marked ``corrected`` inline): one n
 inconsistent with its own M, two dimensions, and three minimum distances
 (the g=6 K=11/K=12 pair appears swapped in the source, and explicit
-low-weight codewords disprove the other).  Dimensions of the three largest
-codes (n > 50000) are as published, consistent with full row rank.
+low-weight codewords disprove the other).  Dimensions of the four largest
+codes (n > 50000: g12_k12, g16_k5, g16_k6, g18_k5) are as published,
+consistent with full row rank.
 """
 
 from __future__ import annotations

@@ -25,8 +25,7 @@ CORPUS_DIR = Path(__file__).parent / "corpus"
 
 def _load_degree_matrix(path: str):
     try:
-        text = Path(path).read_text(encoding="ascii")
-        w = parse_degree_matrix(text)
+        w = parse_degree_matrix(Path(path).read_bytes())
     except (OSError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(1)

@@ -72,12 +72,6 @@ class PathTree:
     def n_nodes(self) -> int:
         return self.number.size
 
-    def level_nodes(self, d: int) -> np.ndarray:
-        if d >= len(self.levels):
-            return np.arange(0)
-        lo, hi = self.levels[d]
-        return np.arange(lo, hi)
-
     def kept_count(self) -> int:
         return int(self.keep.sum()) if self.keep is not None else self.n_nodes
 
@@ -152,31 +146,21 @@ def grow_trees(b: BaseMatrix, g: int) -> list[PathTree]:
 
 
 @dataclass(frozen=True)
-class VoltageInequality:
-    """Canonical `sum(coeff * voltage) != 0` constraint over base edges.
+class InequalitySet:
+    """The unique voltage inequalities `coeffs @ voltages != 0` over base
+    edges, one row per unique closed walk, in first-witness order.
 
-    Coefficients are sign-normalized so the first nonzero one is positive.
-    ``witness`` records the first node pair that produced the constraint, as
-    (tree index, node u, node v).
+    ``coeffs`` is int8 (N_L, n_edges), each row sign-normalized so that its
+    first nonzero coefficient is positive; ``witness`` is int64 (N_L, 3) and
+    holds the first node pair that produced each row as (tree index,
+    node u, node v).
     """
 
     coeffs: np.ndarray
-    witness: tuple[int, int, int]
+    witness: np.ndarray
 
-    def terms(self) -> list[tuple[int, int]]:
-        nz = np.nonzero(self.coeffs)[0]
-        return [(int(e), int(self.coeffs[e])) for e in nz]
-
-
-def _canonical_rows(diffs: np.ndarray) -> np.ndarray:
-    """Sign-normalize rows in place so the first nonzero entry is positive."""
-    nz = diffs != 0
-    has = nz.any(axis=1)
-    first = np.argmax(nz, axis=1)
-    lead = diffs[np.arange(diffs.shape[0]), first]
-    flip = has & (lead < 0)
-    diffs[flip] *= -1
-    return diffs
+    def __len__(self) -> int:
+        return self.coeffs.shape[0]
 
 
 def _dfs_rank(tree: PathTree) -> np.ndarray:
@@ -265,12 +249,11 @@ def _first_occurrences(keys: np.ndarray) -> np.ndarray:
     return np.sort(perm[new_run])
 
 
-def _tree_unique_inequalities(tree: PathTree, weights: np.ndarray):
-    """Per-tree canonical inequality keys with their first witness pair,
-    kept in pair-enumeration order."""
+def _tree_unique_inequalities(t_idx: int, tree: PathTree, weights: np.ndarray):
+    """Per-tree canonical inequality keys, kept in pair-enumeration order,
+    with the sign that made each key canonical and the first witness
+    (t_idx, u, v) as three columns."""
     u_nodes, v_nodes = _candidate_pairs(tree)
-    if u_nodes.size == 0:
-        return None
     node_keys = tree.voltages.astype(np.int64) @ weights
     keys = node_keys[u_nodes] - node_keys[v_nodes]
     sign = np.sign(keys[:, 0])
@@ -278,43 +261,34 @@ def _tree_unique_inequalities(tree: PathTree, weights: np.ndarray):
         sign = np.where(sign == 0, np.sign(word), sign)
     keys[sign < 0] *= -1  # canonical sign: first nonzero coefficient positive
     order = _first_occurrences(keys)
-    return keys[order], u_nodes[order], v_nodes[order]
+    return (keys[order], sign[order].astype(np.int8),
+            np.full(order.size, t_idx, dtype=np.int32), u_nodes[order], v_nodes[order])
 
 
-def collect_inequalities(trees: Sequence[PathTree]) -> list[VoltageInequality]:
+def collect_inequalities(trees: Sequence[PathTree]) -> InequalitySet:
     """Unique voltage inequalities over all trees, first witness recorded."""
     if not trees:
-        return []
+        return InequalitySet(np.zeros((0, 0), dtype=np.int8),
+                             np.zeros((0, 3), dtype=np.int64))
     weights = _key_weights(trees)
-    blocks = []
-    for t_idx, tree in enumerate(trees):
-        per_tree = _tree_unique_inequalities(tree, weights)
-        if per_tree is not None:
-            blocks.append((t_idx, *per_tree))
-    if not blocks:
-        return []
-    keys_all = np.vstack([b[1] for b in blocks])
-    u_all = np.concatenate([b[2] for b in blocks])
-    v_all = np.concatenate([b[3] for b in blocks])
-    t_all = np.concatenate([np.full(b[2].size, b[0], dtype=np.int32) for b in blocks])
-    order = _first_occurrences(keys_all)  # global first occurrences, in order
-    t_first, u_first, v_first = t_all[order], u_all[order], v_all[order]
+    blocks = [_tree_unique_inequalities(t_idx, tree, weights)
+              for t_idx, tree in enumerate(trees)]
+    keys, sign, t, u, v = (np.concatenate(parts) for parts in zip(*blocks))
+    order = _first_occurrences(keys)  # global first occurrences, in order
+    sign, t, u, v = sign[order], t[order], u[order], v[order]
     # coefficients are bounded by the tree depth, so int8 cannot overflow
-    coeff_rows = np.empty((order.size, weights.shape[0]), dtype=np.int8)
-    for t_idx in np.unique(t_first):
-        sel = t_first == t_idx
+    coeffs = np.empty((order.size, weights.shape[0]), dtype=np.int8)
+    for t_idx in np.unique(t):
+        sel = t == t_idx
         volts = trees[t_idx].voltages
-        coeff_rows[sel] = volts[u_first[sel]] - volts[v_first[sel]]
-    coeff_rows = _canonical_rows(coeff_rows)
-    witnesses = zip(t_first.tolist(), u_first.tolist(), v_first.tolist())
-    return [VoltageInequality(row, w)
-            for row, w in zip(coeff_rows, witnesses)]
+        coeffs[sel] = (volts[u[sel]] - volts[v[sel]]) * sign[sel, None]
+    return InequalitySet(coeffs, np.column_stack((t, u, v)))
 
 
 def reduce_trees(trees: Sequence[PathTree],
-                 ineqs: Sequence[VoltageInequality]) -> list[PathTree]:
+                 ineqs: InequalitySet) -> list[PathTree]:
     """Keep only nodes on the witness paths of the unique inequalities."""
-    witness = np.array([iq.witness for iq in ineqs], dtype=np.int64).reshape(-1, 3)
+    witness = ineqs.witness
     keeps = []
     for t_idx, tree in enumerate(trees):
         keep = np.zeros(tree.n_nodes, dtype=bool)
@@ -412,11 +386,10 @@ class GirthSystem:
         self.trees = grow_trees(base, g)
         self.ineqs = collect_inequalities(self.trees)
         self.trees_min = reduce_trees(self.trees, self.ineqs)
-        coeffs = np.array([iq.coeffs for iq in self.ineqs], dtype=np.float64
-                          ).reshape(len(self.ineqs), self.n_edges)
+        coeffs = self.ineqs.coeffs
         order = np.argsort(np.count_nonzero(coeffs, axis=1), kind="stable")
-        self._matrix = coeffs[order]
-        self._max_row_l1 = int(np.abs(coeffs).sum(axis=1).max(initial=0))
+        self._matrix = coeffs[order].astype(np.float64)
+        self._max_row_l1 = int(np.abs(self._matrix).sum(axis=1).max(initial=0))
 
     @property
     def n_edges(self) -> int:

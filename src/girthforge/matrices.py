@@ -120,13 +120,6 @@ class DegreeMatrix:
     def has_no_edge(self) -> bool:
         return bool((self.entries == NO_EDGE).any())
 
-    def with_modulus(self, m: int) -> "DegreeMatrix":
-        """Reduce all degrees mod m and attach the modulus."""
-        entries = self.entries.copy()
-        mask = entries != NO_EDGE
-        entries[mask] %= m
-        return DegreeMatrix(entries, modulus=m)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DegreeMatrix)
@@ -192,13 +185,6 @@ class SparseParityCheck:
     def row_weights(self) -> list[int]:
         return [len(r) for r in self.rows]
 
-    def column_weights(self) -> list[int]:
-        w = [0] * self.n_cols
-        for row in self.rows:
-            for c in row:
-                w[c] += 1
-        return w
-
     @property
     def n_edges(self) -> int:
         return sum(len(r) for r in self.rows)
@@ -231,10 +217,6 @@ def gf2_rank(h: SparseParityCheck) -> int:
     return gf2.rank(h.packed(), h.n_cols)
 
 
-def code_dimension(h: SparseParityCheck) -> int:
-    return h.n_cols - gf2_rank(h)
-
-
 # ---------------------------------------------------------------------------
 # Degree-matrix text format:
 #   optional "M=<int>" line, then one whitespace-separated line per base row;
@@ -250,9 +232,17 @@ def emit_degree_matrix(w: DegreeMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_degree_matrix(text: str | bytes) -> DegreeMatrix:
+def _ascii_text(text: str | bytes) -> str:
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            return text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"text is not ASCII: {exc}") from exc
+    return text
+
+
+def parse_degree_matrix(text: str | bytes) -> DegreeMatrix:
+    text = _ascii_text(text)
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -263,6 +253,8 @@ def parse_degree_matrix(text: str | bytes) -> DegreeMatrix:
             modulus = int(lines[0][2:])
         except ValueError as exc:
             raise FormatError(f"bad modulus line {lines[0]!r}") from exc
+        if modulus < 1:
+            raise FormatError(f"modulus M={modulus} is not positive")
         lines = lines[1:]
     rows = []
     width = None
@@ -316,8 +308,7 @@ def emit_alist(h: SparseParityCheck) -> str:
 
 
 def parse_alist(text: str | bytes) -> SparseParityCheck:
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
+    text = _ascii_text(text)
     # keep interior blank lines: a zero-weight column is an empty list line
     lines = [s.strip() for s in text.splitlines()]
     if len(lines) < 4:
@@ -333,19 +324,22 @@ def parse_alist(text: str | bytes) -> SparseParityCheck:
     body = lines[4:]
     if len(body) < n_cols + n_rows or any(body[n_cols + n_rows:]):
         raise FormatError("alist body does not match dimensions")
-    body = body[: n_cols + n_rows]
+    try:
+        lists = [[int(t) for t in ln.split()] for ln in body[: n_cols + n_rows]]
+    except ValueError as exc:
+        raise FormatError("bad token in alist body") from exc
     rows: list[list[int]] = [[] for _ in range(n_rows)]
-    for c, ln in enumerate(body[:n_cols]):
+    for c, tokens in enumerate(lists[:n_cols]):
         # Some writers zero-pad entries; ignore padding zeros.
-        entries = [int(t) for t in ln.split() if int(t) != 0]
+        entries = [t for t in tokens if t != 0]
         if len(entries) != col_w[c]:
             raise FormatError(f"column {c + 1} weight mismatch")
         for r in entries:
             if not (1 <= r <= n_rows):
                 raise FormatError(f"row index {r} out of range")
             rows[r - 1].append(c)
-    for r, ln in enumerate(body[n_cols:]):
-        entries = sorted(int(t) - 1 for t in ln.split() if int(t) != 0)
+    for r, tokens in enumerate(lists[n_cols:]):
+        entries = sorted(t - 1 for t in tokens if t != 0)
         if entries != rows[r]:
             raise FormatError(f"row {r + 1} list inconsistent with column lists")
     return SparseParityCheck(n_rows, n_cols, tuple(tuple(sorted(r)) for r in rows))

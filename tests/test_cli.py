@@ -50,6 +50,17 @@ def test_verify_girth_parse_failure(tmp_path):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("content", [b"M=5\n0 \xe9\n", b"M=0\n- -\n"],
+                         ids=["non_ascii", "modulus_zero"])
+def test_verify_girth_malformed_file(tmp_path, capsys, content):
+    bad = tmp_path / "bad.wm"
+    bad.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-girth", str(bad)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_min_distance_with_oracle(capsys):
     assert main(["min-distance", corpus_file("g06_k4"), "--oracle"]) == 0
     out = capsys.readouterr().out

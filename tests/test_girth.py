@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ def test_tree_shape_g6():
     trees = grow_trees(all_ones_base(3, 4), 6)
     assert len(trees) == 4
     for tree in trees:
-        sizes = [len(tree.level_nodes(d)) for d in range(len(tree.levels))]
+        sizes = [hi - lo for lo, hi in tree.levels]
         assert sizes == [1, 3, 9]
         # alternation: even depths are symbols, odd depths constraints
         assert (tree.depth % 2 == 1).sum() == 3
@@ -36,8 +38,8 @@ def test_example2_pair_and_inequality_counts():
     ineqs = collect_inequalities(trees)
     assert len(ineqs) == 18
     # every inequality is a 4-cycle: four unit coefficients
-    for iq in ineqs:
-        assert sorted(abs(c) for _, c in iq.terms()) == [1, 1, 1, 1]
+    assert (np.count_nonzero(ineqs.coeffs, axis=1) == 4).all()
+    assert (np.abs(ineqs.coeffs) <= 1).all()
 
 
 def test_no_pairs_on_single_cycle_base():
@@ -46,7 +48,9 @@ def test_no_pairs_on_single_cycle_base():
     from girthforge.matrices import BaseMatrix
     trees = grow_trees(BaseMatrix(b), 6)
     assert node_pair_count(trees) == 0
-    assert collect_inequalities(trees) == []
+    ineqs = collect_inequalities(trees)
+    assert len(ineqs) == 0
+    assert ineqs.coeffs.shape == (0, 6) and ineqs.witness.shape == (0, 3)
 
 
 @pytest.mark.parametrize("k,g,n_t,n_l", [
@@ -132,11 +136,6 @@ _STAGED_BASES = {"3x4": all_ones_base(3, 4), "3x5": all_ones_base(3, 5),
                  "sts9": sts_base(CANONICAL_STS[9])}
 
 
-def _coefficients(system: GirthSystem) -> np.ndarray:
-    return np.array([iq.coeffs for iq in system.ineqs], dtype=np.int64
-                    ).reshape(len(system.ineqs), system.n_edges)
-
-
 @pytest.mark.parametrize("g", [6, 8, 10])
 @pytest.mark.parametrize("base_name", sorted(_STAGED_BASES))
 def test_staged_evaluator_matches_full_reference(base_name, g):
@@ -144,7 +143,7 @@ def test_staged_evaluator_matches_full_reference(base_name, g):
     # exact integer arithmetic; large moduli give blocks that mix accepted
     # and rejected rows, so survivors reach the later chunks
     system = GirthSystem(_STAGED_BASES[base_name], g)
-    coeffs = _coefficients(system)
+    coeffs = system.ineqs.coeffs.astype(np.int64)
     rng = np.random.default_rng(g)
     for m in (1, 2, int(rng.integers(3, 100)), int(rng.integers(100, 10_000))):
         for size in (0, 1, 513):
@@ -160,7 +159,7 @@ def test_staged_evaluator_without_inequalities_passes_everything():
     from girthforge.matrices import BaseMatrix
     cycle = BaseMatrix(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8))
     system = GirthSystem(cycle, 6)
-    assert system.ineqs == []
+    assert len(system.ineqs) == 0
     block = np.random.default_rng(3).integers(0, 7, size=(40, system.n_edges))
     assert system.check_batch(block, 7).all()
     assert system.check(np.zeros(system.n_edges, dtype=np.int64), 1)
@@ -206,7 +205,45 @@ def test_stacked_inequalities_shortest_first():
         assert stacked.shape == (len(system.ineqs), system.n_edges)
         assert (np.diff(np.count_nonzero(stacked, axis=1)) >= 0).all()
         assert np.array_equal(np.unique(stacked, axis=0),
-                              np.unique(_coefficients(system), axis=0))
+                              np.unique(system.ineqs.coeffs, axis=0))
+
+
+# -- inequality set ------------------------------------------------------------
+
+# SHA-256 of coeffs.tobytes() + witness.tobytes() at g=10, recorded from the
+# object-per-inequality implementation this array layout replaced
+_INEQUALITY_DIGESTS = {
+    "3x4": "be2bc2228ef76badd732aa6b2474ebd3f21fa1b804f58864c64353dc55cdcf00",
+    "3x5": "e6b0717eb9cef9fdb3c1de53289eedf589bd8a72635851d3a4321060a23b29cd",
+    "sts9": "82c493430ac5ec66e82e01a830004551d2c24703880d427d4f10eb7246dd5788",
+}
+
+
+@pytest.mark.parametrize("base_name", sorted(_INEQUALITY_DIGESTS))
+def test_inequality_set_pinned(base_name):
+    ineqs = collect_inequalities(grow_trees(_STAGED_BASES[base_name], 10))
+    assert ineqs.coeffs.dtype == np.int8 and ineqs.witness.dtype == np.int64
+    digest = hashlib.sha256(ineqs.coeffs.tobytes() + ineqs.witness.tobytes())
+    assert digest.hexdigest() == _INEQUALITY_DIGESTS[base_name]
+
+
+@pytest.mark.parametrize("g", [8, 10])
+@pytest.mark.parametrize("base_name", sorted(_STAGED_BASES))
+def test_inequality_set_invariants(base_name, g):
+    trees = grow_trees(_STAGED_BASES[base_name], g)
+    ineqs = collect_inequalities(trees)
+    coeffs, witness = ineqs.coeffs, ineqs.witness
+    assert len(ineqs) == coeffs.shape[0] == witness.shape[0] > 0
+    # the first nonzero entry of each row is positive
+    first = np.argmax(coeffs != 0, axis=1)
+    assert (coeffs[np.arange(len(ineqs)), first] > 0).all()
+    # each row is +-(voltages[u] - voltages[v]) in its witness tree
+    diffs = np.array([trees[t].voltages[u] - trees[t].voltages[v]
+                      for t, u, v in witness.tolist()])
+    assert ((coeffs == diffs).all(axis=1) | (coeffs == -diffs).all(axis=1)).all()
+    # rows are pairwise distinct, witnesses ordered by tree
+    assert np.unique(coeffs, axis=0).shape[0] == len(ineqs)
+    assert (np.diff(witness[:, 0]) >= 0).all()
 
 
 def test_lift_girth_at_least_base_girth():

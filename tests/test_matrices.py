@@ -34,13 +34,6 @@ def test_degree_matrix_distinguishes_no_edge_from_zero():
         DegreeMatrix(np.array([[-3, 0]]))
 
 
-def test_degree_matrix_modulus_reduction():
-    w = DegreeMatrix(np.array([[7, NO_EDGE]]))
-    reduced = w.with_modulus(5)
-    assert reduced.entries.tolist() == [[2, NO_EDGE]]
-    assert reduced.modulus == 5
-
-
 # -- degree-matrix text format ------------------------------------------------
 
 def test_parse_degree_matrix_example():
@@ -61,6 +54,8 @@ def test_parse_degree_matrix_no_edge_token():
     "M=5\n0 7\n",              # degree >= M
     "",                        # empty
     "M=x\n0 1\n",              # bad modulus
+    "M=0\n- -\n",              # modulus below 1
+    b"M=5\n0 \xe9\n",          # not ASCII
 ])
 def test_parse_degree_matrix_errors(text):
     with pytest.raises(FormatError):
@@ -123,6 +118,10 @@ def test_parse_alist_rejects_garbage():
         parse_alist("2 2\n1 1\n")
     with pytest.raises(FormatError):
         parse_alist("2 2\n1 1\n1 1\n1 1\n3\n2\n1\n2\n")
+    with pytest.raises(FormatError):
+        parse_alist("2 1\n1 2\n1 1\n2\n1\nx\n1 2\n")  # bad body token
+    with pytest.raises(FormatError):
+        parse_alist(b"2 1\n1 2\n1 1\n2\n1\n\xe9\n1 2\n")  # not ASCII
 
 
 # -- GF(2) rank ---------------------------------------------------------------
