@@ -51,6 +51,9 @@ def cmd_search(args) -> int:
     t0 = time.time()
     try:
         result = search(cfg)
+    except (OSError, FormatError) as exc:  # a "code" base file that cannot be read
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except InfeasibleTarget as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
@@ -131,14 +134,22 @@ def _dense_text(h) -> str:
 
 def cmd_verify_corpus(args) -> int:
     corpus = Path(args.dir) if args.dir else CORPUS_DIR
-    index = json.loads((corpus / "index.json").read_text(encoding="utf-8"))
+    try:
+        index = json.loads((corpus / "index.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     failures = 0
     checked = 0
     for name, meta in index.items():
         if meta["m"] > args.max_m:
             continue
         checked += 1
-        w = parse_degree_matrix((corpus / meta["file"]).read_text(encoding="ascii"))
+        try:
+            w = parse_degree_matrix((corpus / meta["file"]).read_bytes())
+        except (OSError, FormatError) as exc:
+            print(f"error: {meta['file']}: {exc}", file=sys.stderr)
+            return 1
         h = lift_tailbiting(w, w.modulus)
         g = certified_girth(h, cap=max(32, meta["girth"] + 2))
         ok = g == meta["girth"]

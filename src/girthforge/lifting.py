@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import gf2
 from .matrices import (
     CIRCULANT,
     NO_EDGE,
@@ -22,57 +23,39 @@ from .matrices import (
     DegreeMatrix,
     QCBlock,
     SparseParityCheck,
-    gf2_rank,
 )
 
 
-def _edge_arrays(w: DegreeMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lifted_rows(w: DegreeMatrix, m: int, layout: str) -> tuple[tuple[int, ...], ...]:
+    """Rows of the lift of ``w`` in ``layout``, as sorted column tuples."""
+    if m <= w.max_degree:
+        raise ValueError(f"tailbiting length {m} must exceed max degree {w.max_degree}")
+    cb, c = w.n_rows, w.n_cols
     ei, ej = np.nonzero(w.entries != NO_EDGE)
-    return ei, ej, w.entries[ei, ej]
-
-
-def _rows_from_coords(row_idx: np.ndarray, col_idx: np.ndarray, n_rows: int,
-                      n_cols: int, layout: str, block: QCBlock) -> SparseParityCheck:
-    order = np.lexsort((col_idx, row_idx))
-    row_idx = row_idx[order]
-    col_idx = col_idx[order]
-    counts = np.bincount(row_idx, minlength=n_rows)
-    rows = []
-    pos = 0
-    for r in range(n_rows):
-        rows.append(tuple(col_idx[pos: pos + counts[r]].tolist()))
-        pos += counts[r]
-    return SparseParityCheck(n_rows, n_cols, tuple(rows), layout, block)
+    ew = w.entries[ei, ej]
+    s = np.arange(m).repeat(ei.size)
+    ei, ej, ew = np.tile(ei, m), np.tile(ej, m), np.tile(ew, m)
+    if layout == TAILBITING:  # s is the block column
+        row_idx = ((s + ew) % m) * cb + ei
+        col_idx = s * c + ej
+    else:  # s is the row within each circulant
+        row_idx = ei * m + s
+        col_idx = ej * m + (s - ew) % m
+    cols = col_idx[np.lexsort((col_idx, row_idx))].tolist()
+    ends = np.cumsum(np.bincount(row_idx, minlength=m * cb)).tolist()
+    return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends[:-1], ends))
 
 
 def lift_tailbiting(w: DegreeMatrix, m: int) -> SparseParityCheck:
     """Tailbiting parity-check matrix of size M(c-b) x Mc."""
-    if m <= w.max_degree:
-        raise ValueError(f"tailbiting length {m} must exceed max degree {w.max_degree}")
-    cb, c = w.n_rows, w.n_cols
-    ei, ej, ew = _edge_arrays(w)
-    t = np.arange(m).repeat(ei.size)
-    ei_t = np.tile(ei, m)
-    ej_t = np.tile(ej, m)
-    ew_t = np.tile(ew, m)
-    row_idx = ((t + ew_t) % m) * cb + ei_t
-    col_idx = t * c + ej_t
-    return _rows_from_coords(row_idx, col_idx, m * cb, m * c, TAILBITING, QCBlock(m, c, cb))
+    return SparseParityCheck(m * w.n_rows, m * w.n_cols, _lifted_rows(w, m, TAILBITING),
+                             TAILBITING, QCBlock(m, w.n_cols, w.n_rows))
 
 
 def lift_circulant(w: DegreeMatrix, m: int) -> SparseParityCheck:
     """Circulant-block parity-check matrix, equivalent to the tailbiting one."""
-    if m <= w.max_degree:
-        raise ValueError(f"tailbiting length {m} must exceed max degree {w.max_degree}")
-    cb, c = w.n_rows, w.n_cols
-    ei, ej, ew = _edge_arrays(w)
-    s = np.arange(m).repeat(ei.size)
-    ei_t = np.tile(ei, m)
-    ej_t = np.tile(ej, m)
-    ew_t = np.tile(ew, m)
-    row_idx = ei_t * m + s
-    col_idx = ej_t * m + (s - ew_t) % m
-    return _rows_from_coords(row_idx, col_idx, m * cb, m * c, CIRCULANT, QCBlock(m, c, cb))
+    return SparseParityCheck(m * w.n_rows, m * w.n_cols, _lifted_rows(w, m, CIRCULANT),
+                             CIRCULANT, QCBlock(m, w.n_cols, w.n_rows))
 
 
 def reorder_to_circulant(h_tb: SparseParityCheck, c: int, cb: int, m: int,
@@ -96,6 +79,36 @@ def reorder_to_circulant(h_tb: SparseParityCheck, c: int, cb: int, m: int,
     reordered = SparseParityCheck(h_tb.n_rows, h_tb.n_cols, tuple(rows),
                                   CIRCULANT, QCBlock(m, c, cb))
     return reordered, col_perm, row_perm
+
+
+def degree_matrix_of_lift(h: SparseParityCheck) -> tuple[DegreeMatrix, int]:
+    """Recover (degree matrix, M) from a tailbiting or circulant lift.
+
+    Reads the degrees off the first row of every block row and verifies them
+    by lifting again in the same layout and comparing rows; raises
+    ``ValueError`` when the block metadata does not describe the matrix.
+    """
+    if h.layout not in (TAILBITING, CIRCULANT) or h.block is None:
+        raise ValueError("expected a tailbiting or circulant lift with block metadata")
+    m, c, cb = h.block.m, h.block.c, h.block.cb
+    if m < 1 or h.n_rows != m * cb or h.n_cols != m * c:
+        raise ValueError("block metadata does not match the matrix shape")
+    tailbiting = h.layout == TAILBITING
+    entries = np.full((cb, c), NO_EDGE, dtype=np.int64)
+    for i in range(cb):
+        # the first row of block row i holds, per base column j, one entry at offset (-w) mod M
+        for col in h.rows[i if tailbiting else i * m]:
+            if tailbiting:
+                t, j = divmod(col, c)
+            else:
+                j, t = divmod(col, m)
+            if entries[i, j] != NO_EDGE:
+                raise ValueError(f"block ({i},{j}) holds more than one circulant")
+            entries[i, j] = -t % m
+    w = DegreeMatrix(entries, modulus=m)
+    if _lifted_rows(w, m, h.layout) != h.rows:
+        raise ValueError("matrix is not the lift of a single-circulant degree matrix")
+    return w, m
 
 
 @dataclass(frozen=True)
@@ -123,4 +136,4 @@ class TailbitingCode:
 
     @cached_property
     def k(self) -> int:
-        return self.n - gf2_rank(self.h_tb)
+        return self.n - gf2.qc_rank(self.degree.entries, self.m)

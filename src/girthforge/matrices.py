@@ -213,7 +213,20 @@ class SparseParityCheck:
 
 
 def gf2_rank(h: SparseParityCheck) -> int:
-    """Rank of the matrix over GF(2); code dimension is n_cols - rank."""
+    """Rank of the matrix over GF(2); code dimension is n_cols - rank.
+
+    A tailbiting or circulant lift is ranked from its recovered degree matrix
+    by :func:`gf2.qc_rank`; any other matrix, including one whose block
+    metadata does not match its rows, by dense elimination.
+    """
+    if h.block is not None:
+        from .lifting import degree_matrix_of_lift
+        try:
+            w, m = degree_matrix_of_lift(h)
+        except ValueError:
+            pass
+        else:
+            return gf2.qc_rank(w.entries, m)
     return gf2.rank(h.packed(), h.n_cols)
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .matrices import CIRCULANT, NO_EDGE, DegreeMatrix, SparseParityCheck
-from .lifting import TailbitingCode
+from .matrices import NO_EDGE, DegreeMatrix, SparseParityCheck
+from .lifting import TailbitingCode, degree_matrix_of_lift
 
 
 @dataclass(frozen=True)
@@ -30,30 +30,6 @@ class Distance:
 
     def __str__(self) -> str:
         return str(self.value) if self.exact else f">= {self.value}"
-
-
-def degree_matrix_of_circulant(h: SparseParityCheck) -> tuple[DegreeMatrix, int]:
-    """Recover (degree matrix, M) from a circulant-layout parity check.
-
-    Verifies the block structure: every M x M block must be a single
-    circulant (or zero), i.e. one entry per block row at a constant shift.
-    """
-    if h.layout != CIRCULANT or h.block is None:
-        raise ValueError("expected a circulant-layout matrix with block metadata")
-    m, c, cb = h.block.m, h.block.c, h.block.cb
-    entries = np.full((cb, c), NO_EDGE, dtype=np.int64)
-    for i in range(cb):
-        row = h.rows[i * m]  # shift s = 0 of block row i: one at (j, (-w) mod M)
-        for col in row:
-            j, off = divmod(col, m)
-            if entries[i, j] != NO_EDGE:
-                raise ValueError(f"block ({i},{j}) holds more than one circulant")
-            entries[i, j] = (m - off) % m
-    w = DegreeMatrix(entries, modulus=m)
-    from .lifting import lift_circulant
-    if lift_circulant(w, m).rows != h.rows:
-        raise ValueError("matrix is not built from single circulant blocks")
-    return w, m
 
 
 def _column_tables(w: DegreeMatrix, m: int):
@@ -86,7 +62,7 @@ def _resolve_code(code) -> tuple[DegreeMatrix, int]:
     if isinstance(code, TailbitingCode):
         return code.degree, code.m
     if isinstance(code, SparseParityCheck):
-        return degree_matrix_of_circulant(code)
+        return degree_matrix_of_lift(code)
     w, m = code
     return w, m
 

@@ -16,7 +16,7 @@ from .bases import all_ones_base, sts_base, shorten_sts_base, zero_voltage_mask,
 from .bounds import theorem3_applies
 from .girth import GirthSystem, certified_girth
 from .lifting import lift_tailbiting
-from .matrices import NO_EDGE, BaseMatrix, DegreeMatrix, parse_degree_matrix
+from .matrices import NO_EDGE, BaseMatrix, DegreeMatrix, FormatError, parse_degree_matrix
 
 
 class InfeasibleTarget(Exception):
@@ -93,10 +93,10 @@ def resolve_base(spec: dict | BaseMatrix) -> BaseMatrix:
         return shorten_sts_base(sts_base(sts), sts.replication)
     if kind == "code":
         from .bases import base_from_code
-        with open(spec["path"], "r", encoding="ascii") as fh:
+        with open(spec["path"], "rb") as fh:
             w = parse_degree_matrix(fh.read())
         if w.modulus is None:
-            raise ValueError("code base needs a degree matrix with modulus")
+            raise FormatError("code base needs a degree matrix with modulus")
         return base_from_code(lift_tailbiting(w, w.modulus))
     raise ValueError(f"unknown base kind {kind!r}")
 

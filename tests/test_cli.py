@@ -170,6 +170,36 @@ def test_verify_corpus_small(capsys, tmp_path):
     assert "FAIL" not in out
 
 
+def test_verify_corpus_bad_file(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "bad.wm").write_text("M=0\n- -\n")
+    (corpus / "index.json").write_text(json.dumps(
+        {"bad": {"file": "bad.wm", "m": 1, "girth": 6, "n": 2}}))
+    assert main(["verify-corpus", "--dir", str(corpus)]) == 1
+    assert "error: bad.wm" in capsys.readouterr().err
+    (corpus / "index.json").write_text(json.dumps(
+        {"gone": {"file": "missing.wm", "m": 1, "girth": 6, "n": 2}}))
+    assert main(["verify-corpus", "--dir", str(corpus)]) == 1
+    assert "error: missing.wm" in capsys.readouterr().err
+    assert main(["verify-corpus", "--dir", str(tmp_path / "nowhere")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [b"M=5\n0 1 \xe9\n", b"0 1\n0 1\n", None],
+                         ids=["non_ascii", "no_modulus", "missing"])
+def test_search_bad_code_base(capsys, tmp_path, body):
+    # a non-ASCII byte, a missing M= line, a missing file
+    base = tmp_path / "base.wm"
+    if body is not None:
+        base.write_bytes(body)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"base": {"kind": "code", "path": str(base)},
+                               "girth": 8, "m_max": 16, "seed": 1, "budget_secs": 5}))
+    assert main(["search", str(cfg), "-o", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_complexity_command(capsys):
     assert main(["complexity", "--k-min", "4", "--k-max", "4", "--girths", "8"]) == 0
     assert "53 42" in capsys.readouterr().out

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from girthforge.lifting import (TailbitingCode, lift_circulant, lift_tailbiting,
                                 reorder_to_circulant)
-from girthforge.matrices import NO_EDGE, DegreeMatrix, gf2_rank
-from girthforge import catalog
+from girthforge.matrices import NO_EDGE, DegreeMatrix, SparseParityCheck, gf2_rank
+from girthforge import catalog, gf2
 
 from conftest import TOY_TB, TOY_CIRC
 
@@ -99,10 +99,63 @@ def test_regular_weights_both_layouts():
         assert set(h.row_weights()) == {4}
 
 
-def test_rank_equal_across_layouts(toy_degrees):
+def dense_rank(h) -> int:
+    return gf2.rank(h.packed(), h.n_cols)
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Count the dense eliminations that gf2_rank runs."""
+    calls = []
+    rank = gf2.rank
+
+    def counted(packed, n_cols):
+        calls.append(n_cols)
+        return rank(packed, n_cols)
+
+    monkeypatch.setattr(gf2, "rank", counted)
+    return calls
+
+
+def test_rank_equal_across_layouts(toy_degrees, dense_calls):
     tb = lift_tailbiting(toy_degrees, 2)
     ci = lift_circulant(toy_degrees, 2)
-    assert gf2_rank(tb) == gf2_rank(ci)
+    qc = gf2.qc_rank(toy_degrees.entries, 2)
+    assert gf2_rank(tb) == gf2_rank(ci) == qc
+    assert dense_calls == []
+    assert dense_rank(tb) == dense_rank(ci) == qc == 4
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 7, 8, 12, 15, 16])
+@pytest.mark.parametrize("seed", range(4))
+def test_qc_rank_matches_dense_random(m, seed, dense_calls):
+    # M = 1, 2, odd, even and powers of 2; NO_EDGE holes; every other case
+    # has an all-NO_EDGE base row (a rank deficiency of a whole M)
+    rng = np.random.default_rng(1000 * seed + m)
+    cb, c = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+    entries = rng.integers(0, m, size=(cb, c))
+    entries[rng.random((cb, c)) < 0.3] = NO_EDGE
+    if seed % 2:
+        entries[int(rng.integers(cb))] = NO_EDGE
+    w = DegreeMatrix(entries, modulus=m)
+    tb = lift_tailbiting(w, m)
+    expected = dense_rank(tb)
+    assert gf2.qc_rank(entries, m) == expected
+    layouts = (tb, lift_circulant(w, m), reorder_to_circulant(tb, c, cb, m)[0])
+    dense_calls.clear()
+    for h in layouts:
+        assert gf2_rank(h) == expected
+    assert dense_calls == []
+    # rows edited under kept block metadata: the QC engine must not be used
+    for h in layouts:
+        rows = list(h.rows)
+        r = int(rng.integers(h.n_rows))
+        rows[r] = tuple(sorted(set(rows[r]) ^ {int(rng.integers(h.n_cols))}))
+        edited = SparseParityCheck(h.n_rows, h.n_cols, tuple(rows), h.layout, h.block)
+        dense_calls.clear()
+        assert gf2_rank(edited) == dense_rank(edited)
+        if m > 1:  # at M = 1 every 0/1 matrix is a lift of its own pattern
+            assert dense_calls[0] == h.n_cols
 
 
 def test_tailbiting_code_dimensions():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from girthforge.lifting import TailbitingCode, lift_circulant, lift_tailbiting
-from girthforge.matrices import DegreeMatrix, SparseParityCheck
-from girthforge.mindist import (Distance, degree_matrix_of_circulant,
-                                iterative_deepening_distance,
+from girthforge.lifting import (TailbitingCode, degree_matrix_of_lift, lift_circulant,
+                                lift_tailbiting)
+from girthforge.matrices import DegreeMatrix, QCBlock, SparseParityCheck
+from girthforge.mindist import (Distance, iterative_deepening_distance,
                                 min_distance_bruteforce, min_distance_md)
 from girthforge import catalog
 
@@ -56,27 +56,34 @@ def test_duplicate_columns_give_distance_two():
 
 def test_md_accepts_circulant_layout():
     entry = catalog.BY_NAME["g06_k4"]
-    h = lift_circulant(entry.degree_matrix(), entry.m)
-    assert min_distance_md(h, 26) == Distance(6, True)
-    w, m = degree_matrix_of_circulant(h)
-    assert w == entry.degree_matrix() and m == entry.m
+    for lift in (lift_circulant, lift_tailbiting):
+        h = lift(entry.degree_matrix(), entry.m)
+        assert min_distance_md(h, 26) == Distance(6, True)
+        w, m = degree_matrix_of_lift(h)
+        assert w == entry.degree_matrix() and m == entry.m
 
 
 def test_md_rejects_non_circulant_blocks():
-    from girthforge.matrices import QCBlock
-
     entry = catalog.BY_NAME["g06_k4"]
-    h = lift_circulant(entry.degree_matrix(), entry.m)
-    # corrupt one row: no longer a stack of single circulants
-    rows = list(h.rows)
-    rows[1] = tuple(sorted(set(rows[1]) ^ {0, 1}))
-    bad = SparseParityCheck(h.n_rows, h.n_cols, tuple(rows), "circulant", h.block)
+    for lift in (lift_circulant, lift_tailbiting):
+        h = lift(entry.degree_matrix(), entry.m)
+        # corrupt one row: no longer a stack of single circulants
+        rows = list(h.rows)
+        rows[1] = tuple(sorted(set(rows[1]) ^ {0, 1}))
+        bad = SparseParityCheck(h.n_rows, h.n_cols, tuple(rows), h.layout, h.block)
+        with pytest.raises(ValueError):
+            degree_matrix_of_lift(bad)
+        with pytest.raises(ValueError):
+            min_distance_md(bad, 26)
+        # block metadata of the wrong shape
+        wrong = SparseParityCheck(h.n_rows, h.n_cols, h.rows, h.layout,
+                                  QCBlock(entry.m + 1, 4, 3))
+        with pytest.raises(ValueError):
+            degree_matrix_of_lift(wrong)
+    # a generic matrix carries no block structure at all
+    plain = SparseParityCheck.from_dense(h.to_dense())
     with pytest.raises(ValueError):
-        degree_matrix_of_circulant(bad)
-    # a tailbiting-layout matrix is not accepted either
-    plain = lift_tailbiting(entry.degree_matrix(), entry.m)
-    with pytest.raises(ValueError):
-        degree_matrix_of_circulant(plain)
+        degree_matrix_of_lift(plain)
 
 
 def test_md_rejects_tiny_cap():
