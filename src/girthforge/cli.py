@@ -43,7 +43,11 @@ def cmd_search(args) -> int:
         return 1
     env_seed = os.environ.get("GIRTHFORGE_SEED")
     if env_seed is not None:
-        cfg.seed = int(env_seed)
+        try:
+            cfg.seed = int(env_seed)
+        except ValueError:
+            print(f"error: GIRTHFORGE_SEED={env_seed!r} is not an integer", file=sys.stderr)
+            return 1
     if args.jobs is not None:
         cfg.jobs = args.jobs
     out = Path(args.output)
@@ -139,9 +143,17 @@ def cmd_verify_corpus(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if not isinstance(index, dict):
+        print("error: index.json is not an object", file=sys.stderr)
+        return 1
     failures = 0
     checked = 0
     for name, meta in index.items():
+        if not (isinstance(meta, dict) and isinstance(meta.get("file"), str)
+                and all(type(meta.get(key)) is int for key in ("m", "girth", "n"))):
+            print(f"error: index entry {name!r} needs a file name and integer m, girth, n",
+                  file=sys.stderr)
+            return 1
         if meta["m"] > args.max_m:
             continue
         checked += 1

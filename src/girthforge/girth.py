@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .matrices import BaseMatrix, DegreeMatrix, SparseParityCheck, NO_EDGE
+from .matrices import (CIRCULANT, NO_EDGE, TAILBITING, BaseMatrix, DegreeMatrix,
+                       SparseParityCheck)
 
 
 @dataclass(frozen=True)
@@ -495,11 +496,11 @@ def girth_bfs_oracle(h: SparseParityCheck, cap: int = 32,
     one start per block orbit suffices (see :func:`qc_start_vertices`).
     """
     n_v = h.n_rows + h.n_cols
-    adj: list[list[int]] = [[] for _ in range(n_v)]
-    for r, cols in enumerate(h.rows):
-        for c in cols:
-            adj[r].append(h.n_rows + c)
-            adj[h.n_rows + c].append(r)
+    vertex = np.arange(n_v).astype(object)  # one int object per vertex, shared by all lists
+    adj: list[list[int]] = []
+    for side, offset in ((h, h.n_rows), (h.transpose(), 0)):
+        ptr, idx = side.indptr.tolist(), vertex[side.indices + offset].tolist()
+        adj += [idx[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
     starts = range(n_v) if start_vertices is None else start_vertices
     dist = np.full(n_v, -1, dtype=np.int32)
@@ -546,20 +547,15 @@ def qc_start_vertices(h: SparseParityCheck) -> list[int]:
     if h.block is None:
         raise ValueError("matrix carries no block metadata")
     m, c, cb = h.block.m, h.block.c, h.block.cb
-    if h.layout == "tailbiting":
-        rows = list(range(cb))                   # block column t = 0
-        cols = list(range(c))
-    elif h.layout == "circulant":
-        rows = [i * m for i in range(cb)]        # shift s = 0 in each block
-        cols = [j * m for j in range(c)]
-    else:
+    if h.layout not in (TAILBITING, CIRCULANT):
         raise ValueError("start vertices need tailbiting or circulant layout")
-    return rows + [h.n_rows + col for col in cols]
+    step = 1 if h.layout == TAILBITING else m  # block column t = 0, or shift s = 0 per block
+    return [i * step for i in range(cb)] + [h.n_rows + j * step for j in range(c)]
 
 
 def certified_girth(h: SparseParityCheck, cap: int = 32) -> int | None:
     """Girth via the BFS oracle, using orbit starts when metadata allows."""
     starts = None
-    if h.block is not None and h.layout in ("tailbiting", "circulant"):
+    if h.block is not None and h.layout in (TAILBITING, CIRCULANT):
         starts = qc_start_vertices(h)
     return girth_bfs_oracle(h, cap=cap, start_vertices=starts)

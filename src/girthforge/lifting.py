@@ -26,8 +26,8 @@ from .matrices import (
 )
 
 
-def _lifted_rows(w: DegreeMatrix, m: int, layout: str) -> tuple[tuple[int, ...], ...]:
-    """Rows of the lift of ``w`` in ``layout``, as sorted column tuples."""
+def _lifted_rows(w: DegreeMatrix, m: int, layout: str) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of the lift of ``w`` in ``layout``."""
     if m <= w.max_degree:
         raise ValueError(f"tailbiting length {m} must exceed max degree {w.max_degree}")
     cb, c = w.n_rows, w.n_cols
@@ -41,20 +41,19 @@ def _lifted_rows(w: DegreeMatrix, m: int, layout: str) -> tuple[tuple[int, ...],
     else:  # s is the row within each circulant
         row_idx = ei * m + s
         col_idx = ej * m + (s - ew) % m
-    cols = col_idx[np.lexsort((col_idx, row_idx))].tolist()
-    ends = np.cumsum(np.bincount(row_idx, minlength=m * cb)).tolist()
-    return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends[:-1], ends))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row_idx, minlength=m * cb))))
+    return indptr, col_idx[np.lexsort((col_idx, row_idx))]
 
 
 def lift_tailbiting(w: DegreeMatrix, m: int) -> SparseParityCheck:
     """Tailbiting parity-check matrix of size M(c-b) x Mc."""
-    return SparseParityCheck(m * w.n_rows, m * w.n_cols, _lifted_rows(w, m, TAILBITING),
+    return SparseParityCheck(m * w.n_cols, *_lifted_rows(w, m, TAILBITING),
                              TAILBITING, QCBlock(m, w.n_cols, w.n_rows))
 
 
 def lift_circulant(w: DegreeMatrix, m: int) -> SparseParityCheck:
     """Circulant-block parity-check matrix, equivalent to the tailbiting one."""
-    return SparseParityCheck(m * w.n_rows, m * w.n_cols, _lifted_rows(w, m, CIRCULANT),
+    return SparseParityCheck(m * w.n_cols, *_lifted_rows(w, m, CIRCULANT),
                              CIRCULANT, QCBlock(m, w.n_cols, w.n_rows))
 
 
@@ -69,14 +68,15 @@ def reorder_to_circulant(h_tb: SparseParityCheck, c: int, cb: int, m: int,
     """
     if h_tb.n_rows != m * cb or h_tb.n_cols != m * c:
         raise ValueError("dimensions do not match (c, c-b, M)")
-    col_perm = np.array([t * c + j for j in range(c) for t in range(m)], dtype=np.int64)
-    row_perm = np.array([s * cb + i for i in range(cb) for s in range(m)], dtype=np.int64)
-    col_rank = np.empty_like(col_perm)
-    col_rank[col_perm] = np.arange(col_perm.size)
-    rows = []
-    for r in row_perm:
-        rows.append(tuple(sorted(int(col_rank[c0]) for c0 in h_tb.rows[r])))
-    reordered = SparseParityCheck(h_tb.n_rows, h_tb.n_cols, tuple(rows),
+    col_perm = (np.arange(m) * c + np.arange(c)[:, None]).ravel()
+    row_perm = (np.arange(m) * cb + np.arange(cb)[:, None]).ravel()
+    col_rank = (np.arange(c) * m + np.arange(m)[:, None]).ravel()  # inverse of col_perm
+    # gather the source rows in row_perm order, then sort each row's new columns
+    weights = np.diff(h_tb.indptr)[row_perm]
+    indptr = np.concatenate(([0], np.cumsum(weights)))
+    rows = np.repeat(np.arange(row_perm.size), weights)
+    cols = col_rank[h_tb.indices[h_tb.indptr[row_perm][rows] - indptr[rows] + np.arange(rows.size)]]
+    reordered = SparseParityCheck(h_tb.n_cols, indptr, cols[np.lexsort((cols, rows))],
                                   CIRCULANT, QCBlock(m, c, cb))
     return reordered, col_perm, row_perm
 
@@ -85,7 +85,7 @@ def degree_matrix_of_lift(h: SparseParityCheck) -> tuple[DegreeMatrix, int]:
     """Recover (degree matrix, M) from a tailbiting or circulant lift.
 
     Reads the degrees off the first row of every block row and verifies them
-    by lifting again in the same layout and comparing rows; raises
+    by lifting again in the same layout and comparing the CSR arrays; raises
     ``ValueError`` when the block metadata does not describe the matrix.
     """
     if h.layout not in (TAILBITING, CIRCULANT) or h.block is None:
@@ -93,20 +93,17 @@ def degree_matrix_of_lift(h: SparseParityCheck) -> tuple[DegreeMatrix, int]:
     m, c, cb = h.block.m, h.block.c, h.block.cb
     if m < 1 or h.n_rows != m * cb or h.n_cols != m * c:
         raise ValueError("block metadata does not match the matrix shape")
-    tailbiting = h.layout == TAILBITING
     entries = np.full((cb, c), NO_EDGE, dtype=np.int64)
     for i in range(cb):
         # the first row of block row i holds, per base column j, one entry at offset (-w) mod M
-        for col in h.rows[i if tailbiting else i * m]:
-            if tailbiting:
-                t, j = divmod(col, c)
-            else:
-                j, t = divmod(col, m)
-            if entries[i, j] != NO_EDGE:
-                raise ValueError(f"block ({i},{j}) holds more than one circulant")
-            entries[i, j] = -t % m
+        # (a block with two circulants there fails the re-lift comparison below)
+        if h.layout == TAILBITING:
+            t, j = np.divmod(h.indices[h.indptr[i]:h.indptr[i + 1]], c)
+        else:
+            j, t = np.divmod(h.indices[h.indptr[i * m]:h.indptr[i * m + 1]], m)
+        entries[i, j] = -t % m
     w = DegreeMatrix(entries, modulus=m)
-    if _lifted_rows(w, m, h.layout) != h.rows:
+    if SparseParityCheck(h.n_cols, *_lifted_rows(w, m, h.layout)) != h:
         raise ValueError("matrix is not the lift of a single-circulant degree matrix")
     return w, m
 
@@ -129,10 +126,6 @@ class TailbitingCode:
     @cached_property
     def h_tb(self) -> SparseParityCheck:
         return lift_tailbiting(self.degree, self.m)
-
-    @cached_property
-    def h_c(self) -> SparseParityCheck:
-        return lift_circulant(self.degree, self.m)
 
     @cached_property
     def k(self) -> int:

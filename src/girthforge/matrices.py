@@ -1,4 +1,4 @@
-"""Core matrix types: base matrices, degree matrices, sparse parity checks.
+"""Core matrix types: base matrices, degree matrices, CSR sparse parity checks.
 
 Binary vectors are plain numpy uint8 arrays (or python int bitsets inside
 the hot loops); the structured types below carry the validation that the
@@ -7,8 +7,7 @@ rest of the package relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,74 +141,74 @@ class QCBlock:
 
 @dataclass(frozen=True)
 class SparseParityCheck:
-    """Sparse binary matrix stored as sorted column-index lists per row."""
+    """Sparse binary matrix in CSR form: row r has its ones at the strictly
+    increasing columns ``indices[indptr[r]:indptr[r + 1]]`` (read-only int64)."""
 
-    n_rows: int
     n_cols: int
-    rows: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
     layout: str = GENERIC
     block: QCBlock | None = None
 
     def __post_init__(self) -> None:
-        if len(self.rows) != self.n_rows:
-            raise ValueError("row count mismatch")
-        for cols in self.rows:
-            if any(c < 0 or c >= self.n_cols for c in cols):
-                raise ValueError("column index out of range")
-            if any(a >= b for a, b in zip(cols, cols[1:])):
-                raise ValueError("column indices must be strictly increasing")
+        for name in ("indptr", "indices"):
+            arr = np.asarray(getattr(self, name), dtype=np.int64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        indptr, indices = self.indptr, self.indices
+        if (indptr.ndim != 1 or indices.ndim != 1 or indptr.size == 0 or indptr[0] != 0
+                or (np.diff(indptr) < 0).any() or indptr[-1] != indices.size):
+            raise ValueError("row count mismatch: indptr must run from 0 up to indices.size")
+        if indices.size and (indices.min() < 0 or indices.max() >= self.n_cols):
+            raise ValueError("column index out of range")
+        # with indices in range, row-major keys increase iff every row does
+        if (np.diff(self._row_ids() * self.n_cols + indices) <= 0).any():
+            raise ValueError("column indices must be strictly increasing")
         if self.layout not in (TAILBITING, CIRCULANT, GENERIC):
             raise ValueError(f"unknown layout {self.layout!r}")
 
+    @property
+    def n_rows(self) -> int:
+        return self.indptr.size - 1
+
     @classmethod
-    def from_dense(cls, dense: np.ndarray, layout: str = GENERIC,
-                   block: QCBlock | None = None) -> "SparseParityCheck":
+    def from_dense(cls, dense: np.ndarray) -> "SparseParityCheck":
         dense = np.asarray(dense)
-        rows = tuple(tuple(np.nonzero(row)[0].tolist()) for row in dense)
-        return cls(dense.shape[0], dense.shape[1], rows, layout, block)
+        rows, cols = np.nonzero(dense)
+        return cls(dense.shape[1], np.searchsorted(rows, np.arange(dense.shape[0] + 1)), cols)
+
+    def _row_ids(self) -> np.ndarray:
+        """Row index of every stored one, aligned with ``indices``."""
+        return np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+
+    def transpose(self) -> "SparseParityCheck":
+        """The transposed matrix: its rows list each column's row indices."""
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(self.indices, minlength=self.n_cols))))
+        order = np.argsort(self.indices, kind="stable")
+        return SparseParityCheck(self.n_rows, indptr, self._row_ids()[order])
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
-        for r, cols in enumerate(self.rows):
-            out[r, list(cols)] = 1
+        out[self._row_ids(), self.indices] = 1
         return out
-
-    def column_lists(self) -> list[list[int]]:
-        """Per-column sorted row-index lists."""
-        cols: list[list[int]] = [[] for _ in range(self.n_cols)]
-        for r, row in enumerate(self.rows):
-            for c in row:
-                cols[c].append(r)
-        return cols
-
-    def row_weights(self) -> list[int]:
-        return [len(r) for r in self.rows]
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(r) for r in self.rows)
 
     def packed(self) -> np.ndarray:
         """Bit-packed uint64 row representation (see :mod:`girthforge.gf2`)."""
-        n_words = max(1, (self.n_cols + 63) // 64)
-        out = np.zeros((self.n_rows, n_words), dtype=np.uint64)
-        one = np.uint64(1)
-        for r, cols in enumerate(self.rows):
-            for c in cols:
-                w, b = divmod(c, 64)
-                out[r, w] ^= one << np.uint64(b)
+        out = np.zeros((self.n_rows, max(1, (self.n_cols + 63) // 64)), dtype=np.uint64)
+        bits = np.left_shift(np.uint64(1), (self.indices & 63).astype(np.uint64))
+        np.bitwise_or.at(out, (self._row_ids(), self.indices >> 6), bits)
         return out
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparseParityCheck)
-            and self.n_rows == other.n_rows
             and self.n_cols == other.n_cols
-            and self.rows == other.rows
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n_rows, self.n_cols, self.rows))
+        return hash((self.n_cols, self.indptr.tobytes(), self.indices.tobytes()))
 
 
 def gf2_rank(h: SparseParityCheck) -> int:
@@ -304,19 +303,17 @@ def parse_degree_matrix(text: str | bytes) -> DegreeMatrix:
 # ---------------------------------------------------------------------------
 
 def emit_alist(h: SparseParityCheck) -> str:
-    cols = h.column_lists()
-    col_w = [len(c) for c in cols]
-    row_w = h.row_weights()
+    h_t = h.transpose()
+    col_w, row_w = np.diff(h_t.indptr).tolist(), np.diff(h.indptr).tolist()
     lines = [
         f"{h.n_cols} {h.n_rows}",
         f"{max(col_w, default=0)} {max(row_w, default=0)}",
         " ".join(map(str, col_w)),
         " ".join(map(str, row_w)),
     ]
-    for c in cols:
-        lines.append(" ".join(str(r + 1) for r in c))
-    for row in h.rows:
-        lines.append(" ".join(str(c + 1) for c in row))
+    for side in (h_t, h):  # column lists, then row lists, 1-based
+        ptr, idx = side.indptr.tolist(), (side.indices + 1).tolist()
+        lines += [" ".join(map(str, idx[a:b])) for a, b in zip(ptr[:-1], ptr[1:])]
     return "\n".join(lines) + "\n"
 
 
@@ -338,21 +335,21 @@ def parse_alist(text: str | bytes) -> SparseParityCheck:
     if len(body) < n_cols + n_rows or any(body[n_cols + n_rows:]):
         raise FormatError("alist body does not match dimensions")
     try:
-        lists = [[int(t) for t in ln.split()] for ln in body[: n_cols + n_rows]]
+        # Some writers zero-pad entries; ignore padding zeros.
+        lists = [[t for t in map(int, ln.split()) if t != 0]
+                 for ln in body[: n_cols + n_rows]]
     except ValueError as exc:
         raise FormatError("bad token in alist body") from exc
-    rows: list[list[int]] = [[] for _ in range(n_rows)]
-    for c, tokens in enumerate(lists[:n_cols]):
-        # Some writers zero-pad entries; ignore padding zeros.
-        entries = [t for t in tokens if t != 0]
+    for c, entries in enumerate(lists[:n_cols]):
         if len(entries) != col_w[c]:
             raise FormatError(f"column {c + 1} weight mismatch")
-        for r in entries:
-            if not (1 <= r <= n_rows):
-                raise FormatError(f"row index {r} out of range")
-            rows[r - 1].append(c)
-    for r, tokens in enumerate(lists[n_cols:]):
-        entries = sorted(t - 1 for t in tokens if t != 0)
-        if entries != rows[r]:
+    try:  # the column lists are the rows of the transpose
+        h = SparseParityCheck(n_rows, np.cumsum([0] + col_w), [
+            r - 1 for entries in lists[:n_cols] for r in sorted(entries)]).transpose()
+    except (ValueError, OverflowError) as exc:
+        raise FormatError("a column list holds a row index out of range or twice") from exc
+    ptr, idx = h.indptr.tolist(), h.indices.tolist()
+    for r, entries in enumerate(lists[n_cols:]):
+        if sorted(t - 1 for t in entries) != idx[ptr[r]:ptr[r + 1]]:
             raise FormatError(f"row {r + 1} list inconsistent with column lists")
-    return SparseParityCheck(n_rows, n_cols, tuple(tuple(sorted(r)) for r in rows))
+    return h

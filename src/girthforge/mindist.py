@@ -154,12 +154,13 @@ def min_weight_codeword(code, t: int) -> tuple[Distance, tuple[int, ...] | None]
 def min_distance_bruteforce(h: SparseParityCheck, max_dim: int = 28) -> int:
     """Exact d_min by enumerating all nonzero codewords from a nullspace
     basis (meet-in-the-middle over two halves of the basis)."""
-    k = h.n_cols - gf2.rank(h.packed(), h.n_cols)
+    h_packed = h.packed()
+    k = h.n_cols - gf2.rank(h_packed, h.n_cols)
     if k == 0:
         raise ValueError("code has no nonzero codewords")
     if k > max_dim:
         raise ValueError(f"dimension {k} exceeds enumeration budget {max_dim}")
-    basis = gf2.nullspace_basis(h.packed(), h.n_cols)
+    basis = gf2.nullspace_basis(h_packed, h.n_cols)
     packed = gf2.pack_rows(basis)
     k1 = min(k, max(1, k // 2 + 1))
     front = _xor_table(packed[:k1])

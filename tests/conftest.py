@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from girthforge.matrices import DegreeMatrix
+from girthforge.matrices import DegreeMatrix, SparseParityCheck
 
 
 TOY_TB = np.array([
@@ -45,3 +45,14 @@ STS9_BASE = np.array([
 def toy_degrees() -> DegreeMatrix:
     return DegreeMatrix(
         np.array([[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1]]), modulus=2)
+
+
+def toggle_row(h: SparseParityCheck, r: int, cols) -> SparseParityCheck:
+    """``h`` with the ones of row ``r`` at ``cols`` flipped, keeping its layout
+    and block metadata."""
+    a, b = int(h.indptr[r]), int(h.indptr[r + 1])
+    row = sorted(set(h.indices[a:b].tolist()) ^ set(cols))
+    indptr = h.indptr.copy()
+    indptr[r + 1:] += len(row) - (b - a)
+    indices = np.concatenate((h.indices[:a], np.array(row, dtype=np.int64), h.indices[b:]))
+    return SparseParityCheck(h.n_cols, indptr, indices, h.layout, h.block)

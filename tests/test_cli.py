@@ -132,6 +132,15 @@ def test_search_command_env_seed(tmp_path, monkeypatch):
     assert (outdir2 / "result.wm").read_text() == first
 
 
+def test_search_command_bad_env_seed(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"base": {"kind": "all_ones", "j": 3, "k": 4},
+                               "girth": 8, "m_max": 16, "seed": 1}))
+    monkeypatch.setenv("GIRTHFORGE_SEED", "abc")
+    assert main(["search", str(cfg), "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_search_infeasible_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -184,6 +193,15 @@ def test_verify_corpus_bad_file(capsys, tmp_path):
     assert "error: missing.wm" in capsys.readouterr().err
     assert main(["verify-corpus", "--dir", str(tmp_path / "nowhere")]) == 1
     assert "error:" in capsys.readouterr().err
+    (corpus / "ok.wm").write_text("M=5\n0 1 2 4\n0 3 1 2\n0 0 0 0\n")
+    good = {"file": "ok.wm", "m": 5, "girth": 6, "n": 20}
+    broken = [["ok.wm"], {"x": {"file": "ok.wm"}}, {"x": "ok.wm"}, {"x": None}]
+    broken += [{"x": {k: v for k, v in good.items() if k != key}} for key in good]
+    broken += [{"x": {**good, "m": "5"}}, {"x": {**good, "file": 3}}]
+    for index in broken:
+        (corpus / "index.json").write_text(json.dumps(index))
+        assert main(["verify-corpus", "--dir", str(corpus)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("body", [b"M=5\n0 1 \xe9\n", b"0 1\n0 1\n", None],

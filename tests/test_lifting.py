@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from girthforge.lifting import (TailbitingCode, lift_circulant, lift_tailbiting,
                                 reorder_to_circulant)
-from girthforge.matrices import NO_EDGE, DegreeMatrix, SparseParityCheck, gf2_rank
+from girthforge.matrices import NO_EDGE, DegreeMatrix, gf2_rank
 from girthforge import catalog, gf2
 
-from conftest import TOY_TB, TOY_CIRC
+from conftest import TOY_TB, TOY_CIRC, toggle_row
 
 
 def test_lift_tailbiting_matches_golden(toy_degrees):
@@ -21,6 +23,30 @@ def test_lift_tailbiting_matches_golden(toy_degrees):
 def test_lift_circulant_matches_golden(toy_degrees):
     h = lift_circulant(toy_degrees, 2)
     assert np.array_equal(h.to_dense(), TOY_CIRC)
+
+
+# SHA-256 of indptr.tobytes() + indices.tobytes(), taken from the earlier
+# tuple-of-rows lifts: the CSR lifts are row-for-row identical to them
+LIFT_PINS = {
+    ("g06_k4", "tailbiting"): "819a3fac862d6af7927dea9b13783f564613eac5cb1922bc8893ed8dd0643ad2",
+    ("g06_k4", "circulant"): "1f5a11586d54a76c1f2a6d3c110b066f3d6f0cef0b5963385f2627b774d1417e",
+    ("g12_k4", "tailbiting"): "b010e9c71ad78f184bbeacc09b85e9003dfa67ed5c0df8d5dc9cfc12024ff62d",
+    ("g12_k4", "circulant"): "ad28d66a2a7a08947d87f40091d155e65d60ee6df820688f6855d16403586b4c",
+    ("g14_k4", "tailbiting"): "91bf80cf5582fc2e6767eb569c50f0d7e5117f29d20e78c633bb539dc11fe40b",
+    ("g14_k4", "circulant"): "bb361f3225ffad89adceebe8e783c3b7afb22b2762af64d73d3b424b26f4f728",
+    ("g16_k5", "tailbiting"): "4b62a7a37afb3761100bf0657a8c3ffd56f1b995ba7177a1f1e2f91b5c3a3e41",
+    ("g16_k5", "circulant"): "9855cec13e6e01501d94ab30dcd2a2e755e3b4a5bdde5e9cfa26a7ef9609aabd",
+}
+
+
+@pytest.mark.parametrize("name, layout", sorted(LIFT_PINS))
+def test_lift_pinned(name, layout):
+    entry = catalog.BY_NAME[name]
+    lift = lift_tailbiting if layout == "tailbiting" else lift_circulant
+    h = lift(entry.degree_matrix(), entry.m)
+    digest = hashlib.sha256(h.indptr.tobytes() + h.indices.tobytes()).hexdigest()
+    assert digest == LIFT_PINS[name, layout]
+    assert h.indptr.dtype == h.indices.dtype == np.int64
 
 
 def test_lift_m1_is_base():
@@ -95,8 +121,8 @@ def test_regular_weights_both_layouts():
     entry = catalog.BY_NAME["g08_k4"]
     for lift in (lift_tailbiting, lift_circulant):
         h = lift(entry.degree_matrix(), entry.m)
-        assert {len(col) for col in h.column_lists()} == {3}
-        assert set(h.row_weights()) == {4}
+        assert set(np.diff(h.transpose().indptr).tolist()) == {3}
+        assert set(np.diff(h.indptr).tolist()) == {4}
 
 
 def dense_rank(h) -> int:
@@ -148,10 +174,7 @@ def test_qc_rank_matches_dense_random(m, seed, dense_calls):
     assert dense_calls == []
     # rows edited under kept block metadata: the QC engine must not be used
     for h in layouts:
-        rows = list(h.rows)
-        r = int(rng.integers(h.n_rows))
-        rows[r] = tuple(sorted(set(rows[r]) ^ {int(rng.integers(h.n_cols))}))
-        edited = SparseParityCheck(h.n_rows, h.n_cols, tuple(rows), h.layout, h.block)
+        edited = toggle_row(h, int(rng.integers(h.n_rows)), {int(rng.integers(h.n_cols))})
         dense_calls.clear()
         assert gf2_rank(edited) == dense_rank(edited)
         if m > 1:  # at M = 1 every 0/1 matrix is a lift of its own pattern

@@ -81,6 +81,36 @@ def test_degree_matrix_round_trip_random(data):
     assert parse_degree_matrix(emit_degree_matrix(w)) == w
 
 
+# -- sparse parity check -------------------------------------------------------
+
+def test_sparse_parity_check_validation():
+    def csr(indptr, indices, n_cols=4, layout="generic"):
+        return SparseParityCheck(n_cols, np.array(indptr), np.array(indices), layout)
+
+    h = csr([0, 2, 2, 3], [0, 3, 1])
+    assert (h.n_rows, h.n_cols) == (3, 4)
+    assert h.to_dense().tolist() == [[1, 0, 0, 1], [0, 0, 0, 0], [0, 1, 0, 0]]
+    assert h.indptr.dtype == h.indices.dtype == np.int64
+    assert not h.indptr.flags.writeable and not h.indices.flags.writeable
+    assert csr([0, 1, 2], [3, 3]) == csr([0, 1, 2], [3, 3])  # equal across rows is fine
+    bad = [
+        ([0, 2], [0, 4]),        # column index past n_cols
+        ([0, 2], [-1, 2]),       # negative column index
+        ([0, 2], [1, 1]),        # repeated index within a row
+        ([0, 2], [2, 1]),        # decreasing index within a row
+        ([1, 2], [0, 1]),        # indptr does not start at 0
+        ([0, 2, 1, 2], [0, 1]),  # indptr decreases
+        ([0, 1], [0, 1]),        # indptr ends before indices.size
+        ([0, 3], [0, 1]),        # indptr ends past indices.size
+        ([], []),                # no row offsets at all
+    ]
+    for indptr, indices in bad:
+        with pytest.raises(ValueError):
+            csr(indptr, indices)
+    with pytest.raises(ValueError):
+        csr([0, 1], [0], layout="diagonal")
+
+
 # -- alist --------------------------------------------------------------------
 
 def test_alist_identity():
@@ -122,6 +152,8 @@ def test_parse_alist_rejects_garbage():
         parse_alist("2 1\n1 2\n1 1\n2\n1\nx\n1 2\n")  # bad body token
     with pytest.raises(FormatError):
         parse_alist(b"2 1\n1 2\n1 1\n2\n1\n\xe9\n1 2\n")  # not ASCII
+    with pytest.raises(FormatError):
+        parse_alist("1 2\n2 2\n2\n2 0\n1 1\n1 1\n\n")  # row 1 twice in column 1
 
 
 # -- GF(2) rank ---------------------------------------------------------------
@@ -138,7 +170,8 @@ def test_rank_toy_tailbiting(toy_degrees):
 
 
 def test_rank_zero_matrix():
-    h = SparseParityCheck(3, 5, ((), (), ()))
+    h = SparseParityCheck(5, np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    assert h.n_rows == 3
     assert gf2_rank(h) == 0
 
 

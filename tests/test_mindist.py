@@ -13,6 +13,8 @@ from girthforge.mindist import (Distance, iterative_deepening_distance,
                                 min_distance_bruteforce, min_distance_md)
 from girthforge import catalog
 
+from conftest import toggle_row
+
 
 def code_for(name: str) -> TailbitingCode:
     entry = catalog.BY_NAME[name]
@@ -68,15 +70,13 @@ def test_md_rejects_non_circulant_blocks():
     for lift in (lift_circulant, lift_tailbiting):
         h = lift(entry.degree_matrix(), entry.m)
         # corrupt one row: no longer a stack of single circulants
-        rows = list(h.rows)
-        rows[1] = tuple(sorted(set(rows[1]) ^ {0, 1}))
-        bad = SparseParityCheck(h.n_rows, h.n_cols, tuple(rows), h.layout, h.block)
+        bad = toggle_row(h, 1, {0, 1})
         with pytest.raises(ValueError):
             degree_matrix_of_lift(bad)
         with pytest.raises(ValueError):
             min_distance_md(bad, 26)
         # block metadata of the wrong shape
-        wrong = SparseParityCheck(h.n_rows, h.n_cols, h.rows, h.layout,
+        wrong = SparseParityCheck(h.n_cols, h.indptr, h.indices, h.layout,
                                   QCBlock(entry.m + 1, 4, 3))
         with pytest.raises(ValueError):
             degree_matrix_of_lift(wrong)
@@ -149,7 +149,7 @@ def test_bruteforce_rejects_large_dimension():
 
 
 def test_bruteforce_single_zero_column():
-    h = SparseParityCheck(1, 1, ((),))
+    h = SparseParityCheck(1, np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int64))
     assert min_distance_bruteforce(h) == 1
 
 
