@@ -64,8 +64,14 @@ def reorder_to_circulant(h_tb: SparseParityCheck, c: int, cb: int, m: int,
     Returns (matrix, column permutation, row permutation) where position p of
     a permutation holds the source index: column p of the result is column
     ``col_perm[p]`` of the input.  Columns are gathered as 0, c, 2c, ... then
-    1, c+1, ... and rows analogously with stride c-b.
+    1, c+1, ... and rows analogously with stride c-b.  Raises ``ValueError``
+    unless the input is in tailbiting layout with matching block metadata
+    (or none): the result is labelled circulant, which is only true then.
     """
+    if h_tb.layout != TAILBITING:
+        raise ValueError(f"expected a tailbiting layout, got {h_tb.layout!r}")
+    if h_tb.block is not None and h_tb.block != QCBlock(m, c, cb):
+        raise ValueError("block metadata does not match (c, c-b, M)")
     if h_tb.n_rows != m * cb or h_tb.n_cols != m * c:
         raise ValueError("dimensions do not match (c, c-b, M)")
     col_perm = (np.arange(m) * c + np.arange(c)[:, None]).ravel()

@@ -4,9 +4,12 @@ The branch-and-bound engine grows one syndrome tree per base column: the
 root syndrome is that column, every branch XORs in one further column, and a
 node dies when some M-row block of its partial syndrome weighs more than the
 remaining column budget (each column clears at most one bit per block).
-Quasi-cyclicity makes the block-offset-zero columns a complete set of roots.
-A meet-in-the-middle codeword enumeration serves as the independent oracle
-for dimensions up to 28.
+A syndrome is one Python int over all cb*M check bits, block i at bits
+i*M .. i*M+M-1, so a branch is one XOR and the branching bit is the lowest
+set bit.  Quasi-cyclicity makes the block-offset-zero columns a complete set
+of roots.  The independent oracle for dimensions up to 28 enumerates all
+2^k codewords from the systematic nullspace basis, in numpy chunks of parity
+words.
 """
 
 from __future__ import annotations
@@ -19,6 +22,10 @@ import numpy as np
 from . import gf2
 from .matrices import NO_EDGE, DegreeMatrix, SparseParityCheck
 from .lifting import TailbitingCode, degree_matrix_of_lift
+
+# elements per broadcast block of the enumeration; a block's XOR temporary
+# is 512 KB of uint64, so wider blocks only raise peak memory
+_ENUM_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -33,28 +40,22 @@ class Distance:
 
 
 def _column_tables(w: DegreeMatrix, m: int):
-    """Per-column syndromes (one bitmask int per row block) and, for every
-    (block, bit), the list of columns covering it.  Columns are indexed
-    t*c + j over block column t and base column j."""
+    """Per-column syndromes, each one int over all cb*M check bits (block i
+    at bits i*M .. i*M+M-1), and for every check bit the list of columns
+    covering it.  Columns are indexed t*c + j over block column t and base
+    column j."""
     cb, c = w.n_rows, w.n_cols
-    n = m * c
-    col_synd = [None] * n
+    col_synd = [0] * (m * c)
     hitters: list[list[int]] = [[] for _ in range(cb * m)]
-    edges_by_col: list[list[tuple[int, int]]] = [[] for _ in range(c)]
-    for i in range(cb):
-        for j in range(c):
-            deg = int(w.entries[i, j])
-            if deg != NO_EDGE:
-                edges_by_col[j].append((i, deg))
+    edges_by_col = [[(i, int(w.entries[i, j])) for i in range(cb)
+                     if w.entries[i, j] != NO_EDGE] for j in range(c)]
     for t in range(m):
         for j in range(c):
-            blocks = [0] * cb
             cid = t * c + j
             for i, deg in edges_by_col[j]:
-                bit = (t + deg) % m
-                blocks[i] = 1 << bit
-                hitters[i * m + bit].append(cid)
-            col_synd[cid] = tuple(blocks)
+                bit = i * m + (t + deg) % m
+                col_synd[cid] |= 1 << bit
+                hitters[bit].append(cid)
     return col_synd, hitters
 
 
@@ -67,51 +68,49 @@ def _resolve_code(code) -> tuple[DegreeMatrix, int]:
     return w, m
 
 
-def _branch_and_bound(w: DegreeMatrix, m: int, t: int, strengthened: bool,
-                      ) -> tuple[int, tuple[int, ...] | None]:
+def _branch_and_bound(code, t: int, strengthened: bool) -> tuple[int, tuple[int, ...] | None]:
     """Smallest zero-sum column subset below t columns, with its support
     (tailbiting column indices), or (t, None) when none exists."""
+    if t < 2:
+        raise ValueError("distance cap must be at least 2")
+    w, m = _resolve_code(code)
     cb, c = w.n_rows, w.n_cols
     col_synd, hitters = _column_tables(w, m)
     # the weak criterion needs the heaviest column: one branch cancels at
     # most that many ones in total
     col_weight = int((w.entries != NO_EDGE).sum(axis=0).max())
+    # the per-block rule reads block i of a syndrome as s & block_masks[i]
+    block_masks = [((1 << m) - 1) << (i * m) for i in range(cb)]
     best = t
     support: tuple[int, ...] | None = None
     limit = sys.getrecursionlimit()
     if t + 16 > limit:
         sys.setrecursionlimit(t + 64)
 
-    def extend(blocks: tuple[int, ...], used: set[int], count: int, root: int) -> None:
+    def extend(s: int, used: set[int], count: int, root: int) -> None:
         nonlocal best, support
         budget = best - 1 - count
         if budget < 0:
             return
-        lowest = -1
-        total_weight = 0
-        for i, b in enumerate(blocks):
-            if b:
-                weight = b.bit_count()
-                total_weight += weight
-                if strengthened and weight > budget:
-                    return
-                if lowest < 0:
-                    lowest = i * m + (b & -b).bit_length() - 1
-        if lowest < 0:
-            if count < best:
-                best = count
-                support = tuple(sorted(used))
+        if not s:
+            best, support = count, tuple(sorted(used))
             return
-        if not strengthened and total_weight > col_weight * budget:
+        weight = s.bit_count()
+        if strengthened:
+            # no block can outweigh budget while the whole syndrome does not
+            if weight > budget:
+                for block in block_masks:
+                    if (s & block).bit_count() > budget:
+                        return
+        elif weight > col_weight * budget:
             return
         if budget == 0:
             return
-        for cid in hitters[lowest]:
+        for cid in hitters[(s & -s).bit_length() - 1]:
             if cid <= root or cid in used:
                 continue
-            cs = col_synd[cid]
             used.add(cid)
-            extend(tuple(b ^ x for b, x in zip(blocks, cs)), used, count + 1, root)
+            extend(s ^ col_synd[cid], used, count + 1, root)
             used.discard(cid)
 
     try:
@@ -130,30 +129,26 @@ def min_distance_md(code: TailbitingCode | SparseParityCheck | tuple[DegreeMatri
     ``strengthened`` selects per-block weight pruning; the weaker global
     J*(budget) criterion gives identical answers, only slower.
     """
-    if t < 2:
-        raise ValueError("distance cap must be at least 2")
-    w, m = _resolve_code(code)
-    best, _ = _branch_and_bound(w, m, t, strengthened)
-    if best < t:
-        return Distance(best, True)
-    return Distance(t, False)
+    best, _ = _branch_and_bound(code, t, strengthened)
+    return Distance(best, True) if best < t else Distance(t, False)
 
 
 def min_weight_codeword(code, t: int) -> tuple[Distance, tuple[int, ...] | None]:
     """Like :func:`min_distance_md` but also returns the witness support as
-    column indices of the tailbiting layout (empty for a lower bound)."""
-    if t < 2:
-        raise ValueError("distance cap must be at least 2")
-    w, m = _resolve_code(code)
-    best, support = _branch_and_bound(w, m, t, True)
-    if best < t:
-        return Distance(best, True), support
-    return Distance(t, False), None
+    column indices of the tailbiting layout (None for a lower bound)."""
+    best, support = _branch_and_bound(code, t, True)
+    return (Distance(best, True), support) if best < t else (Distance(t, False), None)
 
 
 def min_distance_bruteforce(h: SparseParityCheck, max_dim: int = 28) -> int:
-    """Exact d_min by enumerating all nonzero codewords from a nullspace
-    basis (meet-in-the-middle over two halves of the basis)."""
+    """Exact d_min by enumerating all 2^k - 1 nonzero codewords.
+
+    The nullspace basis is systematic: row i is the identity on its free
+    column (its last set bit), so a codeword weighs wt(message) plus the
+    weight of its n-k parity bits.  Each half of the basis becomes a
+    word-major XOR table of parity words, and blocks of back rows meet the
+    whole front table by broadcasting, about ``_ENUM_BLOCK`` elements at a
+    time."""
     h_packed = h.packed()
     k = h.n_cols - gf2.rank(h_packed, h.n_cols)
     if k == 0:
@@ -161,28 +156,32 @@ def min_distance_bruteforce(h: SparseParityCheck, max_dim: int = 28) -> int:
     if k > max_dim:
         raise ValueError(f"dimension {k} exceeds enumeration budget {max_dim}")
     basis = gf2.nullspace_basis(h_packed, h.n_cols)
-    packed = gf2.pack_rows(basis)
-    k1 = min(k, max(1, k // 2 + 1))
-    front = _xor_table(packed[:k1])
-    back = _xor_table(packed[k1:])
-    best = None
-    for qi in range(back.shape[0]):
-        x = front ^ back[qi]
-        weights = np.bitwise_count(x).sum(axis=1, dtype=np.int64)
-        if qi == 0:
-            weights[0] = np.iinfo(np.int64).max  # skip the all-zero codeword
-        w = int(weights.min())
-        if best is None or w < best:
-            best = w
+    parity = np.ones(h.n_cols, dtype=bool)
+    parity[h.n_cols - 1 - np.argmax(basis[:, ::-1], axis=1)] = False
+    words = gf2.pack_rows(basis[:, parity]).T
+    front, back = _xor_table(words[:, :k // 2 + 1]), _xor_table(words[:, k // 2 + 1:])
+    dtype = np.min_scalar_type(h.n_cols)
+    front_wt = np.bitwise_count(np.arange(front.shape[1])).astype(dtype)
+    back_wt = np.bitwise_count(np.arange(back.shape[1])).astype(dtype)
+    step = max(1, _ENUM_BLOCK // front.shape[1])
+    best = h.n_cols
+    for b0 in range(0, back.shape[1], step):
+        rows = slice(b0, b0 + step)
+        weights = back_wt[rows, None] + front_wt
+        for fw, bw in zip(front, back):
+            weights += np.bitwise_count(bw[rows, None] ^ fw)
+        if b0 == 0:
+            weights[0, 0] = best  # the all-zero codeword; d_min <= n anyway
+        best = min(best, int(weights.min()))
     return best
 
 
-def _xor_table(packed_rows: np.ndarray) -> np.ndarray:
-    """All 2^k XOR combinations of the given packed rows."""
-    k, words = packed_rows.shape if packed_rows.size else (0, 1)
-    table = np.zeros((1, words), dtype=np.uint64)
-    for i in range(k):
-        table = np.vstack([table, table ^ packed_rows[i]])
+def _xor_table(columns: np.ndarray) -> np.ndarray:
+    """All 2^j XOR combinations of the j columns of a (words, j) array, as a
+    (words, 2^j) table whose column index has bit i set when column i is in."""
+    table = np.zeros((columns.shape[0], 1), dtype=np.uint64)
+    for i in range(columns.shape[1]):
+        table = np.hstack([table, table ^ columns[:, i:i + 1]])
     return table
 
 

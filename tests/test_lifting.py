@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from girthforge.lifting import (TailbitingCode, lift_circulant, lift_tailbiting,
                                 reorder_to_circulant)
-from girthforge.matrices import NO_EDGE, DegreeMatrix, gf2_rank
+from girthforge.matrices import NO_EDGE, DegreeMatrix, QCBlock, SparseParityCheck, gf2_rank
 from girthforge import catalog, gf2
 
 from conftest import TOY_TB, TOY_CIRC, toggle_row
@@ -115,6 +115,23 @@ def test_reorder_equivalence_random(seed, m):
     w = DegreeMatrix(rng.integers(0, m, size=(3, 4)), modulus=m)
     reordered, _, _ = reorder_to_circulant(lift_tailbiting(w, m), 4, 3, m)
     assert reordered == lift_circulant(w, m)
+
+
+def test_reorder_rejects_non_tailbiting_input():
+    # reordering a circulant lift once labelled a non-lift CIRCULANT, and the
+    # orbit-start BFS then read girth 6 where the full BFS reads 4
+    from girthforge.girth import certified_girth, girth_bfs_oracle
+
+    w = DegreeMatrix(np.array([[3, 1, 1, 1], [3, 2, 3, 4], [2, 3, 4, 1]]), modulus=5)
+    tb, ci = lift_tailbiting(w, 5), lift_circulant(w, 5)
+    with pytest.raises(ValueError):
+        reorder_to_circulant(ci, 4, 3, 5)
+    wrong = SparseParityCheck(tb.n_cols, tb.indptr, tb.indices, tb.layout, QCBlock(5, 3, 4))
+    with pytest.raises(ValueError):
+        reorder_to_circulant(wrong, 4, 3, 5)
+    reordered, _, _ = reorder_to_circulant(tb, 4, 3, 5)
+    assert reordered == ci
+    assert certified_girth(reordered) == girth_bfs_oracle(ci) == 4
 
 
 def test_regular_weights_both_layouts():

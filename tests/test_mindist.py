@@ -10,8 +10,9 @@ from girthforge.lifting import (TailbitingCode, degree_matrix_of_lift, lift_circ
                                 lift_tailbiting)
 from girthforge.matrices import DegreeMatrix, QCBlock, SparseParityCheck
 from girthforge.mindist import (Distance, iterative_deepening_distance,
-                                min_distance_bruteforce, min_distance_md)
-from girthforge import catalog
+                                min_distance_bruteforce, min_distance_md,
+                                min_weight_codeword)
+from girthforge import catalog, gf2, mindist
 
 from conftest import toggle_row
 
@@ -27,6 +28,40 @@ def code_for(name: str) -> TailbitingCode:
 ])
 def test_md_matches_published_small(name, expected):
     assert min_distance_md(code_for(name), 26) == Distance(expected, True)
+
+
+# min_weight_codeword(code, 26) as returned by the tuple-of-blocks branch and
+# bound: (value, exact, witness support in tailbiting column indices)
+WITNESS_PINS = {
+    "g06_k4": (6, True, (0, 3, 6, 7, 9, 10)),
+    "g06_k5": (6, True, (0, 4, 7, 9, 11, 12)),
+    "g08_k4": (6, True, (0, 3, 12, 15, 24, 27)),
+    "g08_k5": (10, True, (0, 2, 12, 14, 16, 18, 20, 21, 46, 48)),
+    "g10_k4": (14, True, (0, 2, 53, 54, 73, 74, 76, 78, 94, 95, 105, 106, 128, 129)),
+    "g12_k4": (24, True, (0, 2, 98, 99, 109, 110, 113, 115, 116, 118, 120, 123, 162,
+                          163, 189, 191, 208, 209, 221, 222, 244, 245, 260, 263)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_PINS))
+def test_witness_pinned(name):
+    dist, support = min_weight_codeword(code_for(name), 26)
+    assert (dist.value, dist.exact, support) == WITNESS_PINS[name]
+
+
+@pytest.mark.parametrize("name", ["g06_k4", "g08_k5", "g10_k4"])
+@pytest.mark.parametrize("strengthened", [True, False])
+def test_cap_boundary(name, strengthened):
+    # at cap d + 1 the last column meets a budget of one per block: a rule
+    # that prunes a block as heavy as its budget loses the codeword
+    d = WITNESS_PINS[name][0]
+    assert min_distance_md(code_for(name), d + 1, strengthened) == Distance(d, True)
+    assert min_distance_md(code_for(name), d, strengthened) == Distance(d, False)
+
+
+@pytest.mark.parametrize("name", ["g06_k4_ld", "g08_k4_ld", "g10_k4_ld", "g12_k4"])
+def test_lower_bound_pinned(name):
+    assert min_distance_md(code_for(name), 12) == Distance(12, False)
 
 
 def test_md_and_bruteforce_agree_small():
@@ -119,6 +154,9 @@ def test_weak_pruning_irregular_columns():
     strong = min_distance_md(code, 12)
     weak = min_distance_md(code, 12, strengthened=False)
     assert strong == weak
+    # both rules walk the same tree order, so they find the same witness
+    assert (mindist._branch_and_bound(code, 12, False)
+            == mindist._branch_and_bound(code, 12, True))
     assert strong.exact
     assert strong.value == min_distance_bruteforce(code.h_tb)
 
@@ -151,6 +189,73 @@ def test_bruteforce_rejects_large_dimension():
 def test_bruteforce_single_zero_column():
     h = SparseParityCheck(1, np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int64))
     assert min_distance_bruteforce(h) == 1
+
+
+def reference_distance(h: SparseParityCheck) -> int:
+    """d_min from all 2^k messages times a dense generator."""
+    g = gf2.nullspace_basis(h.packed(), h.n_cols)
+    assert not (h.to_dense().astype(np.int64) @ g.T % 2).any()
+    k = g.shape[0]
+    messages = (np.arange(1, 2 ** k)[:, None] >> np.arange(k)) & 1
+    return int((messages @ g % 2).sum(axis=1).min())
+
+
+def random_check_matrix(rng, n: int, k: int) -> SparseParityCheck:
+    """A dense random (n-k) x n check matrix of full rank, so dimension k."""
+    while True:
+        dense = rng.integers(0, 2, size=(n - k, n), dtype=np.uint8)
+        if gf2.rank(gf2.pack_rows(dense), n) == n - k:
+            return SparseParityCheck.from_dense(dense)
+
+
+# n - k > 64 spans two parity words; k = 1 and 2 leave the back half
+# empty; odd and even k split differently
+@pytest.mark.parametrize("n,k", [(80, 8), (140, 11), (30, 1), (30, 2), (40, 7),
+                                 (40, 12), (20, 5), (64, 6)])
+@pytest.mark.parametrize("block", [1 << 16, 1, 40])
+def test_bruteforce_matches_generator_reference(n, k, block, monkeypatch):
+    # small blocks walk many chunks and a ragged last one
+    monkeypatch.setattr(mindist, "_ENUM_BLOCK", block)
+    rng = np.random.default_rng(n * 100 + k)
+    for _ in range(3):
+        h = random_check_matrix(rng, n, k)
+        assert min_distance_bruteforce(h) == reference_distance(h)
+
+
+def test_bruteforce_all_zero_column():
+    rng = np.random.default_rng(7)
+    dense = random_check_matrix(rng, 30, 6).to_dense()
+    dense[:, 17] = 0
+    h = SparseParityCheck.from_dense(dense)
+    assert min_distance_bruteforce(h) == reference_distance(h) == 1
+
+
+def test_bruteforce_dimension_limits():
+    with pytest.raises(ValueError):  # k = 0
+        min_distance_bruteforce(SparseParityCheck.from_dense(np.eye(6, dtype=np.uint8)))
+    h = random_check_matrix(np.random.default_rng(3), 30, 5)
+    assert min_distance_bruteforce(h, max_dim=5) == reference_distance(h)
+    with pytest.raises(ValueError):
+        min_distance_bruteforce(h, max_dim=4)
+
+
+# d_min of every catalog code with k <= 28 from the meet-in-the-middle
+# enumeration that the systematic chunked one replaced.  They equal the
+# published values; g06_k4_ld (k = 25) is exact only here, since branch and
+# bound pins it as >= 12 at the acceptance cap.
+ENUM_PINS = {"g06_k4": 6, "g06_k5": 6, "g06_k6": 4, "g06_k4_ld": 22, "g08_k4": 6,
+             "g08_k5": 10}
+
+
+def test_enumeration_pins_cover_catalog():
+    assert sorted(e.name for e in catalog.CATALOG if e.dim <= 28) == sorted(ENUM_PINS)
+
+
+@pytest.mark.parametrize("name", sorted(ENUM_PINS))
+def test_bruteforce_pinned_on_catalog(name):
+    expected = ENUM_PINS[name]
+    assert min_distance_bruteforce(code_for(name).h_tb) == expected
+    assert catalog.BY_NAME[name].d_min == expected
 
 
 @settings(max_examples=20, deadline=None)
