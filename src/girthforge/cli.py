@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .girth import certified_girth
@@ -38,18 +39,19 @@ def _load_degree_matrix(path: str):
 def cmd_search(args) -> int:
     try:
         cfg = SearchConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+        if args.jobs is not None:
+            cfg = replace(cfg, jobs=args.jobs)
     except (OSError, ValueError, TypeError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 1
     env_seed = os.environ.get("GIRTHFORGE_SEED")
     if env_seed is not None:
         try:
-            cfg.seed = int(env_seed)
+            cfg = replace(cfg, seed=int(env_seed))
         except ValueError:
-            print(f"error: GIRTHFORGE_SEED={env_seed!r} is not an integer", file=sys.stderr)
+            print(f"error: GIRTHFORGE_SEED={env_seed!r} is not a non-negative integer",
+                  file=sys.stderr)
             return 1
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
@@ -58,12 +60,13 @@ def cmd_search(args) -> int:
     except (OSError, FormatError) as exc:  # a "code" base file that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # a base the config names badly
+        print(f"error: bad config: {exc}", file=sys.stderr)
+        return 1
     except InfeasibleTarget as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except TimeBudgetExceeded as exc:
-        if exc.best is not None:
-            _write_result(out, exc.best, cfg, time.time() - t0)
+    except TimeBudgetExceeded:
         print("budget exceeded", file=sys.stderr)
         return 2
     _write_result(out, result, cfg, time.time() - t0)

@@ -370,8 +370,8 @@ _EXACT_LIMIT = 2 ** 53
 
 
 class GirthSystem:
-    """Trees + inequalities for one (base, target girth) pair, reused across
-    many assignment checks.
+    """The voltage inequalities of one (base, target girth) pair, reused
+    across many assignment checks.
 
     The inequality coefficients are stacked once into an (N_L, n_edges)
     float64 matrix, rows stably sorted by support size so that the shortest
@@ -383,10 +383,7 @@ class GirthSystem:
     def __init__(self, base: BaseMatrix, g: int):
         self.base = base
         self.g = g
-        self.graph = BaseGraphView.from_base(base)
-        self.trees = grow_trees(base, g)
-        self.ineqs = collect_inequalities(self.trees)
-        self.trees_min = reduce_trees(self.trees, self.ineqs)
+        self.ineqs = collect_inequalities(grow_trees(base, g))
         coeffs = self.ineqs.coeffs
         order = np.argsort(np.count_nonzero(coeffs, axis=1), kind="stable")
         self._matrix = coeffs[order].astype(np.float64)
@@ -394,7 +391,7 @@ class GirthSystem:
 
     @property
     def n_edges(self) -> int:
-        return self.graph.n_edges
+        return self._matrix.shape[1]
 
     def _exact_block(self, block: np.ndarray) -> np.ndarray:
         """The block as float64, after checking that every inequality value

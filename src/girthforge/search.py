@@ -1,18 +1,28 @@
-"""Randomized voltage-assignment search with restriction handling,
-tailbiting-length minimization, and incremental column extension.
+"""Voltage-assignment search: a random sweep over M, an integer mode with
+modulus minimization, column extension and an exhaustive (3,4) scan.
+
+Each mode is a generator that yields ``(tried, hit)`` per block of
+assignments: ``tried`` counts the block's rows and ``hit`` is ``(values, M)``
+for its first accepted row, or None.  One driver, ``_drive``, sums the
+attempts, stops at a hit, at the generator's end or at the first block past
+the deadline, BFS-certifies the hit and builds the ``SearchResult``.  Every
+mode but the integer one accepts through ``GirthSystem.check_batch``, so its
+``attempts`` is the number of rows checked.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .bases import all_ones_base, sts_base, shorten_sts_base, zero_voltage_mask, CANONICAL_STS
+from .bases import (CANONICAL_STS, all_ones_base, base_from_code, shorten_sts_base, sts_base,
+                    zero_voltage_mask)
 from .bounds import theorem3_applies
 from .girth import GirthSystem, certified_girth
 from .lifting import lift_tailbiting
@@ -24,11 +34,7 @@ class InfeasibleTarget(Exception):
 
 
 class TimeBudgetExceeded(Exception):
-    """Search budget ran out; ``best`` carries a result if one was found."""
-
-    def __init__(self, best: "SearchResult | None" = None):
-        super().__init__("search budget exceeded")
-        self.best = best
+    """Search budget ran out before a certified result was found."""
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,19 @@ class SearchConfig:
     jobs: int = 1
     integer_mode: bool = False
     restrictions: Restrictions = field(default_factory=Restrictions)
+
+    def __post_init__(self) -> None:
+        for name, lo in (("girth", 4), ("m_max", 1), ("m_min", 1), ("attempts_per_m", 1),
+                         ("jobs", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if (value is not None or name != "m_min") and not (type(value) is int and value >= lo):
+                raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+        if self.girth % 2:
+            raise ValueError(f"girth must be even, got {self.girth}")
+        if self.m_min is not None and self.m_min > self.m_max:
+            raise ValueError(f"m_min={self.m_min} is above m_max={self.m_max}")
+        if type(self.budget_secs) not in (int, float) or not self.budget_secs > 0:
+            raise ValueError(f"budget_secs must be a positive number, got {self.budget_secs!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "SearchConfig":
@@ -83,7 +102,12 @@ def resolve_base(spec: dict | BaseMatrix) -> BaseMatrix:
     """Build the base matrix named by a config's ``base`` entry."""
     if isinstance(spec, BaseMatrix):
         return spec
+    if not isinstance(spec, dict):
+        raise ValueError(f"base must be an object, got {spec!r}")
     kind = spec.get("kind", "all_ones")
+    if kind in ("sts", "shortened_sts") and spec.get("order") not in list(CANONICAL_STS):
+        raise ValueError(f"no canonical triple system of order {spec.get('order')!r}; "
+                         f"known orders: {sorted(CANONICAL_STS)}")
     if kind == "all_ones":
         return all_ones_base(spec.get("j", 3), spec["k"])
     if kind == "sts":
@@ -92,7 +116,6 @@ def resolve_base(spec: dict | BaseMatrix) -> BaseMatrix:
         sts = CANONICAL_STS[spec["order"]]
         return shorten_sts_base(sts_base(sts), sts.replication)
     if kind == "code":
-        from .bases import base_from_code
         with open(spec["path"], "rb") as fh:
             w = parse_degree_matrix(fh.read())
         if w.modulus is None:
@@ -190,69 +213,60 @@ def _feasibility_check(base: BaseMatrix, g: int) -> None:
             f"(requested {g})")
 
 
-# A scan returns its certified hit as (assignment, M, girth), or None, and
-# the number of assignments it tried.
-_Hit = tuple[np.ndarray, int, int]
-
-
-def _scan_once(system: GirthSystem, cfg: SearchConfig, rng: np.random.Generator,
-               deadline: float) -> tuple[_Hit | None, int]:
-    """One ascending sweep over candidate M values."""
-    m_lo = cfg.m_min if cfg.m_min is not None else 1
-    batch = 512
+def _drive(system: GirthSystem, steps, deadline: float, seed: int) -> SearchResult | None:
+    """Run a mode's blocks until one holds a hit, the blocks run out or the
+    deadline passes; certify the hit and return it as the search result."""
+    t0 = time.monotonic()
     attempts = 0
+    for tried, hit in steps:
+        attempts += tried
+        if hit is not None:
+            values, m = hit
+            girth = _certify(system, values, m)
+            w = assignment_to_degree_matrix(system.base, values, modulus=m)
+            return SearchResult(w, m, girth, seed, attempts, time.monotonic() - t0)
+        if time.monotonic() > deadline:
+            return None
+    return None
+
+
+def _checked(system: GirthSystem, block: np.ndarray, m: int):
+    """A block's step: its size, and its first row the checker accepts at M."""
+    ok = system.check_batch(block, m)
+    return block.shape[0], (block[int(np.argmax(ok))], m) if ok.any() else None
+
+
+def _sweeps(system: GirthSystem, cfg: SearchConfig, rng: np.random.Generator):
+    """Ascending sweeps over M, ``attempts_per_m`` random assignments each."""
     edges = _restricted_edges(system.base, cfg.restrictions)
-    for m in range(max(1, m_lo), cfg.m_max + 1):
-        done = 0
-        while done < cfg.attempts_per_m:
-            if time.monotonic() > deadline:
-                return None, attempts
-            n = min(batch, cfg.attempts_per_m - done)
-            block = sample_assignment(system.base, rng, m, cfg.restrictions, size=n,
-                                      edges=edges)
-            ok = system.check_batch(block, m)
-            attempts += n
-            done += n
-            if ok.any():
-                values = block[int(np.argmax(ok))]
-                return (values, m, _certify(system, values, m)), attempts
-    return None, attempts
+    while True:
+        for m in range(cfg.m_min or 1, cfg.m_max + 1):
+            for done in range(0, cfg.attempts_per_m, 512):
+                block = sample_assignment(system.base, rng, m, cfg.restrictions,
+                                          size=min(512, cfg.attempts_per_m - done),
+                                          edges=edges)
+                yield _checked(system, block, m)
 
 
-def _scan_integer(system: GirthSystem, cfg: SearchConfig, rng: np.random.Generator,
-                  deadline: float) -> tuple[_Hit | None, int]:
-    """Two-phase mode: integer voltages first, then modulus minimization."""
-    attempts = 0
+def _integer_blocks(system: GirthSystem, cfg: SearchConfig, rng: np.random.Generator):
+    """Integer voltages below ``m_max`` first, then modulus minimization."""
     m_lo = cfg.m_min if cfg.m_min is not None else 2
     edges = _restricted_edges(system.base, cfg.restrictions)
-    while time.monotonic() <= deadline:
+    while True:
         block = sample_assignment(system.base, rng, cfg.m_max, cfg.restrictions,
                                   size=256, edges=edges)
-        attempts += block.shape[0]
         nonzero = (system.inequality_values(block) != 0).all(axis=1)
-        for v in block[nonzero]:
-            m = minimize_m(system, v, max(m_lo, int(v.max()) + 1), cfg.m_max,
-                           certify=False)
-            if m is not None:
-                return (v, m, _certify(system, v, m)), attempts
-    return None, attempts
+        # lazily, so that minimization stops at the first row that has an M
+        hits = ((v, minimize_m(system, v, max(m_lo, int(v.max()) + 1), cfg.m_max,
+                               certify=False)) for v in block[nonzero])
+        yield block.shape[0], next(((v, m) for v, m in hits if m is not None), None)
 
 
 def _run_shard(cfg: SearchConfig, shard_seed: int) -> SearchResult | None:
     system = GirthSystem(resolve_base(cfg.base), cfg.girth)
     rng = np.random.default_rng(shard_seed)
-    t0 = time.monotonic()
-    deadline = t0 + cfg.budget_secs
-    attempts = 0
-    scan = _scan_integer if cfg.integer_mode else _scan_once
-    while time.monotonic() <= deadline:
-        hit, n = scan(system, cfg, rng, deadline)
-        attempts += n
-        if hit is not None:
-            values, m, girth = hit
-            w = assignment_to_degree_matrix(system.base, values, modulus=m)
-            return SearchResult(w, m, girth, cfg.seed, attempts, time.monotonic() - t0)
-    return None
+    steps = (_integer_blocks if cfg.integer_mode else _sweeps)(system, cfg, rng)
+    return _drive(system, steps, time.monotonic() + cfg.budget_secs, cfg.seed)
 
 
 def search(cfg: SearchConfig) -> SearchResult:
@@ -263,15 +277,15 @@ def search(cfg: SearchConfig) -> SearchResult:
     """
     base = resolve_base(cfg.base)
     _feasibility_check(base, cfg.girth)
-    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(max(1, cfg.jobs))]
-    if cfg.jobs <= 1:
+    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.jobs)]
+    if cfg.jobs == 1:
         results = [_run_shard(cfg, seeds[0])]
     else:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_run_shard, [cfg] * len(seeds), seeds))
     found = [r for r in results if r is not None]
     if not found:
-        raise TimeBudgetExceeded(best=None)
+        raise TimeBudgetExceeded("search budget exceeded")
     return min(found, key=lambda r: (r.m, tuple(r.degree.entries.ravel().tolist())))
 
 
@@ -280,48 +294,38 @@ def extend_column(w: DegreeMatrix, cfg: SearchConfig) -> SearchResult:
 
     New-column degrees are capped at twice the maximum degree of the input;
     existing columns are untouched and the result is re-certified at the
-    configured girth.
+    configured girth.  Each sweep tries 256 new columns per M, from the
+    smallest M the input's degrees allow.
     """
-    base_old = w.base()
-    if not base_old.entries.all():
+    if (w.entries == NO_EDGE).any():
         raise ValueError("column extension expects an all-ones base")
-    j, k_old = base_old.n_rows, base_old.n_cols
+    j, k_old = w.entries.shape
     base_new = all_ones_base(j, k_old + 1)
     _feasibility_check(base_new, cfg.girth)
+    m_lo = max(2, w.max_degree + 1, (cfg.m_min or 2))
+    if m_lo > cfg.m_max:
+        raise ValueError(f"column extension starts at M={m_lo}, above m_max={cfg.m_max}")
     system = GirthSystem(base_new, cfg.girth)
     rng = np.random.default_rng(cfg.seed)
-    max_new = 2 * w.max_degree
+    old_values, high = degree_matrix_to_assignment(w), 2 * w.max_degree + 1
+    edges_new, mask = base_new.edges(), zero_voltage_mask(base_new)
+    new = np.array([jj == k_old for _, jj in edges_new])
+    masked = np.array([pos in mask for pos in edges_new])
 
-    old_values = degree_matrix_to_assignment(w)
-    edges_new = base_new.edges()
-    old_edge_pos = [e for e, (i, jj) in enumerate(edges_new) if jj < k_old]
-    new_edge_pos = [e for e, (i, jj) in enumerate(edges_new) if jj == k_old]
-    mask = zero_voltage_mask(base_new)
-    deadline = time.monotonic() + cfg.budget_secs
-    t0 = time.monotonic()
-    attempts = 0
-    m_lo = max(2, w.max_degree + 1, (cfg.m_min or 2))
-    while time.monotonic() <= deadline:
-        for m in range(m_lo, cfg.m_max + 1):
-            high = min(max_new + 1, m)
-            block = np.empty((256, len(edges_new)), dtype=np.int64)
-            block[:, old_edge_pos] = old_values % m
-            new_vals = rng.integers(0, high, size=(256, len(new_edge_pos)), dtype=np.int64)
-            for col_idx, e in enumerate(new_edge_pos):
-                if edges_new[e] in mask:
-                    new_vals[:, col_idx] = 0
-            block[:, new_edge_pos] = new_vals
-            ok = system.check_batch(block, m)
-            attempts += block.shape[0]
-            if ok.any():
-                values = block[int(np.argmax(ok))]
-                girth = _certify(system, values, m)
-                w_new = assignment_to_degree_matrix(base_new, values, modulus=m)
-                return SearchResult(w_new, m, girth, cfg.seed, attempts,
-                                    time.monotonic() - t0)
-            if time.monotonic() > deadline:
-                break
-    raise TimeBudgetExceeded(best=None)
+    def blocks():
+        while True:
+            for m in range(m_lo, cfg.m_max + 1):
+                block = np.empty((256, len(edges_new)), dtype=np.int64)
+                block[:, ~new] = old_values % m
+                block[:, new] = rng.integers(0, min(high, m), size=(256, int(new.sum())),
+                                             dtype=np.int64)
+                block[:, new & masked] = 0
+                yield _checked(system, block, m)
+
+    result = _drive(system, blocks(), time.monotonic() + cfg.budget_secs, cfg.seed)
+    if result is None:
+        raise TimeBudgetExceeded("search budget exceeded")
+    return result
 
 
 def exhaustive_34(g: int, m_max: int, m_min: int = 2) -> SearchResult | None:
@@ -334,31 +338,25 @@ def exhaustive_34(g: int, m_max: int, m_min: int = 2) -> SearchResult | None:
     enumeration order, so the first accepted row in that order wins.
     """
     base = all_ones_base(3, 4)
-    if g > 12:
-        raise InfeasibleTarget("girth above 12 is unreachable for all-ones bases")
+    _feasibility_check(base, g)
     system = GirthSystem(base, g)
     edges = base.edges()
     row0 = [e for e, (i, jj) in enumerate(edges) if i == 0 and jj > 0]
     row1 = [e for e, (i, jj) in enumerate(edges) if i == 1 and jj > 0]
-    t0 = time.monotonic()
-    attempts = 0
-    for m in range(max(2, m_min), m_max + 1):
-        seconds = np.array(list(itertools.product(range(m), repeat=3)), dtype=np.int64)
-        # a row's rank under the descending-sort order, as a base-M number
-        weights = np.array([m * m, m, 1], dtype=np.int64)
-        second_keys = -np.sort(-seconds, axis=1) @ weights
-        for first in itertools.combinations_with_replacement(range(m), 3):
-            second = seconds[second_keys < np.array(first[::-1]) @ weights]
-            if second.shape[0] == 0:
-                continue
-            block = np.zeros((second.shape[0], len(edges)), dtype=np.int64)
-            block[:, row0] = first
-            block[:, row1] = second
-            ok = system.check_batch(block, m)
-            attempts += block.shape[0]
-            if ok.any():
-                values = block[int(np.argmax(ok))]
-                girth = _certify(system, values, m)
-                return SearchResult(assignment_to_degree_matrix(base, values, modulus=m),
-                                    m, girth, 0, attempts, time.monotonic() - t0)
-    return None
+
+    def blocks():
+        for m in range(max(2, m_min), m_max + 1):
+            seconds = np.array(list(itertools.product(range(m), repeat=3)), dtype=np.int64)
+            # a row's rank under the descending-sort order, as a base-M number
+            weights = np.array([m * m, m, 1], dtype=np.int64)
+            second_keys = -np.sort(-seconds, axis=1) @ weights
+            for first in itertools.combinations_with_replacement(range(m), 3):
+                second = seconds[second_keys < np.array(first[::-1]) @ weights]
+                if second.shape[0] == 0:
+                    continue
+                block = np.zeros((second.shape[0], len(edges)), dtype=np.int64)
+                block[:, row0] = first
+                block[:, row1] = second
+                yield _checked(system, block, m)
+
+    return _drive(system, blocks(), math.inf, 0)

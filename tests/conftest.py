@@ -1,13 +1,14 @@
 """Shared golden data: a toy rate-1/4 (3,4)-regular degree matrix, its two
 hand-checked lifts at M=2 (tailbiting and circulant layout), and the
-canonical order-9 triple-system base matrix."""
+canonical order-9 triple-system base matrix; helpers shared by the tests."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from girthforge.matrices import DegreeMatrix, SparseParityCheck
+from girthforge.girth import collect_inequalities, grow_trees, reduce_trees
+from girthforge.matrices import BaseMatrix, DegreeMatrix, SparseParityCheck
 
 
 TOY_TB = np.array([
@@ -56,3 +57,10 @@ def toggle_row(h: SparseParityCheck, r: int, cols) -> SparseParityCheck:
     indptr[r + 1:] += len(row) - (b - a)
     indices = np.concatenate((h.indices[:a], np.array(row, dtype=np.int64), h.indices[b:]))
     return SparseParityCheck(h.n_cols, indptr, indices, h.layout, h.block)
+
+
+def reduced_trees(base: BaseMatrix, g: int):
+    """The reduced path trees of ``base`` at girth ``g``, as the sorted-tree
+    checker ``check_assignment_sorted`` reads them."""
+    trees = grow_trees(base, g)
+    return reduce_trees(trees, collect_inequalities(trees))

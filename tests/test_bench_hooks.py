@@ -1,0 +1,62 @@
+"""The traced benchmark wraps program functions by name (``bench/layers.py``).
+These tests fail when a refactor removes or renames one of them, or calls it
+in a way the wrapper no longer sees."""
+
+from __future__ import annotations
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+MODULES = ("gf2", "girth", "lifting", "matrices", "mindist", "search")
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return (importlib.import_module("layers"), importlib.import_module("tracer"))
+
+
+def _program():
+    return types.SimpleNamespace(**{name: importlib.import_module(f"girthforge.{name}")
+                                    for name in MODULES})
+
+
+def test_instrument_finds_every_hook_and_restores(bench):
+    layers, tracer_mod = bench
+    prog = _program()
+    before = {name: dict(vars(getattr(prog, name))) for name in MODULES}
+    system_before = dict(vars(prog.girth.GirthSystem))
+    tracer = tracer_mod.Tracer()
+    try:
+        layers.instrument(tracer, prog)
+    finally:
+        tracer.restore()
+    assert {name: dict(vars(getattr(prog, name))) for name in MODULES} == before
+    assert dict(vars(prog.girth.GirthSystem)) == system_before
+
+
+def test_traced_search_counts_agree(bench):
+    # the traced run requires search.attempts to equal the assignments the
+    # checker saw, and reads the sampler and checker through their hooks
+    layers, tracer_mod = bench
+    prog = _program()
+    tracer = tracer_mod.Tracer()
+    layers.instrument(tracer, prog)
+    try:
+        prog.search.search(prog.search.SearchConfig(
+            base={"kind": "all_ones", "j": 3, "k": 4}, girth=8, m_max=16, seed=1,
+            budget_secs=60.0))
+        prog.search.exhaustive_34(6, 6)
+    finally:
+        tracer.restore()
+    spans = tracer.summary()
+    for name in ("search.search", "search.exhaustive_34", "search.sample",
+                 "girth.system_build", "girth.check_batch", "girth.certified_girth",
+                 "lifting.lift_tailbiting"):
+        assert spans[name]["calls"] > 0, name
+    assert tracer.counts["search.attempts"] > 0
+    assert tracer.counts["search.attempts"] == tracer.counts["girth.check_batch_assignments"]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,39 @@ def test_search_malformed_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
     assert main(["search", str(cfg), "-o", str(tmp_path / "o")]) == 1
+
+
+_GOOD_SEARCH = {"base": {"kind": "all_ones", "j": 3, "k": 4}, "girth": 8, "m_max": 16}
+
+
+@pytest.mark.parametrize("change,flags", [
+    ({"girth": 7}, []),
+    ({"girth": 2}, []),
+    ({"girth": True}, []),
+    ({"base": "x"}, []),
+    ({"base": {"kind": "sts", "order": 7}}, []),
+    ({"base": {"kind": "shortened_sts"}}, []),
+    ({"base": {"kind": "bogus"}}, []),
+    ({"m_max": "10"}, []),
+    ({"m_max": 0}, []),
+    ({"m_min": 20}, []),
+    ({"attempts_per_m": 0}, []),
+    ({"jobs": 0}, []),
+    ({}, ["--jobs", "0"]),
+    ({"budget_secs": 0}, []),
+    ({"seed": -1}, []),
+], ids=["odd_girth", "girth_2", "bool_girth", "base_not_object", "sts_order_7",
+        "sts_no_order", "unknown_kind", "string_m_max", "m_max_0", "m_min_above_m_max",
+        "no_attempts", "jobs_0", "jobs_flag_0", "budget_0", "negative_seed"])
+def test_search_bad_config(tmp_path, capsys, change, flags):
+    # each is refused at the boundary, at once, rather than with a traceback
+    # or a search that spins until its budget runs out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_GOOD_SEARCH, **change}))
+    t0 = time.monotonic()
+    assert main(["search", str(cfg), "-o", str(tmp_path / "o"), *flags]) == 1
+    assert time.monotonic() - t0 < 1.0
+    assert capsys.readouterr().err.startswith("error: bad config: ")
 
 
 def test_verify_corpus_small(capsys, tmp_path):

@@ -16,6 +16,8 @@ from girthforge.matrices import DegreeMatrix, SparseParityCheck
 from girthforge.search import degree_matrix_to_assignment
 from girthforge import catalog
 
+from conftest import reduced_trees
+
 
 def test_tree_shape_g6():
     trees = grow_trees(all_ones_base(3, 4), 6)
@@ -66,7 +68,7 @@ def test_toy_code_fails_girth6(toy_degrees):
     system = GirthSystem(all_ones_base(3, 4), 6)
     values = degree_matrix_to_assignment(toy_degrees)
     assert not system.check(values, modulus=2)
-    assert not check_assignment_sorted(system.trees_min, values, 2)
+    assert not check_assignment_sorted(reduced_trees(system.base, 6), values, 2)
 
 
 def test_published_g8_assignment_passes():
@@ -74,14 +76,13 @@ def test_published_g8_assignment_passes():
     w = catalog.BY_NAME["g08_k4"].degree_matrix()
     values = degree_matrix_to_assignment(w)
     assert system.check(values, 9)
-    assert check_assignment_sorted(system.trees_min, values, 9)
+    assert check_assignment_sorted(reduced_trees(system.base, 8), values, 9)
 
 
 def test_published_g12_assignment_passes_sorted():
-    system = GirthSystem(all_ones_base(3, 4), 12)
     w = catalog.BY_NAME["g12_k4"].degree_matrix()
     values = degree_matrix_to_assignment(w)
-    assert check_assignment_sorted(system.trees_min, values, 73)
+    assert check_assignment_sorted(reduced_trees(all_ones_base(3, 4), 12), values, 73)
 
 
 def test_zero_assignment_fails():
@@ -94,10 +95,11 @@ def test_zero_assignment_fails():
 def test_list_and_sorted_checkers_agree(seed, m, g):
     rng = np.random.default_rng(seed)
     system = GirthSystem(all_ones_base(3, 4), g)
+    trees_min = reduced_trees(system.base, g)
     for _ in range(20):
         values = rng.integers(0, m, size=12).astype(np.int64)
         a = system.check(values, m)
-        b = check_assignment_sorted(system.trees_min, values, m)
+        b = check_assignment_sorted(trees_min, values, m)
         assert a == b
 
 

@@ -140,6 +140,35 @@ def test_config_json_round_trip(tmp_path):
         SearchConfig.from_json('{"base": {}, "girth": 8, "m_max": 4, "bogus": 1}')
 
 
+@pytest.mark.parametrize("change", [
+    {"girth": 7}, {"girth": 8.0}, {"girth": True}, {"m_max": "10"}, {"m_max": 0},
+    {"m_min": 0}, {"m_min": 17}, {"attempts_per_m": 0}, {"jobs": 0}, {"seed": -1},
+    {"budget_secs": 0}, {"budget_secs": float("nan")}, {"budget_secs": "5"},
+])
+def test_config_rejects_bad_fields(change):
+    with pytest.raises(ValueError):
+        cfg34(**change)
+
+
+def test_config_accepts_edge_values():
+    cfg = cfg34(girth=4, m_max=1, m_min=1, attempts_per_m=1, seed=0, budget_secs=1)
+    assert (cfg.m_min, cfg.m_max) == (1, 1)
+
+
+@pytest.mark.parametrize("spec", ["x", None, {"kind": "bogus"}, {"kind": "sts", "order": 7},
+                                  {"kind": "shortened_sts", "order": "9"}])
+def test_resolve_base_rejects_unknown_specs(spec):
+    with pytest.raises(ValueError):
+        resolve_base(spec)
+
+
+def test_extend_column_rejects_m_max_below_start():
+    # g08_k4's largest degree is 6, so the extension cannot start below M=7
+    w = catalog.BY_NAME["g08_k4"].degree_matrix()
+    with pytest.raises(ValueError, match="M=7, above m_max=6"):
+        extend_column(w, SearchConfig(base={}, girth=8, m_max=6, budget_secs=30.0))
+
+
 def test_resolve_base_kinds(tmp_path):
     assert resolve_base({"kind": "all_ones", "j": 3, "k": 5}).entries.shape == (3, 5)
     assert resolve_base({"kind": "sts", "order": 9}).entries.shape == (9, 12)
@@ -232,3 +261,56 @@ def test_oracle_disagreement_raises(monkeypatch, run):
                         lambda h, cap=32: 6)
     with pytest.raises(AssertionError, match="disagree"):
         run()
+
+
+def _pinned_integer():
+    return search(cfg34(integer_mode=True, m_max=16, seed=3, budget_secs=60.0))
+
+
+def _pinned_extension():
+    return extend_column(catalog.BY_NAME["g08_k4"].degree_matrix(),
+                         SearchConfig(base={}, girth=8, m_max=40, seed=1,
+                                      budget_secs=60.0))
+
+
+def _pinned_code_base():
+    from girthforge.cli import CORPUS_DIR
+    return search(SearchConfig(base={"kind": "code", "path": str(CORPUS_DIR / "g06_k4.wm")},
+                               girth=8, m_max=12, seed=3, budget_secs=60.0))
+
+
+# The code base's 60 voltages, row-major over its nonzero base entries.
+_CODE_BASE_VALUES = [0, 2, 2, 3, 0, 1, 4, 2, 0, 3, 2, 0, 0, 2, 5, 1, 0, 0, 3, 3,
+                     0, 4, 5, 0, 0, 0, 5, 0, 0, 2, 2, 2, 0, 5, 2, 5, 0, 0, 5, 2,
+                     0, 0, 4, 1, 0, 1, 2, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("run,m,attempts,values", [
+    (_pinned_integer, 14, 256, [0, 1, 8, 10, 0, 6, 9, 7, 0, 0, 0, 0]),
+    (_pinned_extension, 15, 2304, [0, 1, 4, 6, 12, 0, 5, 2, 3, 7, 0, 0, 0, 0, 0]),
+    (lambda: exhaustive_34(6, 6), 5, 1595, [0, 1, 2, 4, 0, 3, 1, 2, 0, 0, 0, 0]),
+    (lambda: exhaustive_34(8, 16), 9, 66456, [0, 1, 3, 7, 0, 2, 6, 5, 0, 0, 0, 0]),
+    (_pinned_code_base, 6, 21504, _CODE_BASE_VALUES),
+], ids=["integer", "extend_column", "exhaustive_g6", "exhaustive_g8", "code_base"])
+def test_scan_mode_outcomes_pinned(run, m, attempts, values):
+    # every scan mode keeps its draws, its scan order and its attempt count
+    result = run()
+    assert (result.m, result.attempts) == (m, attempts)
+    assert degree_matrix_to_assignment(result.degree).tolist() == values
+
+
+@pytest.mark.parametrize("run", [
+    lambda: search(cfg34(seed=2, m_max=24, budget_secs=60.0)),
+    _pinned_extension,
+    lambda: exhaustive_34(6, 6),
+], ids=["search", "extend_column", "exhaustive_34"])
+def test_attempts_count_checked_rows(monkeypatch, run):
+    rows = []
+    check_batch = GirthSystem.check_batch
+
+    def counted(self, assignments, modulus):
+        rows.append(len(assignments))
+        return check_batch(self, assignments, modulus)
+
+    monkeypatch.setattr(GirthSystem, "check_batch", counted)
+    assert run().attempts == sum(rows)
