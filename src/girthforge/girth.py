@@ -482,6 +482,8 @@ def _has_duplicate(numbers: np.ndarray, values: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 # BFS girth oracle on an explicit sparse matrix (independent certification)
 # ---------------------------------------------------------------------------
+_BFS_BLOCK = 1 << 20  # starts per BFS chunk x (vertices + adjacency slots)
+
 
 def girth_bfs_oracle(h: SparseParityCheck, cap: int = 32,
                      start_vertices: Sequence[int] | None = None) -> int | None:
@@ -490,53 +492,51 @@ def girth_bfs_oracle(h: SparseParityCheck, cap: int = 32,
 
     Vertices 0..n_rows-1 are constraints, the rest symbols.  By default every
     vertex is a BFS start, which is exact for any graph; for lifted matrices
-    one start per block orbit suffices (see :func:`qc_start_vertices`).
+    one start per block orbit suffices (see :func:`qc_start_vertices`).  A
+    start outside [0, n_rows + n_cols) raises ValueError.
+
+    Starts advance in chunks, one level L per step.  The per-vertex search
+    (Itai & Rodeh) closes L + dist(x) + 1 at each visited non-parent neighbour
+    x of a level-L vertex u: in a bipartite graph, 2L + 2 for x at L + 1
+    reached twice, or 2L for x at L - 1 when u was.  So the one rule used here,
+    a vertex reached twice closes 2L + 2, has the same minimum.  A start
+    visits each vertex and adjacency slot at most once, so _BFS_BLOCK bounds
+    a chunk's distances and every level's gathered neighbours.
     """
     n_v = h.n_rows + h.n_cols
-    vertex = np.arange(n_v).astype(object)  # one int object per vertex, shared by all lists
-    adj: list[list[int]] = []
-    for side, offset in ((h, h.n_rows), (h.transpose(), 0)):
-        ptr, idx = side.indptr.tolist(), vertex[side.indices + offset].tolist()
-        adj += [idx[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
-
-    starts = range(n_v) if start_vertices is None else start_vertices
-    dist = np.full(n_v, -1, dtype=np.int32)
-    parent = np.full(n_v, -1, dtype=np.int32)
+    starts = np.arange(n_v) if start_vertices is None else np.asarray(start_vertices, int)
+    if starts.size and (starts.min() < 0 or starts.max() >= n_v):
+        raise ValueError(f"start vertices must lie in [0, {n_v})")
+    rows = np.repeat(np.arange(h.n_rows), np.diff(h.indptr))
+    tail = np.concatenate((rows, h.indices + h.n_rows))
+    nbrs = np.concatenate((h.indices + h.n_rows, rows))[np.argsort(tail, kind="stable")]
+    deg = np.bincount(tail, minlength=n_v)
+    slot_end = np.cumsum(deg)
+    per_chunk = max(1, _BFS_BLOCK // (1 + n_v + nbrs.size))
     best = cap + 2
-
-    for s in starts:
-        touched = [s]
-        dist[s] = 0
-        frontier = [s]
+    for vert in np.split(starts, range(per_chunk, starts.size, per_chunk)):
+        key = vert + n_v * np.arange(vert.size)  # (start, vertex) -> flat key
+        dist = np.full(vert.size * n_v, -1, dtype=np.int32)
         level = 0
-        while frontier and 2 * level < best:
-            nxt: list[int] = []
-            for u in frontier:
-                du = int(dist[u])
-                pu = parent[u]
-                for x in adj[u]:
-                    if x == pu:
-                        continue
-                    dx = dist[x]
-                    if dx < 0:
-                        dist[x] = du + 1
-                        parent[x] = u
-                        nxt.append(x)
-                        touched.append(x)
-                    else:
-                        cand = du + int(dx) + 1
-                        if cand < best:
-                            best = cand
-            frontier = nxt
+        while key.size and 2 * level + 2 < best:  # level L closes only 2L + 2
+            dist[key] = level
+            cnt = deg[vert]
+            ends = np.cumsum(cnt)
+            row_base = np.repeat(key - vert, cnt)
+            vert = nbrs[np.arange(ends[-1]) + np.repeat(slot_end[vert] - ends, cnt)]
+            key = row_base + vert
+            seen = dist[key]
+            if seen.max(initial=-1) >= level:
+                raise AssertionError("odd cycle on a bipartite graph")
+            key, vert = key[seen < 0], vert[seen < 0]
+            # a key reached twice keeps one entry's stamp; the other entry reads a mismatch
+            dist[key] = stamp = np.arange(key.size, dtype=np.int32)
+            once = dist[key] == stamp
+            if not once.all():
+                best = min(best, 2 * level + 2)
+                key, vert = key[once], vert[once]
             level += 1
-        dist[touched] = -1
-        parent[touched] = -1
-
-    if best > cap:
-        return None
-    if best % 2 != 0:
-        raise AssertionError("odd cycle reported on a bipartite graph")
-    return best
+    return None if best > cap else best
 
 
 def qc_start_vertices(h: SparseParityCheck) -> list[int]:

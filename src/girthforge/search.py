@@ -109,13 +109,18 @@ def resolve_base(spec: dict | BaseMatrix) -> BaseMatrix:
         raise ValueError(f"no canonical triple system of order {spec.get('order')!r}; "
                          f"known orders: {sorted(CANONICAL_STS)}")
     if kind == "all_ones":
-        return all_ones_base(spec.get("j", 3), spec["k"])
+        j, k = spec.get("j", 3), spec.get("k")
+        if type(j) is not int or type(k) is not int:
+            raise ValueError(f"all_ones base needs integers j and k, got j={j!r}, k={k!r}")
+        return all_ones_base(j, k)
     if kind == "sts":
         return sts_base(CANONICAL_STS[spec["order"]])
     if kind == "shortened_sts":
         sts = CANONICAL_STS[spec["order"]]
         return shorten_sts_base(sts_base(sts), sts.replication)
     if kind == "code":
+        if type(spec.get("path")) is not str:
+            raise ValueError(f"code base needs a string path, got {spec.get('path')!r}")
         with open(spec["path"], "rb") as fh:
             w = parse_degree_matrix(fh.read())
         if w.modulus is None:

@@ -64,3 +64,42 @@ def reduced_trees(base: BaseMatrix, g: int):
     checker ``check_assignment_sorted`` reads them."""
     trees = grow_trees(base, g)
     return reduce_trees(trees, collect_inequalities(trees))
+
+
+def reference_girth(h: SparseParityCheck, cap: int = 32, start_vertices=None):
+    """Girth of the Tanner graph of ``h`` by the classic per-vertex BFS
+    shortest-cycle search (Itai & Rodeh), one Python step per adjacency; None
+    above ``cap``.  ``girth_bfs_oracle`` must return the same value."""
+    n_v = h.n_rows + h.n_cols
+    t = h.transpose()
+    adj = [(h.indices[h.indptr[r]:h.indptr[r + 1]] + h.n_rows).tolist() for r in range(h.n_rows)]
+    adj += [t.indices[t.indptr[c]:t.indptr[c + 1]].tolist() for c in range(h.n_cols)]
+    dist = [-1] * n_v
+    parent = [-1] * n_v
+    best = cap + 2
+    for s in range(n_v) if start_vertices is None else start_vertices:
+        touched = [s]
+        dist[s] = 0
+        frontier = [s]
+        level = 0
+        while frontier and 2 * level < best:
+            nxt = []
+            for u in frontier:
+                for x in adj[u]:
+                    if x == parent[u]:
+                        continue
+                    if dist[x] < 0:
+                        dist[x] = dist[u] + 1
+                        parent[x] = u
+                        nxt.append(x)
+                        touched.append(x)
+                    else:
+                        best = min(best, dist[u] + dist[x] + 1)
+            frontier = nxt
+            level += 1
+        for v in touched:
+            dist[v] = parent[v] = -1
+    if best > cap:
+        return None
+    assert best % 2 == 0, "odd cycle reported on a bipartite graph"
+    return best

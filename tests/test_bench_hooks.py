@@ -60,3 +60,21 @@ def test_traced_search_counts_agree(bench):
         assert spans[name]["calls"] > 0, name
     assert tracer.counts["search.attempts"] > 0
     assert tracer.counts["search.attempts"] == tracer.counts["girth.check_batch_assignments"]
+
+
+def test_traced_bfs_counts_orbit_starts(bench):
+    # the BFS counters read the oracle's start_vertices keyword, so a changed
+    # call from certified_girth would silently zero them
+    from girthforge import catalog
+    layers, tracer_mod = bench
+    prog = _program()
+    entry = catalog.BY_NAME["g06_k4"]
+    h = prog.lifting.lift_tailbiting(entry.degree_matrix(), entry.m)
+    tracer = tracer_mod.Tracer()
+    layers.instrument(tracer, prog)
+    try:
+        assert prog.girth.certified_girth(h) == entry.girth
+    finally:
+        tracer.restore()
+    assert tracer.summary()["girth.bfs"]["calls"] == 1
+    assert tracer.counts["girth.bfs_starts"] == len(prog.girth.qc_start_vertices(h)) > 0

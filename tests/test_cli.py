@@ -177,6 +177,10 @@ _GOOD_SEARCH = {"base": {"kind": "all_ones", "j": 3, "k": 4}, "girth": 8, "m_max
     ({"base": {"kind": "sts", "order": 7}}, []),
     ({"base": {"kind": "shortened_sts"}}, []),
     ({"base": {"kind": "bogus"}}, []),
+    ({"base": {"kind": "all_ones"}}, []),
+    ({"base": {"kind": "all_ones", "k": "x"}}, []),
+    ({"base": {"kind": "code"}}, []),
+    ({"base": {"kind": "code", "path": 3}}, []),
     ({"m_max": "10"}, []),
     ({"m_max": 0}, []),
     ({"m_min": 20}, []),
@@ -186,7 +190,8 @@ _GOOD_SEARCH = {"base": {"kind": "all_ones", "j": 3, "k": 4}, "girth": 8, "m_max
     ({"budget_secs": 0}, []),
     ({"seed": -1}, []),
 ], ids=["odd_girth", "girth_2", "bool_girth", "base_not_object", "sts_order_7",
-        "sts_no_order", "unknown_kind", "string_m_max", "m_max_0", "m_min_above_m_max",
+        "sts_no_order", "unknown_kind", "all_ones_no_k", "all_ones_string_k",
+        "code_no_path", "code_int_path", "string_m_max", "m_max_0", "m_min_above_m_max",
         "no_attempts", "jobs_0", "jobs_flag_0", "budget_0", "negative_seed"])
 def test_search_bad_config(tmp_path, capsys, change, flags):
     # each is refused at the boundary, at once, rather than with a traceback

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from girthforge.bases import all_ones_base, sts_base, CANONICAL_STS
+from girthforge import girth as girth_module
 from girthforge.girth import (GirthSystem, certified_girth, check_assignment_sorted,
                               collect_inequalities, complexity_counts, free_girth,
                               girth_bfs_oracle, grow_trees, node_pair_count,
-                              reduce_trees)
+                              qc_start_vertices, reduce_trees)
 from girthforge.lifting import lift_circulant, lift_tailbiting
 from girthforge.matrices import DegreeMatrix, SparseParityCheck
 from girthforge.search import degree_matrix_to_assignment
 from girthforge import catalog
 
-from conftest import reduced_trees
+from conftest import reduced_trees, reference_girth
 
 
 def test_tree_shape_g6():
@@ -289,6 +290,58 @@ def test_oracle_orbit_starts_match_full_scan():
     entry = catalog.BY_NAME["g06_k4"]
     h = lift_tailbiting(entry.degree_matrix(), entry.m)
     assert certified_girth(h) == girth_bfs_oracle(h) == 6
+
+
+def _oracle_cases(rng):
+    """(h, start sets) pairs: edge cases, seeded random dense H with every
+    start and a random subset, and random lifts from their orbit starts."""
+    dense = [np.zeros((0, 0)), np.zeros((3, 4)),              # no vertices; no edges
+             [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]],      # a path: acyclic
+             [[1, 1, 0], [1, 1, 0], [0, 0, 0]]]               # a 4-cycle, zero row and column
+    dense += [rng.random((rng.integers(1, 8), rng.integers(1, 11))) < rng.uniform(0.1, 0.6)
+              for _ in range(80)]
+    for a in dense:
+        h = SparseParityCheck.from_dense(np.asarray(a, dtype=np.uint8))
+        n_v = h.n_rows + h.n_cols
+        yield h, (None, rng.choice(n_v, int(rng.integers(0, n_v + 1)), replace=False).tolist())
+    for lift in (lift_tailbiting, lift_circulant) * 15:
+        m = int(rng.integers(1, 8))
+        entries = rng.integers(-1, m, size=(int(rng.integers(2, 4)), int(rng.integers(2, 6))))
+        h = lift(DegreeMatrix(entries, modulus=m), m)
+        yield h, (None, qc_start_vertices(h))
+
+
+def test_oracle_matches_per_vertex_reference(monkeypatch):
+    # a second pass shrinks the chunk to three starts, so every start set
+    # larger than that crosses a chunk boundary
+    rng = np.random.default_rng(2024)
+    default = girth_module._BFS_BLOCK
+    for h, start_sets in _oracle_cases(rng):
+        slots = 1 + h.n_rows + h.n_cols + 2 * h.indices.size
+        for block in (default, 3 * slots):
+            monkeypatch.setattr(girth_module, "_BFS_BLOCK", block)
+            for cap in (4, 6, 8, 12, 32):
+                for starts in start_sets:
+                    expected = reference_girth(h, cap, starts)
+                    assert girth_bfs_oracle(h, cap, starts) == expected, (h, cap, starts)
+
+
+@pytest.mark.parametrize("name", ["g06_k4", "g10_k4", "g12_k4"])
+def test_oracle_finds_no_cycle_below_the_girth(name):
+    entry = catalog.BY_NAME[name]
+    h = lift_tailbiting(entry.degree_matrix(), entry.m)
+    assert certified_girth(h, cap=entry.girth - 2) is None
+    assert certified_girth(h, cap=entry.girth) == entry.girth
+
+
+def test_oracle_rejects_start_outside_graph():
+    # -1 used to wrap to the last vertex and report girth 2
+    entry = catalog.BY_NAME["g06_k4"]
+    h = lift_tailbiting(entry.degree_matrix(), entry.m)
+    for bad in (-1, h.n_rows + h.n_cols):
+        with pytest.raises(ValueError, match="start vertices"):
+            girth_bfs_oracle(h, start_vertices=[0, bad])
+    assert girth_bfs_oracle(h, start_vertices=[]) is None
 
 
 def test_theorem1_lift_girth_at_most_free_girth():

@@ -156,7 +156,11 @@ def test_config_accepts_edge_values():
 
 
 @pytest.mark.parametrize("spec", ["x", None, {"kind": "bogus"}, {"kind": "sts", "order": 7},
-                                  {"kind": "shortened_sts", "order": "9"}])
+                                  {"kind": "shortened_sts", "order": "9"},
+                                  {"kind": "all_ones"}, {"kind": "all_ones", "k": "x"},
+                                  {"kind": "all_ones", "j": 3.0, "k": 4},
+                                  {"kind": "all_ones", "j": True, "k": 4},
+                                  {"kind": "code"}, {"kind": "code", "path": 3}])
 def test_resolve_base_rejects_unknown_specs(spec):
     with pytest.raises(ValueError):
         resolve_base(spec)
