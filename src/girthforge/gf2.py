@@ -69,9 +69,14 @@ def rank(packed: np.ndarray, n_cols: int) -> int:
     return len(pivots)
 
 
-def nullspace_basis(packed: np.ndarray, n_cols: int) -> np.ndarray:
-    """Basis of the right nullspace, returned dense with shape (k, n_cols)."""
+def nullspace_basis(packed: np.ndarray, n_cols: int,
+                    max_dim: int | None = None) -> np.ndarray:
+    """Basis of the right nullspace, returned dense with shape (k, n_cols).
+
+    Raises ValueError when k exceeds ``max_dim``, before the basis is built."""
     rref, pivots = row_echelon(packed, n_cols)
+    if max_dim is not None and n_cols - len(pivots) > max_dim:
+        raise ValueError(f"nullspace dimension {n_cols - len(pivots)} exceeds {max_dim}")
     pivot_set = set(pivots)
     free_cols = [c for c in range(n_cols) if c not in pivot_set]
     dense = unpack_rows(rref, n_cols)

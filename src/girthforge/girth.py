@@ -360,13 +360,19 @@ def check_assignment_sorted(trees_min: Sequence[PathTree],
     return True
 
 
-# The staged evaluator checks the stacked inequalities in chunks: the first
-# holds the shortest cycles, which reject nearly every random assignment, and
-# each later chunk is _CHUNK_GROWTH times larger than the one before.
-_FIRST_CHUNK = 32
-_CHUNK_GROWTH = 4
-# float64 represents every integer of magnitude below 2**53 exactly
+# The staged evaluator checks the stacked inequalities in chunks, the
+# shortest cycles first: they reject nearly every random assignment.  A chunk
+# holds about _CHUNK_VALUES inequality values (128 KB of float64), so it
+# widens as assignments drop out, but is never narrower than _MIN_CHUNK rows.
+_CHUNK_VALUES = 1 << 14
+_MIN_CHUNK = 32
+# float64 represents every integer of magnitude up to 2**53 exactly
 _EXACT_LIMIT = 2 ** 53
+
+
+def _is_integer(x) -> bool:
+    """True for Python and numpy integers; False for bools, floats and the rest."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 class GirthSystem:
@@ -376,8 +382,19 @@ class GirthSystem:
     The inequality coefficients are stacked once into an (N_L, n_edges)
     float64 matrix, rows stably sorted by support size so that the shortest
     cycles come first; ``ineqs`` keeps the witness order.  Every check
-    evaluates that matrix on a block of assignments in growing column
-    chunks, dropping the rows a chunk rejects.
+    evaluates that matrix on a block of assignments in chunks of about
+    ``_CHUNK_VALUES`` values, dropping the assignments a chunk rejects.
+
+    A value v is zero mod M iff ``rint(v / M) * M == v`` in float64, provided
+    every value satisfies |v| + M <= 2**53.  The products are exact, since
+    every partial sum of a row is an integer of magnitude below 2**53.  If
+    M | v, then v / M is an integer float64 holds, so the division and the
+    rounding are exact and k * M == v.  Otherwise rint gives some integer
+    k', with |k'| <= ceil(|v| / M) because no rounding step crosses an
+    integer below 2**53.  So k' * M is an integer of magnitude at most
+    |v| + M <= 2**53, computed exactly, and differs from v.  Every check
+    therefore raises ``ValueError`` on a block whose largest entry times the
+    largest row L1 norm, plus M, exceeds 2**53.
     """
 
     def __init__(self, base: BaseMatrix, g: int):
@@ -393,16 +410,17 @@ class GirthSystem:
     def n_edges(self) -> int:
         return self._matrix.shape[1]
 
-    def _exact_block(self, block: np.ndarray) -> np.ndarray:
-        """The block as float64, after checking that every inequality value
-        of it is an integer float64 represents exactly."""
+    def _exact_block(self, block: np.ndarray, modulus: int = 0) -> np.ndarray:
+        """The block as float64, after checking that every inequality value v
+        of it has |v| + modulus <= 2**53, so float64 holds v, and the division
+        residue mod a positive modulus is exact."""
         block = np.asarray(block)
         if block.size:
             largest = max(int(block.max()), -int(block.min()))
-            if self._max_row_l1 * largest >= _EXACT_LIMIT:
+            if self._max_row_l1 * largest + modulus > _EXACT_LIMIT:
                 raise ValueError(
-                    f"assignment entries up to {largest} can give inequality "
-                    f"values of 2**53 or more, which float64 cannot hold exactly")
+                    f"row L1 norm {self._max_row_l1} x largest entry {largest} "
+                    f"+ modulus {modulus} exceeds 2**53, past float64's exact integers")
         return block.astype(np.float64)
 
     def inequality_values(self, block: np.ndarray) -> np.ndarray:
@@ -412,17 +430,21 @@ class GirthSystem:
         return (self._exact_block(block) @ self._matrix.T).astype(np.int64)
 
     def _passes(self, block: np.ndarray, modulus: int) -> np.ndarray:
+        if not _is_integer(modulus):
+            raise ValueError(f"modulus must be an integer, not {modulus!r}")
         if modulus < 1:
             raise ValueError("modulus must be at least 1")
-        rows = self._exact_block(block)
+        modulus = int(modulus)
+        rows = self._exact_block(block, modulus)
         live = rows.reshape(-1, self.n_edges)
         alive = np.arange(live.shape[0])
-        lo, size = 0, _FIRST_CHUNK
+        lo = 0
         while alive.size and lo < self._matrix.shape[0]:
-            values = live @ self._matrix[lo:lo + size].T
-            keep = (np.fmod(values, modulus, out=values) != 0).all(axis=1)
+            hi = lo + max(_MIN_CHUNK, _CHUNK_VALUES // alive.size)
+            values = live @ self._matrix[lo:hi].T
+            keep = (np.rint(values / modulus) * modulus != values).all(axis=1)
             live, alive = live[keep], alive[keep]
-            lo, size = lo + size, size * _CHUNK_GROWTH
+            lo = hi
         ok = np.zeros(rows.shape[:-1], dtype=bool)
         ok.flat[alive] = True
         return ok
@@ -493,7 +515,8 @@ def girth_bfs_oracle(h: SparseParityCheck, cap: int = 32,
     Vertices 0..n_rows-1 are constraints, the rest symbols.  By default every
     vertex is a BFS start, which is exact for any graph; for lifted matrices
     one start per block orbit suffices (see :func:`qc_start_vertices`).  A
-    start outside [0, n_rows + n_cols) raises ValueError.
+    start that is not an integer (a float or a bool) or lies outside
+    [0, n_rows + n_cols) raises ValueError.
 
     Starts advance in chunks, one level L per step.  The per-vertex search
     (Itai & Rodeh) closes L + dist(x) + 1 at each visited non-parent neighbour
@@ -504,7 +527,12 @@ def girth_bfs_oracle(h: SparseParityCheck, cap: int = 32,
     a chunk's distances and every level's gathered neighbours.
     """
     n_v = h.n_rows + h.n_cols
-    starts = np.arange(n_v) if start_vertices is None else np.asarray(start_vertices, int)
+    if start_vertices is None:
+        starts = np.arange(n_v)
+    elif all(map(_is_integer, start_vertices)):
+        starts = np.asarray(start_vertices, dtype=np.int64)
+    else:
+        raise ValueError("start vertices must be integers")
     if starts.size and (starts.min() < 0 or starts.max() >= n_v):
         raise ValueError(f"start vertices must lie in [0, {n_v})")
     rows = np.repeat(np.arange(h.n_rows), np.diff(h.indptr))

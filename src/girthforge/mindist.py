@@ -148,14 +148,12 @@ def min_distance_bruteforce(h: SparseParityCheck, max_dim: int = 28) -> int:
     weight of its n-k parity bits.  Each half of the basis becomes a
     word-major XOR table of parity words, and blocks of back rows meet the
     whole front table by broadcasting, about ``_ENUM_BLOCK`` elements at a
-    time."""
-    h_packed = h.packed()
-    k = h.n_cols - gf2.rank(h_packed, h.n_cols)
+    time.  A dimension above ``max_dim`` raises ValueError before the basis
+    is built."""
+    basis = gf2.nullspace_basis(h.packed(), h.n_cols, max_dim=max_dim)
+    k = basis.shape[0]
     if k == 0:
         raise ValueError("code has no nonzero codewords")
-    if k > max_dim:
-        raise ValueError(f"dimension {k} exceeds enumeration budget {max_dim}")
-    basis = gf2.nullspace_basis(h_packed, h.n_cols)
     parity = np.ones(h.n_cols, dtype=bool)
     parity[h.n_cols - 1 - np.argmax(basis[:, ::-1], axis=1)] = False
     words = gf2.pack_rows(basis[:, parity]).T

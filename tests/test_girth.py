@@ -141,21 +141,25 @@ _STAGED_BASES = {"3x4": all_ones_base(3, 4), "3x5": all_ones_base(3, 5),
 
 @pytest.mark.parametrize("g", [6, 8, 10])
 @pytest.mark.parametrize("base_name", sorted(_STAGED_BASES))
-def test_staged_evaluator_matches_full_reference(base_name, g):
+def test_staged_evaluator_matches_full_reference(base_name, g, monkeypatch):
     # the reference evaluates every inequality row on every assignment in
     # exact integer arithmetic; large moduli give blocks that mix accepted
-    # and rejected rows, so survivors reach the later chunks
+    # and rejected rows, so survivors reach the later chunks.  A second pass
+    # with a value budget of 1 makes every chunk the minimum width, so
+    # survivors cross many chunk boundaries
     system = GirthSystem(_STAGED_BASES[base_name], g)
     coeffs = system.ineqs.coeffs.astype(np.int64)
-    rng = np.random.default_rng(g)
-    for m in (1, 2, int(rng.integers(3, 100)), int(rng.integers(100, 10_000))):
-        for size in (0, 1, 513):
-            block = rng.integers(0, m, size=(size, system.n_edges), dtype=np.int64)
-            values = block @ coeffs.T
-            assert np.array_equal(system.check_batch(block, m),
-                                  (values % m != 0).all(axis=1)), (m, size)
-            assert np.array_equal(np.sort(system.inequality_values(block), axis=1),
-                                  np.sort(values, axis=1)), (m, size)
+    for chunk_values in (girth_module._CHUNK_VALUES, 1):
+        monkeypatch.setattr(girth_module, "_CHUNK_VALUES", chunk_values)
+        rng = np.random.default_rng(g)
+        for m in (1, 2, int(rng.integers(3, 100)), int(rng.integers(100, 10_000))):
+            for size in (0, 1, 513):
+                block = rng.integers(0, m, size=(size, system.n_edges), dtype=np.int64)
+                values = block @ coeffs.T
+                assert np.array_equal(system.check_batch(block, m),
+                                      (values % m != 0).all(axis=1)), (m, size, chunk_values)
+                assert np.array_equal(np.sort(system.inequality_values(block), axis=1),
+                                      np.sort(values, axis=1)), (m, size)
 
 
 def test_staged_evaluator_without_inequalities_passes_everything():
@@ -177,6 +181,60 @@ def test_check_matches_first_row_of_check_batch():
         assert system.check(block[0], m) == system.check_batch(block, m)[0]
 
 
+_RESIDUE_MODULI = [1, 2, 3, 8191, 2 ** 20]
+
+
+@pytest.mark.parametrize("m", _RESIDUE_MODULI)
+def test_division_residue_matches_integer_remainder(m):
+    # the (2,2) base has one inequality, a - b - c + d, so each verdict reads
+    # the residue of one value; entries q*M + r with small r make about half
+    # the values multiples of M, of either sign and up to the exactness bound
+    system = GirthSystem(all_ones_base(2, 2), 6)
+    coeffs = system.ineqs.coeffs.astype(np.int64)
+    assert coeffs.shape == (1, 4)
+    rng = np.random.default_rng(m)
+    for q_max in (3, (2 ** 53 - m) // (4 * m) - 1):
+        block = (m * rng.integers(-q_max, q_max + 1, size=(2000, 4))
+                 + rng.integers(-1, 2, size=(2000, 4)))
+        expected = (block @ coeffs.T % m != 0).all(axis=1)
+        assert np.array_equal(system.check_batch(block, m), expected), (m, q_max)
+        assert (block < 0).any()
+        assert m == 1 or 0 < expected.sum() < expected.size
+
+
+@pytest.mark.parametrize("m", _RESIDUE_MODULI)
+@pytest.mark.parametrize("g", [6, 8])
+def test_division_residue_matches_integer_remainder_on_many_rows(g, m):
+    system = GirthSystem(all_ones_base(3, 4), g)
+    coeffs = system.ineqs.coeffs.astype(np.int64)
+    rng = np.random.default_rng(g * m)
+    largest = (2 ** 53 - m) // int(np.abs(coeffs).sum(axis=1).max())
+    for high in (m, largest):
+        block = rng.integers(-high, high + 1, size=(500, system.n_edges))
+        expected = (block @ coeffs.T % m != 0).all(axis=1)
+        assert np.array_equal(system.check_batch(block, m), expected), (m, high)
+
+
+def test_exactness_guard_boundary():
+    # a - b - c + d with entries +-e on the matching signs reaches |v| = 4e;
+    # the guard admits 4e + M == 2**53 and rejects one more
+    system = GirthSystem(all_ones_base(2, 2), 6)
+    e = 2 ** 50
+    aligned = np.array([[e, -e, -e, e], [-e, e, e, -e], [e, -e, -e, e - 1]])
+    m = 2 ** 53 - 4 * e                     # 2**52, which divides 4e = 2**52
+    assert system.check_batch(aligned, m).tolist() == [False, False, True]
+    assert system.check(aligned[2], m)
+    assert system.check_batch(aligned - np.sign(aligned), m + 4).tolist() == [True, True, True]
+    assert np.array_equal(system.inequality_values(aligned)[:, 0], [4 * e, -4 * e, 4 * e - 1])
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        system.check_batch(aligned, m + 1)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        system.check(aligned[0], m + 1)
+    system.inequality_values(aligned * 2)   # 2**53 itself is exact without a modulus
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        system.inequality_values(aligned * 2 + np.sign(aligned))
+
+
 @pytest.mark.parametrize("entry", [2 ** 52, -2 ** 52, np.iinfo(np.int64).min])
 def test_staged_evaluator_rejects_inexact_blocks(entry):
     # every (3,4) g=8 row has L1 norm >= 4, so these entries could give
@@ -193,10 +251,29 @@ def test_staged_evaluator_rejects_inexact_blocks(entry):
 
 
 def test_staged_evaluator_rejects_modulus_below_one():
-    # fmod by zero gives NaN, which would compare as nonzero and accept
+    # dividing by zero gives inf or NaN, whose residue test compares unequal
+    # and would accept every assignment
     system = GirthSystem(all_ones_base(3, 4), 8)
     with pytest.raises(ValueError, match="modulus"):
         system.check_batch(np.ones((2, system.n_edges), dtype=np.int64), 0)
+
+
+@pytest.mark.parametrize("modulus", [True, 9.0, np.float64(9), 9.5, "9", None, np.bool_(True)])
+def test_staged_evaluator_rejects_non_integer_modulus(modulus):
+    system = GirthSystem(all_ones_base(3, 4), 8)
+    block = np.ones((2, system.n_edges), dtype=np.int64)
+    with pytest.raises(ValueError, match="modulus must be an integer"):
+        system.check_batch(block, modulus)
+    with pytest.raises(ValueError, match="modulus must be an integer"):
+        system.check(block[0], modulus)
+
+
+def test_staged_evaluator_accepts_numpy_integer_modulus():
+    system = GirthSystem(all_ones_base(3, 4), 8)
+    values = degree_matrix_to_assignment(catalog.BY_NAME["g08_k4"].degree_matrix())
+    for modulus in (np.int64(9), np.uint8(9), np.int32(9)):
+        assert system.check(values, modulus)
+        assert system.check_batch(values[None, :], modulus).tolist() == [True]
 
 
 def test_stacked_inequalities_shortest_first():
@@ -342,6 +419,22 @@ def test_oracle_rejects_start_outside_graph():
         with pytest.raises(ValueError, match="start vertices"):
             girth_bfs_oracle(h, start_vertices=[0, bad])
     assert girth_bfs_oracle(h, start_vertices=[]) is None
+
+
+def test_oracle_rejects_non_integer_starts():
+    # [1.5] used to be truncated and run from vertex 1
+    entry = catalog.BY_NAME["g06_k4"]
+    h = lift_tailbiting(entry.degree_matrix(), entry.m)
+    for bad in ([1.5], [0, 1.0], [True], [0, False], np.array([1.0]),
+                np.array([True]), ["1"], [None]):
+        with pytest.raises(ValueError, match="start vertices must be integers"):
+            girth_bfs_oracle(h, start_vertices=bad)
+    starts = qc_start_vertices(h)
+    expected = girth_bfs_oracle(h, start_vertices=starts)
+    assert expected == 6
+    for good in (np.array(starts), np.array(starts, dtype=np.uint32),
+                 [np.int64(s) for s in starts], tuple(starts)):
+        assert girth_bfs_oracle(h, start_vertices=good) == expected
 
 
 def test_theorem1_lift_girth_at_most_free_girth():

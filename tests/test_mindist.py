@@ -239,6 +239,30 @@ def test_bruteforce_dimension_limits():
         min_distance_bruteforce(h, max_dim=4)
 
 
+def test_bruteforce_eliminates_once(monkeypatch):
+    # one row reduction gives both the dimension check and the basis; a
+    # dimension over budget raises before the dense basis is unpacked
+    h = random_check_matrix(np.random.default_rng(3), 30, 5)
+    expected = reference_distance(h)
+    calls = {"row_echelon": 0, "unpack_rows": 0}
+
+    def counted(name):
+        original = getattr(gf2, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(gf2, name, counted(name))
+    assert min_distance_bruteforce(h, max_dim=5) == expected
+    assert calls == {"row_echelon": 1, "unpack_rows": 1}
+    with pytest.raises(ValueError, match="exceeds 4"):
+        min_distance_bruteforce(h, max_dim=4)
+    assert calls == {"row_echelon": 2, "unpack_rows": 1}
+
+
 # d_min of every catalog code with k <= 28 from the meet-in-the-middle
 # enumeration that the systematic chunked one replaced.  They equal the
 # published values; g06_k4_ld (k = 25) is exact only here, since branch and
