@@ -7,13 +7,14 @@ written to one ``BENCH_<n>.json``.
 
 ``--parent`` is a checkout of the parent commit (``git clone`` or
 ``git archive`` it next to this one).  Pair p of a workload runs both sides
-at seed ``--seed0 + p``: the parent goes first in even pairs and this
+at seed ``SEED0 + p``: the parent goes first in even pairs and this
 checkout in odd ones, so a drift in the host's speed falls on both sides
 alike.  Every run is one ``bench/run.py --trace 0`` process of its own
-checkout.  Per workload and end-to-end metric of ``BENCHMARK.json`` the
-output gives the pairs, the pairs the change wins and each side's
-quartiles; ``--traced W=SEED`` adds one ``--trace 1`` run per side.
-Each run's full result, or its exit code and error tail, is kept as well.
+checkout, lasting the ``run_seconds`` of ``BENCHMARK.json``.  Per workload
+and end-to-end metric of ``BENCHMARK.json`` the output gives the pairs, the
+pairs the change wins and each side's quartiles; ``--traced W=SEED`` adds
+one ``--trace 1`` run per side.  Each run's full result, or its exit code
+and error tail, is kept as well.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+SEED0 = 101
 
 
 def _workload_count(text: str) -> tuple[str, int]:
@@ -50,8 +52,6 @@ def parse_args(argv):
                         metavar="WORKLOAD=N", help="N interleaved pairs of a workload")
     parser.add_argument("--traced", type=_workload_count, action="append", default=[],
                         metavar="WORKLOAD=SEED", help="one --trace 1 run per side")
-    parser.add_argument("--seed0", type=int, default=101)
-    parser.add_argument("--seconds", type=int, default=8)
     args = parser.parse_args(argv)
     if not (args.parent / "bench" / "run.py").is_file():
         parser.error(f"no bench/run.py under {args.parent}")
@@ -118,13 +118,13 @@ def main(argv: list[str]) -> int:
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     def record(workload, pair, seed, side, trace):
-        result = run_bench(roots[side], workload, seed, args.seconds, trace)
+        result = run_bench(roots[side], workload, seed, spec["run_seconds"], trace)
         print(f"{workload} pair {pair} seed {seed} {side} trace {trace}: "
               + json.dumps(result.get("metrics", result))[:200], file=sys.stderr)
         return {"workload": workload, "pair": pair, "seed": seed, "side": side,
                 "trace": trace, "result": result}
 
-    runs = [record(workload, pair, args.seed0 + pair, side, 0)
+    runs = [record(workload, pair, SEED0 + pair, side, 0)
             for workload, count in args.pairs
             for pair, order in schedule(count) for side in order]
     traced = [record(workload, 0, seed, side, 1)
@@ -133,9 +133,9 @@ def main(argv: list[str]) -> int:
         "change": args.change,
         "parent_commit": _commit(roots["parent"]),
         "command": f"python3 bench/run.py --workload W --seed N "
-                   f"--seconds {args.seconds} --trace T",
+                   f"--seconds {spec['run_seconds']} --trace T",
         "order": f"pairs interleaved; parent first in even pairs, change first "
-                 f"in odd pairs; seed {args.seed0} + pair",
+                 f"in odd pairs; seed {SEED0} + pair",
         "cores": len(os.sched_getaffinity(0)),
         "numpy": np.__version__,
         "python": platform.python_version(),

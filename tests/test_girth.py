@@ -185,34 +185,29 @@ _RESIDUE_MODULI = [1, 2, 3, 8191, 2 ** 20]
 
 
 @pytest.mark.parametrize("m", _RESIDUE_MODULI)
-def test_division_residue_matches_integer_remainder(m):
-    # the (2,2) base has one inequality, a - b - c + d, so each verdict reads
-    # the residue of one value; entries q*M + r with small r make about half
-    # the values multiples of M, of either sign and up to the exactness bound
-    system = GirthSystem(all_ones_base(2, 2), 6)
+@pytest.mark.parametrize("j,k,g", [(2, 2, 6), (3, 4, 6), (3, 4, 8)])
+def test_division_residue_matches_integer_remainder(j, k, g, m):
+    # entries q*M + r, of either sign and up to the exactness bound: r in
+    # {-1, 0, 1} puts many values near multiples of M, r in [0, M) spreads
+    # their residues
+    system = GirthSystem(all_ones_base(j, k), g)
     coeffs = system.ineqs.coeffs.astype(np.int64)
-    assert coeffs.shape == (1, 4)
-    rng = np.random.default_rng(m)
-    for q_max in (3, (2 ** 53 - m) // (4 * m) - 1):
-        block = (m * rng.integers(-q_max, q_max + 1, size=(2000, 4))
-                 + rng.integers(-1, 2, size=(2000, 4)))
-        expected = (block @ coeffs.T % m != 0).all(axis=1)
-        assert np.array_equal(system.check_batch(block, m), expected), (m, q_max)
-        assert (block < 0).any()
-        assert m == 1 or 0 < expected.sum() < expected.size
-
-
-@pytest.mark.parametrize("m", _RESIDUE_MODULI)
-@pytest.mark.parametrize("g", [6, 8])
-def test_division_residue_matches_integer_remainder_on_many_rows(g, m):
-    system = GirthSystem(all_ones_base(3, 4), g)
-    coeffs = system.ineqs.coeffs.astype(np.int64)
+    l1 = int(np.abs(coeffs).sum(axis=1).max())
     rng = np.random.default_rng(g * m)
-    largest = (2 ** 53 - m) // int(np.abs(coeffs).sum(axis=1).max())
-    for high in (m, largest):
-        block = rng.integers(-high, high + 1, size=(500, system.n_edges))
-        expected = (block @ coeffs.T % m != 0).all(axis=1)
-        assert np.array_equal(system.check_batch(block, m), expected), (m, high)
+    for q_max in (3, (2 ** 53 - m) // (l1 * m) - 1):
+        quotients = m * rng.integers(-q_max, q_max + 1, size=(1000, system.n_edges))
+        near = quotients + rng.integers(-1, 2, size=quotients.shape)
+        spread = quotients + rng.integers(0, m, size=quotients.shape)
+        for block in (near, spread):
+            expected = (block @ coeffs.T % m != 0).all(axis=1)
+            assert np.array_equal(system.check_batch(block, m), expected), (m, q_max)
+        assert (near < 0).any()
+        if j == 2 and m > 1:
+            # the (2,2) base has one inequality, a - b - c + d, so each
+            # verdict reads one value: about half of them are multiples of M
+            assert coeffs.shape == (1, 4)
+            near_ok = (near @ coeffs.T % m != 0).all(axis=1)
+            assert 0 < near_ok.sum() < near_ok.size
 
 
 def test_exactness_guard_boundary():

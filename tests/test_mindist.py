@@ -230,16 +230,9 @@ def test_bruteforce_all_zero_column():
     assert min_distance_bruteforce(h) == reference_distance(h) == 1
 
 
-def test_bruteforce_dimension_limits():
+def test_bruteforce_dimension_limits(monkeypatch):
     with pytest.raises(ValueError):  # k = 0
         min_distance_bruteforce(SparseParityCheck.from_dense(np.eye(6, dtype=np.uint8)))
-    h = random_check_matrix(np.random.default_rng(3), 30, 5)
-    assert min_distance_bruteforce(h, max_dim=5) == reference_distance(h)
-    with pytest.raises(ValueError):
-        min_distance_bruteforce(h, max_dim=4)
-
-
-def test_bruteforce_eliminates_once(monkeypatch):
     # one row reduction gives both the dimension check and the basis; a
     # dimension over budget raises before the dense basis is unpacked
     h = random_check_matrix(np.random.default_rng(3), 30, 5)
