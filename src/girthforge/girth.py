@@ -6,49 +6,25 @@ closed walk of length < g in the base graph has voltage 0 (mod M).  All such
 walks are enumerated as node pairs inside c symbol-rooted trees of depth
 g/2 - 1: a pair with equal label and depth but different parents closes a
 walk whose voltage is the difference of the two path voltages.
+
+Trees grow over the base matrix's CSR (:class:`SparseParityCheck`), whose
+slot k is base edge k in row-major order, and over its column-sorted slots.
+One level expander serves both :func:`grow_trees` and :func:`free_girth`.
+It numbers a level's nodes by parent, parents in stable order of their
+labels, and each parent's children in slot order.  Inequality witnesses are
+node numbers, so this rule fixes them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .matrices import (CIRCULANT, NO_EDGE, TAILBITING, BaseMatrix, DegreeMatrix,
                        SparseParityCheck)
-
-
-@dataclass(frozen=True)
-class BaseGraphView:
-    """Edge-indexed adjacency of a base matrix's bipartite graph."""
-
-    base: BaseMatrix
-    edges: tuple[tuple[int, int], ...]          # edge id -> (row, col)
-    sym_adj: tuple[tuple[tuple[int, int], ...], ...]   # col -> ((edge, row), ...)
-    con_adj: tuple[tuple[tuple[int, int], ...], ...]   # row -> ((edge, col), ...)
-
-    @classmethod
-    def from_base(cls, base: BaseMatrix) -> "BaseGraphView":
-        edges = tuple(base.edges())
-        sym: list[list[tuple[int, int]]] = [[] for _ in range(base.n_cols)]
-        con: list[list[tuple[int, int]]] = [[] for _ in range(base.n_rows)]
-        for e, (i, j) in enumerate(edges):
-            sym[j].append((e, i))
-            con[i].append((e, j))
-        return cls(base, edges, tuple(map(tuple, sym)), tuple(map(tuple, con)))
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    def level_adjacency(self):
-        """(edge-id array, neighbor array) per vertex label, for the two
-        sides as a pair indexed by depth % 2: level d of a path tree expands
-        symbols when d is odd and constraints when d is even."""
-        return tuple([(np.array([e for e, _ in entries], dtype=np.int32),
-                       np.array([o for _, o in entries], dtype=np.int32))
-                      for entries in adj] for adj in (self.con_adj, self.sym_adj))
 
 
 @dataclass
@@ -60,7 +36,6 @@ class PathTree:
     (constraint-to-symbol traversal counts +1, the reverse -1).
     """
 
-    root: int
     number: np.ndarray
     depth: np.ndarray
     parent: np.ndarray
@@ -77,45 +52,55 @@ class PathTree:
         return int(self.keep.sum()) if self.keep is not None else self.n_nodes
 
 
-def _expand_level(numbers: np.ndarray, edges: np.ndarray,
-                  adj) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Non-backtracking children of one tree level, grouped by parent label:
-    (parent position within the level, edge id, child label) per child."""
-    blk_parent, blk_edge, blk_other = [], [], []
-    for label in np.unique(numbers):
-        sel = np.nonzero(numbers == label)[0]
-        adj_e, adj_o = adj[label]
-        deg = adj_e.size
-        if deg == 0:
-            continue
-        par = np.repeat(sel, deg)
-        ch_e = np.tile(adj_e, sel.size)
-        ch_o = np.tile(adj_o, sel.size)
-        keep = ch_e != np.repeat(edges[sel], deg)
-        blk_parent.append(par[keep])
-        blk_edge.append(ch_e[keep])
-        blk_other.append(ch_o[keep])
-    if not blk_parent:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    return (np.concatenate(blk_parent), np.concatenate(blk_edge),
-            np.concatenate(blk_other))
+def _base_sides(b: BaseMatrix):
+    """The base graph's slots per side as (slot pointer, edge id, neighbour):
+    constraints from the base's CSR, whose slot k is edge k, then symbols
+    from its column-sorted slots."""
+    h = SparseParityCheck.from_dense(b.entries)
+    t = h.transpose()
+    return ((h.indptr, np.arange(h.indices.size), h.indices),
+            (t.indptr, np.argsort(h.indices, kind="stable"), t.indices))
 
 
-def _grow_tree(graph: BaseGraphView, root: int, max_depth: int,
-               adjacency) -> PathTree:
+def _expand_level(labels: np.ndarray, edges: np.ndarray,
+                  side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Non-backtracking children of one tree level, as (parent position
+    within the level, edge id, child label) per child: parents in stable
+    label order, each parent's children in slot order."""
+    ptr, slot_edge, slot_label = side
+    par = np.argsort(labels, kind="stable")
+    first = ptr[labels[par]]
+    count = ptr[labels[par] + 1] - first
+    par = np.repeat(par, count)
+    # a child's slot is its parent's first slot plus its rank among siblings
+    slot = np.arange(par.size) + np.repeat(first - np.cumsum(count) + count, count)
+    keep = slot_edge[slot] != edges[par]
+    slot, par = slot[keep], par[keep]
+    return par, slot_edge[slot], slot_label[slot]
+
+
+def _tree_levels(sides, root: int):
+    """Levels 1, 2, ... of the path tree from symbol ``root``, each as
+    :func:`_expand_level` returns it, up to the first empty level.  Level d
+    expands symbols when d is odd and constraints when d is even."""
+    labels, edges = np.array([root]), np.array([-1])
+    for side in itertools.cycle(sides[::-1]):
+        par, edges, labels = _expand_level(labels, edges, side)
+        if not par.size:
+            return
+        yield par, edges, labels
+
+
+def _grow_tree(sides, root: int, max_depth: int) -> PathTree:
     numbers = [np.array([root], dtype=np.int32)]
     edges = [np.array([-1], dtype=np.int32)]
     parents = [np.array([-1], dtype=np.int32)]
-    volts = [np.zeros((1, graph.n_edges), dtype=np.int8)]
+    volts = [np.zeros((1, sides[0][1].size), dtype=np.int8)]  # constraint slot k is edge k
     levels = [(0, 1)]
 
-    for d in range(1, max_depth + 1):
+    for d, (par, ch_e, ch_o) in zip(range(1, max_depth + 1), _tree_levels(sides, root)):
         sign = -1 if d % 2 == 1 else 1  # odd depth: symbol -> constraint
-        par, ch_e, ch_o = _expand_level(numbers[-1], edges[-1], adjacency[d % 2])
-        if par.size == 0:
-            break
-        v = volts[-1][par].copy()
+        v = volts[-1][par]
         v[np.arange(par.size), ch_e] += sign
         numbers.append(ch_o.astype(np.int32))
         edges.append(ch_e.astype(np.int32))
@@ -127,7 +112,6 @@ def _grow_tree(graph: BaseGraphView, root: int, max_depth: int,
     depth_arr = np.concatenate([np.full(n.size, i, dtype=np.int16)
                                 for i, n in enumerate(numbers)])
     return PathTree(
-        root=root,
         number=np.concatenate(numbers),
         depth=depth_arr,
         parent=np.concatenate(parents),
@@ -141,9 +125,8 @@ def grow_trees(b: BaseMatrix, g: int) -> list[PathTree]:
     """Grow one tree of depth g/2 - 1 per symbol node of the base graph."""
     if g % 2 != 0 or g < 4:
         raise ValueError("target girth must be even and at least 4")
-    graph = BaseGraphView.from_base(b)
-    adjacency = graph.level_adjacency()
-    return [_grow_tree(graph, j, g // 2 - 1, adjacency) for j in range(b.n_cols)]
+    sides = _base_sides(b)
+    return [_grow_tree(sides, j, g // 2 - 1) for j in range(b.n_cols)]
 
 
 @dataclass(frozen=True)
@@ -297,23 +280,14 @@ def reduce_trees(trees: Sequence[PathTree],
         keeps.append(keep)
         for lo, hi in reversed(tree.levels[1:]):  # ancestors, deepest level first
             keep[tree.parent[lo:hi][keep[lo:hi]]] = True
-    return [
-        PathTree(t.root, t.number, t.depth, t.parent, t.edge, t.voltages,
-                 t.levels, keep=k)
-        for t, k in zip(trees, keeps)
-    ]
-
-
-def tree_node_count(trees_min: Sequence[PathTree]) -> int:
-    return sum(t.kept_count() for t in trees_min)
+    return [replace(t, keep=k) for t, k in zip(trees, keeps)]
 
 
 def complexity_counts(b: BaseMatrix, g: int) -> tuple[int, int]:
     """(N_T, N_L): total reduced-tree nodes and unique inequality count."""
     trees = grow_trees(b, g)
     ineqs = collect_inequalities(trees)
-    trees_min = reduce_trees(trees, ineqs)
-    return tree_node_count(trees_min), len(ineqs)
+    return sum(t.kept_count() for t in reduce_trees(trees, ineqs)), len(ineqs)
 
 
 def node_pair_count(trees: Sequence[PathTree]) -> int:
@@ -362,10 +336,16 @@ def check_assignment_sorted(trees_min: Sequence[PathTree],
 
 # The staged evaluator checks the stacked inequalities in chunks, the
 # shortest cycles first: they reject nearly every random assignment.  A chunk
-# holds about _CHUNK_VALUES inequality values (128 KB of float64), so it
+# holds about _CHUNK_VALUES inequality values (64 KB of float64), so it
 # widens as assignments drop out, but is never narrower than _MIN_CHUNK rows.
-_CHUNK_VALUES = 1 << 14
-_MIN_CHUNK = 32
+# A search block of 512 assignments starts at that size too, so each of a
+# chunk's two float64 arrays stays below glibc's default 128 KB mmap
+# threshold.  Larger arrays were mapped, or the heap trimmed, and faulted in
+# again chunk after chunk whenever the process's earlier allocations had left
+# the threshold low: a search_34 round then took 2.1 s instead of 1.4 s on a
+# 2-core host.
+_CHUNK_VALUES = 1 << 13
+_MIN_CHUNK = 16
 # float64 represents every integer of magnitude up to 2**53 exactly
 _EXACT_LIMIT = 2 ** 53
 
@@ -442,7 +422,10 @@ class GirthSystem:
         while alive.size and lo < self._matrix.shape[0]:
             hi = lo + max(_MIN_CHUNK, _CHUNK_VALUES // alive.size)
             values = live @ self._matrix[lo:hi].T
-            keep = (np.rint(values / modulus) * modulus != values).all(axis=1)
+            residue = values / modulus
+            np.rint(residue, out=residue)
+            residue *= modulus
+            keep = (residue != values).all(axis=1)
             live, alive = live[keep], alive[keep]
             lo = hi
         ok = np.zeros(rows.shape[:-1], dtype=bool)
@@ -472,23 +455,19 @@ def free_girth(w: DegreeMatrix, cap: int) -> int | None:
     """
     if cap % 2 != 0 or cap < 4:
         raise ValueError("cap must be even and at least 4")
-    base = w.base()
-    graph = BaseGraphView.from_base(base)
-    adjacency = graph.level_adjacency()
+    sides = _base_sides(w.base())
     assignment = w.entries[w.entries != NO_EDGE].astype(np.int64)
-
-    # per tree: (labels, edges, integer path voltages) of its deepest level
-    levels = [(np.array([j]), np.array([-1]), np.zeros(1, dtype=np.int64))
-              for j in range(base.n_cols)]
-    for d in range(1, cap // 2 + 1):
+    trees = [_tree_levels(sides, j) for j in range(w.n_cols)]
+    values = [np.zeros(1, dtype=np.int64)] * w.n_cols  # per tree, deepest level
+    for d, levels in zip(range(1, cap // 2 + 1), itertools.zip_longest(*trees)):
         sign = -1 if d % 2 == 1 else 1
-        for t, (numbers, edges, values) in enumerate(levels):
-            par, ch_e, ch_o = _expand_level(numbers, edges, adjacency[d % 2])
-            levels[t] = (ch_o, ch_e, values[par] + sign * assignment[ch_e])
-        if not any(numbers.size for numbers, _, _ in levels):
-            return None
-        if any(_has_duplicate(numbers, values) for numbers, _, values in levels):
-            return 2 * d
+        for t, level in enumerate(levels):
+            if level is None:  # tree t ended at an empty level
+                continue
+            par, edges, labels = level
+            values[t] = values[t][par] + sign * assignment[edges]
+            if _has_duplicate(labels, values[t]):
+                return 2 * d
     return None
 
 

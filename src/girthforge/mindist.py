@@ -68,7 +68,7 @@ def _resolve_code(code) -> tuple[DegreeMatrix, int]:
     return w, m
 
 
-def _branch_and_bound(code, t: int, strengthened: bool) -> tuple[int, tuple[int, ...] | None]:
+def _branch_and_bound(code, t: int) -> tuple[int, tuple[int, ...] | None]:
     """Smallest zero-sum column subset below t columns, with its support
     (tailbiting column indices), or (t, None) when none exists."""
     if t < 2:
@@ -76,9 +76,6 @@ def _branch_and_bound(code, t: int, strengthened: bool) -> tuple[int, tuple[int,
     w, m = _resolve_code(code)
     cb, c = w.n_rows, w.n_cols
     col_synd, hitters = _column_tables(w, m)
-    # the weak criterion needs the heaviest column: one branch cancels at
-    # most that many ones in total
-    col_weight = int((w.entries != NO_EDGE).sum(axis=0).max())
     # the per-block rule reads block i of a syndrome as s & block_masks[i]
     block_masks = [((1 << m) - 1) << (i * m) for i in range(cb)]
     best = t
@@ -95,15 +92,11 @@ def _branch_and_bound(code, t: int, strengthened: bool) -> tuple[int, tuple[int,
         if not s:
             best, support = count, tuple(sorted(used))
             return
-        weight = s.bit_count()
-        if strengthened:
-            # no block can outweigh budget while the whole syndrome does not
-            if weight > budget:
-                for block in block_masks:
-                    if (s & block).bit_count() > budget:
-                        return
-        elif weight > col_weight * budget:
-            return
+        # no block can outweigh budget while the whole syndrome does not
+        if s.bit_count() > budget:
+            for block in block_masks:
+                if (s & block).bit_count() > budget:
+                    return
         if budget == 0:
             return
         for cid in hitters[(s & -s).bit_length() - 1]:
@@ -122,21 +115,17 @@ def _branch_and_bound(code, t: int, strengthened: bool) -> tuple[int, tuple[int,
 
 
 def min_distance_md(code: TailbitingCode | SparseParityCheck | tuple[DegreeMatrix, int],
-                    t: int, strengthened: bool = True) -> Distance:
+                    t: int) -> Distance:
     """Branch-and-bound distance: exact d_min when d_min < t, else a
-    certificate that d_min >= t.
-
-    ``strengthened`` selects per-block weight pruning; the weaker global
-    J*(budget) criterion gives identical answers, only slower.
-    """
-    best, _ = _branch_and_bound(code, t, strengthened)
+    certificate that d_min >= t."""
+    best, _ = _branch_and_bound(code, t)
     return Distance(best, True) if best < t else Distance(t, False)
 
 
 def min_weight_codeword(code, t: int) -> tuple[Distance, tuple[int, ...] | None]:
     """Like :func:`min_distance_md` but also returns the witness support as
     column indices of the tailbiting layout (None for a lower bound)."""
-    best, support = _branch_and_bound(code, t, True)
+    best, support = _branch_and_bound(code, t)
     return (Distance(best, True), support) if best < t else (Distance(t, False), None)
 
 
@@ -183,14 +172,13 @@ def _xor_table(columns: np.ndarray) -> np.ndarray:
     return table
 
 
-def iterative_deepening_distance(code, t0: int, t_max: int,
-                                 strengthened: bool = True) -> Distance:
+def iterative_deepening_distance(code, t0: int, t_max: int) -> Distance:
     """Run the branch-and-bound with doubling caps until exact or t_max."""
     if t0 > t_max:
         raise ValueError("t0 must not exceed t_max")
     t = t0
     while True:
-        res = min_distance_md(code, t, strengthened=strengthened)
+        res = min_distance_md(code, t)
         if res.exact or t >= t_max:
             return res
         t = min(2 * t, t_max)

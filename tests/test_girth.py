@@ -13,7 +13,7 @@ from girthforge.girth import (GirthSystem, certified_girth, check_assignment_sor
                               girth_bfs_oracle, grow_trees, node_pair_count,
                               qc_start_vertices, reduce_trees)
 from girthforge.lifting import lift_circulant, lift_tailbiting
-from girthforge.matrices import DegreeMatrix, SparseParityCheck
+from girthforge.matrices import NO_EDGE, DegreeMatrix, SparseParityCheck
 from girthforge.search import degree_matrix_to_assignment
 from girthforge import catalog
 
@@ -135,8 +135,12 @@ def test_checker_matches_bfs_oracle_exhaustively():
 
 # -- staged evaluator ----------------------------------------------------------
 
+# unequal row and column weights: a 3x4 base with one zero in each of two rows
+_IRREGULAR = DegreeMatrix(np.array([[0, 1, NO_EDGE, 2],
+                                    [1, NO_EDGE, 0, 3],
+                                    [2, 0, 1, 4]]))
 _STAGED_BASES = {"3x4": all_ones_base(3, 4), "3x5": all_ones_base(3, 5),
-                 "sts9": sts_base(CANONICAL_STS[9])}
+                 "sts9": sts_base(CANONICAL_STS[9]), "irregular": _IRREGULAR.base()}
 
 
 @pytest.mark.parametrize("g", [6, 8, 10])
@@ -286,8 +290,10 @@ def test_stacked_inequalities_shortest_first():
 # -- inequality set ------------------------------------------------------------
 
 # SHA-256 of coeffs.tobytes() + witness.tobytes() at g=10, recorded from the
-# object-per-inequality implementation this array layout replaced
+# object-per-inequality implementation this array layout replaced; the
+# irregular base's, from the per-label level expander the CSR gather replaced
 _INEQUALITY_DIGESTS = {
+    "irregular": "eccc7010bfcd42b19c8bbca8d33ef7167b12d360b51c3398e9e14c25239fff23",
     "3x4": "be2bc2228ef76badd732aa6b2474ebd3f21fa1b804f58864c64353dc55cdcf00",
     "3x5": "e6b0717eb9cef9fdb3c1de53289eedf589bd8a72635851d3a4321060a23b29cd",
     "sts9": "82c493430ac5ec66e82e01a830004551d2c24703880d427d4f10eb7246dd5788",
@@ -448,7 +454,6 @@ def test_free_girth_toy_code(toy_degrees):
 
 
 def test_free_girth_acyclic_base():
-    from girthforge.matrices import NO_EDGE
     w = DegreeMatrix(np.array([[0, 1], [NO_EDGE, 0]]))
     assert free_girth(w, cap=12) is None
 
@@ -457,6 +462,34 @@ def test_free_girth_g8_table_entry():
     w = catalog.BY_NAME["g08_k4"].degree_matrix()
     g = free_girth(w, cap=12)
     assert g is None or g >= 8
+
+
+def _free_girth_by_inequalities(w: DegreeMatrix, cap: int) -> int | None:
+    """Smallest even L <= cap at which the integer inequality values of the
+    girth-(L + 2) system, whose walks are those shorter than L + 2, have a
+    zero; None if there is none."""
+    values = degree_matrix_to_assignment(w)
+    for length in range(4, cap + 1, 2):
+        if (GirthSystem(w.base(), length + 2).inequality_values(values) == 0).any():
+            return length
+    return None
+
+
+@pytest.mark.parametrize("cap", [8, 12])
+def test_free_girth_matches_inequality_engine(toy_degrees, cap):
+    matrices = [toy_degrees, _IRREGULAR]
+    matrices += [catalog.BY_NAME[name].degree_matrix()
+                 for name in ("g06_k4", "g08_k4", "g06_k5", "g08_k5")]
+    rng = np.random.default_rng(cap)
+    for k in [3, 4, 5, 6] * 5:
+        entries = rng.integers(0, 12, size=(3, k))
+        entries[rng.random((3, k)) < 0.25] = NO_EDGE
+        entries[rng.integers(3), rng.integers(k)] = NO_EDGE
+        matrices.append(DegreeMatrix(entries))
+    found = [free_girth(w, cap) for w in matrices]
+    assert found == [_free_girth_by_inequalities(w, cap) for w in matrices]
+    # the cases reach every outcome: short cycles, long ones, none within cap
+    assert {4, 6, None} <= set(found) and any(g is not None and g >= 8 for g in found)
 
 
 def test_bipartite_girth_is_even():

@@ -50,13 +50,12 @@ def test_witness_pinned(name):
 
 
 @pytest.mark.parametrize("name", ["g06_k4", "g08_k5", "g10_k4"])
-@pytest.mark.parametrize("strengthened", [True, False])
-def test_cap_boundary(name, strengthened):
+def test_cap_boundary(name):
     # at cap d + 1 the last column meets a budget of one per block: a rule
     # that prunes a block as heavy as its budget loses the codeword
     d = WITNESS_PINS[name][0]
-    assert min_distance_md(code_for(name), d + 1, strengthened) == Distance(d, True)
-    assert min_distance_md(code_for(name), d, strengthened) == Distance(d, False)
+    assert min_distance_md(code_for(name), d + 1) == Distance(d, True)
+    assert min_distance_md(code_for(name), d) == Distance(d, False)
 
 
 @pytest.mark.parametrize("name", ["g06_k4_ld", "g08_k4_ld", "g10_k4_ld", "g12_k4"])
@@ -136,29 +135,16 @@ def test_distance_invariant_under_layout(toy_degrees):
     assert min_distance_bruteforce(tb) == min_distance_bruteforce(ci)
 
 
-def test_weak_pruning_same_answer():
-    for name in ("g06_k4", "g08_k4"):
-        code = code_for(name)
-        strong = min_distance_md(code, 26)
-        weak = min_distance_md(code, 26, strengthened=False)
-        assert strong == weak
-
-
-def test_weak_pruning_irregular_columns():
+def test_md_and_bruteforce_agree_irregular_columns():
     from girthforge.matrices import NO_EDGE
 
     w = DegreeMatrix(np.array([[0, 1, NO_EDGE, 2],
                                [1, NO_EDGE, 0, 3],
                                [2, 0, 1, 4]]), modulus=5)
     code = TailbitingCode(w, 5)
-    strong = min_distance_md(code, 12)
-    weak = min_distance_md(code, 12, strengthened=False)
-    assert strong == weak
-    # both rules walk the same tree order, so they find the same witness
-    assert (mindist._branch_and_bound(code, 12, False)
-            == mindist._branch_and_bound(code, 12, True))
-    assert strong.exact
-    assert strong.value == min_distance_bruteforce(code.h_tb)
+    md = min_distance_md(code, 12)
+    assert md.exact
+    assert md.value == min_distance_bruteforce(code.h_tb)
 
 
 def test_iterative_deepening_escalates():
