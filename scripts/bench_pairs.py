@@ -3,7 +3,7 @@ written to one ``BENCH_<n>.json``.
 
     python3 scripts/bench_pairs.py --parent ../parent --out BENCH_13.json \\
         --change "what the change does" \\
-        --pairs search_34=10 --pairs corpus_certify=5 --traced search_34=1
+        --pairs search_34=10 --pairs corpus_certify=5 --traced search_34=3
 
 ``--parent`` is a checkout of the parent commit (``git clone`` or
 ``git archive`` it next to this one).  Pair p of a workload runs both sides
@@ -12,9 +12,11 @@ checkout in odd ones, so a drift in the host's speed falls on both sides
 alike.  Every run is one ``bench/run.py --trace 0`` process of its own
 checkout, lasting the ``run_seconds`` of ``BENCHMARK.json``.  Per workload
 and end-to-end metric of ``BENCHMARK.json`` the output gives the pairs, the
-pairs the change wins and each side's quartiles; ``--traced W=SEED`` adds
-one ``--trace 1`` run per side.  Each run's full result, or its exit code
-and error tail, is kept as well.
+pairs the change wins and each side's quartiles.  ``--traced W=N`` adds N
+``--trace 1`` runs per side on the same schedule and seeds, summarized the
+same way over the ``per_layer`` metrics, so a per-layer number rests on N
+runs a side, not on one.  Each run's full result, or its exit code and error
+tail, is kept as well.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def parse_args(argv):
     parser.add_argument("--pairs", type=_workload_count, action="append", default=[],
                         metavar="WORKLOAD=N", help="N interleaved pairs of a workload")
     parser.add_argument("--traced", type=_workload_count, action="append", default=[],
-                        metavar="WORKLOAD=SEED", help="one --trace 1 run per side")
+                        metavar="WORKLOAD=N", help="N --trace 1 runs per side")
     args = parser.parse_args(argv)
     if not (args.parent / "bench" / "run.py").is_file():
         parser.error(f"no bench/run.py under {args.parent}")
@@ -61,6 +63,13 @@ def parse_args(argv):
 def schedule(pairs: int) -> list[tuple[int, tuple[str, str]]]:
     """(pair, side order) per pair: parent first in even pairs."""
     return [(p, SIDES if p % 2 == 0 else SIDES[::-1]) for p in range(pairs)]
+
+
+def plan(counts: list[tuple[str, int]]) -> list[tuple[str, int, int, str]]:
+    """(workload, pair, seed, side) per run: N scheduled pairs per workload,
+    pair p at seed SEED0 + p."""
+    return [(workload, pair, SEED0 + pair, side) for workload, count in counts
+            for pair, order in schedule(count) for side in order]
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -116,6 +125,7 @@ def main(argv: list[str]) -> int:
     roots = {"parent": args.parent.resolve(), "change": ROOT}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    layers = {m["name"]: m["better"] for m in spec["per_layer"]}
 
     def record(workload, pair, seed, side, trace):
         result = run_bench(roots[side], workload, seed, spec["run_seconds"], trace)
@@ -124,22 +134,20 @@ def main(argv: list[str]) -> int:
         return {"workload": workload, "pair": pair, "seed": seed, "side": side,
                 "trace": trace, "result": result}
 
-    runs = [record(workload, pair, SEED0 + pair, side, 0)
-            for workload, count in args.pairs
-            for pair, order in schedule(count) for side in order]
-    traced = [record(workload, 0, seed, side, 1)
-              for workload, seed in args.traced for side in SIDES]
+    runs = [record(*run, 0) for run in plan(args.pairs)]
+    traced = [record(*run, 1) for run in plan(args.traced)]
     report = {
         "change": args.change,
         "parent_commit": _commit(roots["parent"]),
         "command": f"python3 bench/run.py --workload W --seed N "
                    f"--seconds {spec['run_seconds']} --trace T",
-        "order": f"pairs interleaved; parent first in even pairs, change first "
-                 f"in odd pairs; seed {SEED0} + pair",
+        "order": f"pairs and traced runs interleaved; parent first in even pairs, "
+                 f"change first in odd pairs; seed {SEED0} + pair",
         "cores": len(os.sched_getaffinity(0)),
         "numpy": np.__version__,
         "python": platform.python_version(),
         "summary": summarize(runs, metrics),
+        "traced_summary": summarize(traced, layers),
         "runs": runs,
         "traced_runs": traced,
     }

@@ -18,8 +18,7 @@ from .lifting import TailbitingCode, lift_circulant, lift_tailbiting, reorder_to
 from .girth import (GirthSystem, certified_girth, check_assignment_sorted,
                     collect_inequalities, complexity_counts, free_girth,
                     girth_bfs_oracle, grow_trees, reduce_trees)
-from .mindist import (Distance, iterative_deepening_distance,
-                      min_distance_bruteforce, min_distance_md)
+from .mindist import Distance, min_distance_bruteforce, min_distance_md
 from .bounds import (base_girth, d2_bruteforce, distance_cap,
                      theorem2_lower_bound, theorem3_applies)
 from .search import (InfeasibleTarget, Restrictions, SearchConfig, SearchResult,

@@ -9,15 +9,15 @@ walk whose voltage is the difference of the two path voltages.
 
 Trees grow over the base matrix's CSR (:class:`SparseParityCheck`), whose
 slot k is base edge k in row-major order, and over its column-sorted slots.
-One level expander serves both :func:`grow_trees` and :func:`free_girth`.
-It numbers a level's nodes by parent, parents in stable order of their
-labels, and each parent's children in slot order.  Inequality witnesses are
-node numbers, so this rule fixes them.
+One level expander serves :func:`grow_trees` and the level walker behind
+:func:`check_assignment_sorted` and :func:`free_girth`.  It numbers a level's
+nodes by parent, parents in stable order of their labels, and each parent's
+children in slot order; inequality witnesses are node numbers, so this rule
+fixes them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -79,18 +79,6 @@ def _expand_level(labels: np.ndarray, edges: np.ndarray,
     return par, slot_edge[slot], slot_label[slot]
 
 
-def _tree_levels(sides, root: int):
-    """Levels 1, 2, ... of the path tree from symbol ``root``, each as
-    :func:`_expand_level` returns it, up to the first empty level.  Level d
-    expands symbols when d is odd and constraints when d is even."""
-    labels, edges = np.array([root]), np.array([-1])
-    for side in itertools.cycle(sides[::-1]):
-        par, edges, labels = _expand_level(labels, edges, side)
-        if not par.size:
-            return
-        yield par, edges, labels
-
-
 def _grow_tree(sides, root: int, max_depth: int) -> PathTree:
     numbers = [np.array([root], dtype=np.int32)]
     edges = [np.array([-1], dtype=np.int32)]
@@ -98,7 +86,10 @@ def _grow_tree(sides, root: int, max_depth: int) -> PathTree:
     volts = [np.zeros((1, sides[0][1].size), dtype=np.int8)]  # constraint slot k is edge k
     levels = [(0, 1)]
 
-    for d, (par, ch_e, ch_o) in zip(range(1, max_depth + 1), _tree_levels(sides, root)):
+    for d in range(1, max_depth + 1):
+        par, ch_e, ch_o = _expand_level(numbers[-1], edges[-1], sides[d % 2])
+        if not par.size:
+            break
         sign = -1 if d % 2 == 1 else 1  # odd depth: symbol -> constraint
         v = volts[-1][par]
         v[np.arange(par.size), ch_e] += sign
@@ -299,41 +290,6 @@ def node_pair_count(trees: Sequence[PathTree]) -> int:
 # Assignment checking
 # ---------------------------------------------------------------------------
 
-def _numeric_voltages(tree: PathTree, assignment: np.ndarray,
-                      modulus: int | None) -> np.ndarray:
-    values = np.zeros(tree.n_nodes, dtype=np.int64)
-    for d in range(1, len(tree.levels)):
-        lo, hi = tree.levels[d]
-        sign = -1 if d % 2 == 1 else 1
-        values[lo:hi] = values[tree.parent[lo:hi]] + sign * assignment[tree.edge[lo:hi]]
-        if modulus is not None:
-            values[lo:hi] %= modulus
-    return values
-
-
-def check_assignment_sorted(trees_min: Sequence[PathTree],
-                            assignment: np.ndarray,
-                            modulus: int | None = None) -> bool:
-    """Sorted-tree variant: reject iff some reduced tree contains two nodes
-    of equal depth, label, and path voltage (distinct parents are implied)."""
-    assignment = np.asarray(assignment, dtype=np.int64)
-    for tree in trees_min:
-        values = _numeric_voltages(tree, assignment, modulus)
-        mask = tree.keep if tree.keep is not None else np.ones(tree.n_nodes, bool)
-        mask = mask & (tree.depth >= 2)
-        if not mask.any():
-            continue
-        dep = tree.depth[mask]
-        num = tree.number[mask]
-        val = values[mask]
-        order = np.lexsort((val, num, dep))
-        dep, num, val = dep[order], num[order], val[order]
-        dup = (dep[1:] == dep[:-1]) & (num[1:] == num[:-1]) & (val[1:] == val[:-1])
-        if dup.any():
-            return False
-    return True
-
-
 # The staged evaluator checks the stacked inequalities in chunks, the
 # shortest cycles first: they reject nearly every random assignment.  A chunk
 # holds about _CHUNK_VALUES inequality values (64 KB of float64), so it
@@ -353,6 +309,19 @@ _EXACT_LIMIT = 2 ** 53
 def _is_integer(x) -> bool:
     """True for Python and numpy integers; False for bools, floats and the rest."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _valid_modulus(modulus) -> int:
+    if not _is_integer(modulus):
+        raise ValueError(f"modulus must be an integer, not {modulus!r}")
+    if modulus < 1:
+        raise ValueError("modulus must be at least 1")
+    return int(modulus)
+
+
+def _check_width(shape: tuple[int, ...], n_edges: int) -> None:
+    if shape[-1:] != (n_edges,):
+        raise ValueError(f"assignments need {n_edges} entries per row, not shape {shape}")
 
 
 class GirthSystem:
@@ -410,11 +379,8 @@ class GirthSystem:
         return (self._exact_block(block) @ self._matrix.T).astype(np.int64)
 
     def _passes(self, block: np.ndarray, modulus: int) -> np.ndarray:
-        if not _is_integer(modulus):
-            raise ValueError(f"modulus must be an integer, not {modulus!r}")
-        if modulus < 1:
-            raise ValueError("modulus must be at least 1")
-        modulus = int(modulus)
+        modulus = _valid_modulus(modulus)
+        _check_width(np.shape(block), self.n_edges)
         rows = self._exact_block(block, modulus)
         live = rows.reshape(-1, self.n_edges)
         alive = np.arange(live.shape[0])
@@ -442,42 +408,75 @@ class GirthSystem:
 
 
 # ---------------------------------------------------------------------------
-# Free girth (integer voltages)
+# Level walker: the sorted-tree checker and free girth
 # ---------------------------------------------------------------------------
 
-def free_girth(w: DegreeMatrix, cap: int) -> int | None:
-    """Length of the shortest zero-voltage closed walk over the integers,
-    i.e. the girth of the unwrapped (infinite) lifted graph; None above cap.
+def _first_repeats(b: BaseMatrix, block: np.ndarray, max_depth: int,
+                   modulus: int | None) -> np.ndarray:
+    """Per row of a (rows, n_edges) block, the first depth d <= max_depth
+    at which two nodes of one path tree share label and path voltage (mod M
+    if given), or 0.  The c symbol-rooted trees advance together, and tree j
+    keeps only symbol labels >= j (canonical roots).
 
-    Trees grow level by level and stop at the first depth with a duplicate
-    (label, path voltage) node pair, so bases capped by an all-ones submatrix
-    stay cheap even for large caps.
+    Exact: a cyclically reduced zero walk of length 2l with smallest symbol
+    j splits at j into its first half and reversed second half, two paths
+    of tree j (every symbol >= j) with distinct first edges, one end label
+    and equal voltages: a repeat at depth l.  Conversely, the nodes of a
+    first repeat have distinct parents (siblings differ in label) and last
+    edges (else the parents repeat a level up), so their paths, common
+    prefix cut off, close a cyclically reduced zero walk of length <= 2d.
     """
+    bound = max_depth * max(int(block.max(initial=0)), -int(block.min(initial=0)))
+    if bound + (modulus or 0) > 2 ** 62:
+        raise ValueError(f"path voltages up to {bound} + modulus {modulus} may overflow int64")
+    sides = _base_sides(b)
+    labels = tree = np.arange(b.n_cols)
+    edges = np.full(b.n_cols, -1)
+    values = np.zeros((block.shape[0], b.n_cols), dtype=np.int64)
+    live = np.arange(block.shape[0])
+    first = np.zeros(block.shape[0], dtype=np.int64)
+    for d in range(1, max_depth + 1):
+        if not (live.size and labels.size):
+            break
+        par, edges, labels = _expand_level(labels, edges, sides[d % 2])
+        tree = tree[par]
+        canon = (d % 2 == 1) | (labels >= tree)  # symbol levels: tree j keeps labels >= j
+        par, edges, labels, tree = par[canon], edges[canon], labels[canon], tree[canon]
+        values = values[:, par] + (1 if d % 2 == 0 else -1) * block[live[:, None], edges]
+        if modulus is not None:
+            values %= modulus
+        group = np.broadcast_to(tree * (b.n_rows + b.n_cols) + labels, values.shape)
+        order = np.lexsort((values, group))
+        step = [np.diff(np.take_along_axis(a, order, 1)) for a in (group, values)]
+        repeat = ((step[0] == 0) & (step[1] == 0)).any(axis=1)
+        first[live[repeat]] = d
+        live, values = live[~repeat], values[~repeat]
+    return first
+
+
+def check_assignment_sorted(base: BaseMatrix, g: int, assignments: np.ndarray,
+                            modulus: int | None = None) -> bool | np.ndarray:
+    """Sorted-tree checker, the paper's variant: True iff no path tree of
+    ``base`` repeats (label, path voltage mod M, or over the integers) at a
+    depth <= g/2 - 1.  A bool for one assignment, an array for a block."""
+    if g % 2 != 0 or g < 4:
+        raise ValueError("target girth must be even and at least 4")
+    modulus = None if modulus is None else _valid_modulus(modulus)
+    block = np.asarray(assignments, dtype=np.int64)
+    _check_width(block.shape, int(np.count_nonzero(base.entries)))
+    rows = block.reshape(-1, block.shape[-1])
+    ok = (_first_repeats(base, rows, g // 2 - 1, modulus) == 0).reshape(block.shape[:-1])
+    return bool(ok) if block.ndim == 1 else ok
+
+
+def free_girth(w: DegreeMatrix, cap: int) -> int | None:
+    """Length of the shortest zero-voltage closed walk over the integers, the
+    girth of the unwrapped (infinite) lift; None above cap.  The level walker
+    stops at the first repeat, so short-cycle bases stay cheap at any cap."""
     if cap % 2 != 0 or cap < 4:
         raise ValueError("cap must be even and at least 4")
-    sides = _base_sides(w.base())
-    assignment = w.entries[w.entries != NO_EDGE].astype(np.int64)
-    trees = [_tree_levels(sides, j) for j in range(w.n_cols)]
-    values = [np.zeros(1, dtype=np.int64)] * w.n_cols  # per tree, deepest level
-    for d, levels in zip(range(1, cap // 2 + 1), itertools.zip_longest(*trees)):
-        sign = -1 if d % 2 == 1 else 1
-        for t, level in enumerate(levels):
-            if level is None:  # tree t ended at an empty level
-                continue
-            par, edges, labels = level
-            values[t] = values[t][par] + sign * assignment[edges]
-            if _has_duplicate(labels, values[t]):
-                return 2 * d
-    return None
-
-
-def _has_duplicate(numbers: np.ndarray, values: np.ndarray) -> bool:
-    """True iff two nodes of one level share label and path voltage."""
-    if numbers.size < 2:
-        return False
-    order = np.lexsort((values, numbers))
-    num, val = numbers[order], values[order]
-    return bool(((num[1:] == num[:-1]) & (val[1:] == val[:-1])).any())
+    depth = _first_repeats(w.base(), w.entries[None, w.entries != NO_EDGE], cap // 2, None)[0]
+    return 2 * int(depth) if depth else None
 
 
 # ---------------------------------------------------------------------------

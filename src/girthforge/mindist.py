@@ -171,14 +171,3 @@ def _xor_table(columns: np.ndarray) -> np.ndarray:
         table = np.hstack([table, table ^ columns[:, i:i + 1]])
     return table
 
-
-def iterative_deepening_distance(code, t0: int, t_max: int) -> Distance:
-    """Run the branch-and-bound with doubling caps until exact or t_max."""
-    if t0 > t_max:
-        raise ValueError("t0 must not exceed t_max")
-    t = t0
-    while True:
-        res = min_distance_md(code, t)
-        if res.exact or t >= t_max:
-            return res
-        t = min(2 * t, t_max)

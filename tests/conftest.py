@@ -7,8 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from girthforge.girth import collect_inequalities, grow_trees, reduce_trees
-from girthforge.matrices import BaseMatrix, DegreeMatrix, SparseParityCheck
+from girthforge.matrices import DegreeMatrix, SparseParityCheck
 
 
 TOY_TB = np.array([
@@ -57,13 +56,6 @@ def toggle_row(h: SparseParityCheck, r: int, cols) -> SparseParityCheck:
     indptr[r + 1:] += len(row) - (b - a)
     indices = np.concatenate((h.indices[:a], np.array(row, dtype=np.int64), h.indices[b:]))
     return SparseParityCheck(h.n_cols, indptr, indices, h.layout, h.block)
-
-
-def reduced_trees(base: BaseMatrix, g: int):
-    """The reduced path trees of ``base`` at girth ``g``, as the sorted-tree
-    checker ``check_assignment_sorted`` reads them."""
-    trees = grow_trees(base, g)
-    return reduce_trees(trees, collect_inequalities(trees))
 
 
 def reference_girth(h: SparseParityCheck, cap: int = 32, start_vertices=None):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -44,3 +45,41 @@ def test_summary_counts_wins_and_quartiles_of_complete_pairs():
     assert summary["w"]["peak_rss_mb"]["change_wins"] == 2
     higher = bench_pairs.summarize(runs, {"job_s": "higher"})
     assert higher["w"]["job_s"]["change_wins"] == 1
+
+
+def test_traced_runs_follow_the_pair_schedule_and_are_summarized(tmp_path, monkeypatch):
+    # --traced W=N runs N traced pairs on the schedule and seeds of --pairs,
+    # summarized over BENCHMARK.json's per_layer metrics; no bench process runs
+    bench_pairs = _script()
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text("")
+    spec = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+    calls = []
+
+    def fake_run(root, workload, seed, seconds, trace):
+        side = "parent" if root == tmp_path.resolve() else "change"
+        calls.append((workload, seed, side, trace))
+        names = spec["per_layer"] if trace else spec["end_to_end"]
+        value = seed + (0.5 if side == "change" else 0.0)
+        return {"correct": True,
+                "metrics": {m["name"]: {"value": value, "unit": m["unit"]} for m in names}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path), "--out", str(out), "--change", "x",
+                             "--pairs", "w=2", "--traced", "w=3"]) == 0
+    assert calls == [("w", 101, "parent", 0), ("w", 101, "change", 0),
+                     ("w", 102, "change", 0), ("w", 102, "parent", 0),
+                     ("w", 101, "parent", 1), ("w", 101, "change", 1),
+                     ("w", 102, "change", 1), ("w", 102, "parent", 1),
+                     ("w", 103, "parent", 1), ("w", 103, "change", 1)]
+    report = json.loads(out.read_text())
+    assert [(r["pair"], r["seed"], r["side"]) for r in report["traced_runs"]] == [
+        (p, 101 + p, side) for p, order in bench_pairs.schedule(3) for side in order]
+    traced = report["traced_summary"]["w"]
+    assert sorted(traced) == sorted(m["name"] for m in spec["per_layer"])
+    assert traced["girth.check_batch_rate"] == {
+        "pairs": 3, "change_wins": 3, "parent_q1_median_q3": [101.5, 102.0, 102.5],
+        "change_q1_median_q3": [102.0, 102.5, 103.0]}
+    assert traced["trace.job_s"]["change_wins"] == 0
+    assert sorted(report["summary"]["w"]) == sorted(m["name"] for m in spec["end_to_end"])

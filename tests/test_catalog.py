@@ -93,6 +93,20 @@ def test_every_catalog_girth_certifies():
         assert certified_girth(h, cap=e.girth + 2) == e.girth, e.name
 
 
+def test_every_catalog_code_passes_sorted_checker_at_its_girth_only():
+    # the level walker at the published M, with no inequality system: each
+    # code passes at its girth and repeats a path voltage at girth + 2
+    from girthforge.girth import check_assignment_sorted
+    from girthforge.search import degree_matrix_to_assignment
+
+    assert len(catalog.CATALOG) == 57
+    for e in catalog.CATALOG:
+        w = e.degree_matrix()
+        values = degree_matrix_to_assignment(w)
+        assert check_assignment_sorted(w.base(), e.girth, values, e.m), e.name
+        assert not check_assignment_sorted(w.base(), e.girth + 2, values, e.m), e.name
+
+
 def test_short_table_distances():
     expected = {"g06_k4": 6, "g06_k5": 6, "g06_k6": 4, "g06_k7": 4, "g06_k8": 4,
                 "g06_k9": 4, "g06_k10": 6, "g08_k4": 6, "g08_k5": 10,

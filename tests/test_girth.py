@@ -17,7 +17,7 @@ from girthforge.matrices import NO_EDGE, DegreeMatrix, SparseParityCheck
 from girthforge.search import degree_matrix_to_assignment
 from girthforge import catalog
 
-from conftest import reduced_trees, reference_girth
+from conftest import reference_girth
 
 
 def test_tree_shape_g6():
@@ -69,7 +69,7 @@ def test_toy_code_fails_girth6(toy_degrees):
     system = GirthSystem(all_ones_base(3, 4), 6)
     values = degree_matrix_to_assignment(toy_degrees)
     assert not system.check(values, modulus=2)
-    assert not check_assignment_sorted(reduced_trees(system.base, 6), values, 2)
+    assert not check_assignment_sorted(system.base, 6, values, 2)
 
 
 def test_published_g8_assignment_passes():
@@ -77,13 +77,13 @@ def test_published_g8_assignment_passes():
     w = catalog.BY_NAME["g08_k4"].degree_matrix()
     values = degree_matrix_to_assignment(w)
     assert system.check(values, 9)
-    assert check_assignment_sorted(reduced_trees(system.base, 8), values, 9)
+    assert check_assignment_sorted(system.base, 8, values, 9)
 
 
 def test_published_g12_assignment_passes_sorted():
     w = catalog.BY_NAME["g12_k4"].degree_matrix()
     values = degree_matrix_to_assignment(w)
-    assert check_assignment_sorted(reduced_trees(all_ones_base(3, 4), 12), values, 73)
+    assert check_assignment_sorted(all_ones_base(3, 4), 12, values, 73)
 
 
 def test_zero_assignment_fails():
@@ -96,12 +96,9 @@ def test_zero_assignment_fails():
 def test_list_and_sorted_checkers_agree(seed, m, g):
     rng = np.random.default_rng(seed)
     system = GirthSystem(all_ones_base(3, 4), g)
-    trees_min = reduced_trees(system.base, g)
-    for _ in range(20):
-        values = rng.integers(0, m, size=12).astype(np.int64)
-        a = system.check(values, m)
-        b = check_assignment_sorted(trees_min, values, m)
-        assert a == b
+    block = rng.integers(0, m, size=(20, 12))
+    assert np.array_equal(check_assignment_sorted(system.base, g, block, m),
+                          system.check_batch(block, m))
 
 
 @settings(max_examples=25, deadline=None)
@@ -164,6 +161,86 @@ def test_staged_evaluator_matches_full_reference(base_name, g, monkeypatch):
                                       (values % m != 0).all(axis=1)), (m, size, chunk_values)
                 assert np.array_equal(np.sort(system.inequality_values(block), axis=1),
                                       np.sort(values, axis=1)), (m, size)
+
+
+@pytest.mark.parametrize("g", [6, 8, 10])
+@pytest.mark.parametrize("base_name", sorted(_STAGED_BASES))
+def test_sorted_checker_matches_staged_evaluator(base_name, g):
+    # the sorted checker walks canonical-root trees and reads no inequality;
+    # signed entries exercise its reduction mod M, and the integer case
+    # (no modulus) is compared with the exact inequality values
+    base = _STAGED_BASES[base_name]
+    system = GirthSystem(base, g)
+    rng = np.random.default_rng(g)
+    verdicts = []
+    for m in (1, 2, 7, int(rng.integers(8, 100)), int(rng.integers(100, 10_000)), None):
+        span = m or 50
+        block = rng.integers(-span, span, size=(400, system.n_edges))
+        if m is None:
+            expected = (system.inequality_values(block) != 0).all(axis=1)
+        else:
+            expected = system.check_batch(block, m)
+        found = check_assignment_sorted(base, g, block, m)
+        assert found.dtype == bool and np.array_equal(found, expected), m
+        verdicts.append(found)
+    # M = 1 rejects every row of a base with short cycles (sts9 has none at g=6)
+    verdicts = np.concatenate(verdicts)
+    assert verdicts.any() and verdicts.all() == (len(system.ineqs) == 0)
+
+
+def test_sorted_checker_shapes():
+    base = all_ones_base(3, 4)
+    values = degree_matrix_to_assignment(catalog.BY_NAME["g08_k4"].degree_matrix())
+    assert check_assignment_sorted(base, 8, values, 9) is True
+    assert check_assignment_sorted(base, 8, list(values), np.int64(9)) is True
+    block = np.stack([values, np.zeros_like(values), values, values + 1])
+    assert check_assignment_sorted(base, 8, block, 9).tolist() == [True, False, True, True]
+    cube = check_assignment_sorted(base, 8, block.reshape(2, 2, 12), 9)
+    assert cube.shape == (2, 2) and cube.tolist() == [[True, False], [True, True]]
+    assert check_assignment_sorted(base, 8, block[:0], 9).shape == (0,)
+    for g in (3, 5, 2):
+        with pytest.raises(ValueError, match="target girth"):
+            check_assignment_sorted(base, g, values, 9)
+
+
+@pytest.mark.parametrize("modulus", [True, 9.0, np.float64(9), 9.5, "9", np.bool_(True), 0, -9])
+def test_sorted_checker_rejects_bad_modulus(modulus):
+    values = np.ones(12, dtype=np.int64)
+    with pytest.raises(ValueError, match="modulus must be"):
+        check_assignment_sorted(all_ones_base(3, 4), 8, values, modulus)
+
+
+def test_sorted_checker_overflow_guard_boundary():
+    # path voltages of the (2,2) base at g=6 reach 2e; the guard admits
+    # depth x largest entry + M == 2**62 with exact verdicts and rejects one
+    # more, so no int64 sum wraps (a - b - c + d = 2**63 is not zero)
+    base, e = all_ones_base(2, 2), 2 ** 61
+    assert check_assignment_sorted(base, 6, [e, -e, -e, e]) is True
+    assert check_assignment_sorted(base, 6, [e, e, -e, -e]) is False
+    assert check_assignment_sorted(base, 6, [1, 0, 0, 0], 2 ** 62 - 2) is True
+    for values, modulus in (([e + 1, 0, 0, 0], None), ([0, 0, -e - 1, 0], None),
+                            ([1, 0, 0, 0], 2 ** 62 - 1)):
+        with pytest.raises(ValueError, match="overflow int64"):
+            check_assignment_sorted(base, 6, values, modulus)
+    with pytest.raises(ValueError, match="overflow int64"):
+        free_girth(DegreeMatrix(np.array([[0, 2 ** 60 + 1], [0, 0]])), cap=8)
+
+
+def test_checkers_reject_wrong_width():
+    # the published g08_k4 values padded with 12 zeros once passed check,
+    # and a (2, 6) block got two silent verdicts from check_batch
+    system = GirthSystem(all_ones_base(3, 4), 8)
+    values = degree_matrix_to_assignment(catalog.BY_NAME["g08_k4"].degree_matrix())
+    padded = np.concatenate([values, np.zeros(12, dtype=np.int64)])
+    for check, bad in ((system.check, padded), (system.check, values[:11]),
+                       (system.check_batch, np.ones((2, 6), dtype=np.int64)),
+                       (system.check_batch, np.ones((2, 12, 1), dtype=np.int64)),
+                       (system.check, np.int64(3))):
+        with pytest.raises(ValueError, match="12 entries per row"):
+            check(bad, 9)
+        with pytest.raises(ValueError, match="12 entries per row"):
+            check_assignment_sorted(system.base, 8, bad, 9)
+    assert system.check(values, 9) and check_assignment_sorted(system.base, 8, values, 9)
 
 
 def test_staged_evaluator_without_inequalities_passes_everything():

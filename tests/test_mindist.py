@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from girthforge.lifting import (TailbitingCode, degree_matrix_of_lift, lift_circulant,
                                 lift_tailbiting)
 from girthforge.matrices import DegreeMatrix, QCBlock, SparseParityCheck
-from girthforge.mindist import (Distance, iterative_deepening_distance,
-                                min_distance_bruteforce, min_distance_md,
+from girthforge.mindist import (Distance, min_distance_bruteforce, min_distance_md,
                                 min_weight_codeword)
 from girthforge import catalog, gf2, mindist
 
@@ -147,21 +146,15 @@ def test_md_and_bruteforce_agree_irregular_columns():
     assert md.value == min_distance_bruteforce(code.h_tb)
 
 
-def test_iterative_deepening_escalates():
-    res = iterative_deepening_distance(code_for("g08_k5"), 8, 26)
-    assert res == Distance(10, True)
-
-
-def test_iterative_deepening_certifies_bound():
-    res = iterative_deepening_distance(code_for("g06_k4"), 3, 5)
-    assert res == Distance(5, False)
-    with pytest.raises(ValueError):
-        iterative_deepening_distance(code_for("g06_k4"), 10, 5)
+def test_md_certifies_bound():
+    # d = 6 for g06_k4: caps below it certify only the cap as a lower bound
+    assert min_distance_md(code_for("g06_k4"), 3) == Distance(3, False)
+    assert min_distance_md(code_for("g06_k4"), 5) == Distance(5, False)
 
 
 def test_monomial_distance_cap_holds():
-    # (J+1)! = 24 bounds every monomial-only code; t0 = 26 always settles
-    res = iterative_deepening_distance(code_for("g06_k4"), 26, 26)
+    # (J+1)! = 24 bounds every monomial-only code; a cap of 26 always settles
+    res = min_distance_md(code_for("g06_k4"), 26)
     assert res.exact and res.value <= 24
 
 
