@@ -14,14 +14,13 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+from . import catalog
 from .girth import certified_girth
 from .lifting import TailbitingCode, lift_circulant, lift_tailbiting
 from .matrices import (FormatError, emit_alist, emit_degree_matrix,
                        parse_degree_matrix)
 from .mindist import min_distance_bruteforce, min_distance_md
 from .search import InfeasibleTarget, SearchConfig, TimeBudgetExceeded, search
-
-CORPUS_DIR = Path(__file__).parent / "corpus"
 
 
 def _load_degree_matrix(path: str):
@@ -140,35 +139,21 @@ def _dense_text(h) -> str:
 
 
 def cmd_verify_corpus(args) -> int:
-    corpus = Path(args.dir) if args.dir else CORPUS_DIR
     try:
-        index = json.loads((corpus / "index.json").read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+        entries = catalog.load(Path(args.dir) if args.dir else catalog.CORPUS_DIR)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not isinstance(index, dict):
-        print("error: index.json is not an object", file=sys.stderr)
         return 1
     failures = 0
     checked = 0
-    for name, meta in index.items():
-        if not (isinstance(meta, dict) and isinstance(meta.get("file"), str)
-                and all(type(meta.get(key)) is int for key in ("m", "girth", "n"))):
-            print(f"error: index entry {name!r} needs a file name and integer m, girth, n",
-                  file=sys.stderr)
-            return 1
-        if meta["m"] > args.max_m:
+    for e in entries:
+        if e.m > args.max_m:
             continue
         checked += 1
-        try:
-            w = parse_degree_matrix((corpus / meta["file"]).read_bytes())
-        except (OSError, FormatError) as exc:
-            print(f"error: {meta['file']}: {exc}", file=sys.stderr)
-            return 1
-        h = lift_tailbiting(w, w.modulus)
-        g = certified_girth(h, cap=max(32, meta["girth"] + 2))
-        ok = g == meta["girth"]
-        print(f"{'PASS' if ok else 'FAIL'} {name}: girth {g} (expected {meta['girth']}, n={meta['n']})")
+        h = lift_tailbiting(e.degree_matrix(), e.m)
+        g = certified_girth(h, cap=max(32, e.girth + 2))
+        ok = g == e.girth
+        print(f"{'PASS' if ok else 'FAIL'} {e.name}: girth {g} (expected {e.girth}, n={e.n})")
         failures += 0 if ok else 1
     print(f"{checked - failures}/{checked} corpus entries verified")
     return 0 if failures == 0 else 4
@@ -177,19 +162,47 @@ def cmd_verify_corpus(args) -> int:
 def cmd_complexity(args) -> int:
     from .bases import all_ones_base
     from .girth import complexity_counts
-    girths = [int(g) for g in args.girths.split(",")]
-    print("K  " + "  ".join(f"g={g}: N_T N_L" for g in girths))
+    print("K  " + "  ".join(f"g={g}: N_T N_L" for g in args.girths))
     for k in range(args.k_min, args.k_max + 1):
         cells = []
-        for g in girths:
+        for g in args.girths:
             nt, nl = complexity_counts(all_ones_base(3, k), g)
             cells.append(f"{nt} {nl}")
         print(f"{k}  " + "  ".join(cells))
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as ``error: …`` with exit code 1."""
+
+    def error(self, message):
+        print(f"error: {self.prog}: {message}", file=sys.stderr)
+        raise SystemExit(1)
+
+
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= lo:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text!r}")
+    return parse
+
+
+def _girths(text: str) -> list[int]:
+    try:
+        girths = [int(g) for g in text.split(",")]
+        if all(g >= 4 and g % 2 == 0 for g in girths):
+            return girths
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated even girths >= 4, got {text!r}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="girthforge",
         description="search and verification for quasi-cyclic LDPC codes with large girth")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -203,12 +216,12 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify-girth", help="certify the girth of a degree-matrix file")
     p.add_argument("file")
     p.add_argument("--girth", type=int, default=None)
-    p.add_argument("--cap", type=int, default=32)
+    p.add_argument("--cap", type=_int_at_least(4), default=32)
     p.set_defaults(func=cmd_verify_girth)
 
     p = sub.add_parser("min-distance", help="exact minimum distance of a degree-matrix file")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=26)
+    p.add_argument("--cap", type=_int_at_least(2), default=26)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check with codeword enumeration (dimension <= 28)")
     p.set_defaults(func=cmd_min_distance)
@@ -227,9 +240,9 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify_corpus)
 
     p = sub.add_parser("complexity", help="print reduced-tree and inequality counts")
-    p.add_argument("--girths", default="8,10,12")
-    p.add_argument("--k-min", type=int, default=4)
-    p.add_argument("--k-max", type=int, default=12)
+    p.add_argument("--girths", type=_girths, default="8,10,12")
+    p.add_argument("--k-min", type=_int_at_least(2), default=4)
+    p.add_argument("--k-max", type=_int_at_least(2), default=12)
     p.set_defaults(func=cmd_complexity)
 
     args = parser.parse_args(argv)

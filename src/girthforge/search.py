@@ -37,12 +37,21 @@ class TimeBudgetExceeded(Exception):
     """Search budget ran out before a certified result was found."""
 
 
+def _require_bool(name: str, value) -> None:
+    if type(value) is not bool:
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Restrictions:
     """Search-space restrictions (voltage-shift and permutation symmetry)."""
 
     zero_mask: bool = True
     first_row_ascending: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("zero_mask", "first_row_ascending"):
+            _require_bool(f"restrictions.{name}", getattr(self, name))
 
 
 @dataclass
@@ -70,6 +79,7 @@ class SearchConfig:
             raise ValueError(f"m_min={self.m_min} is above m_max={self.m_max}")
         if type(self.budget_secs) not in (int, float) or not self.budget_secs > 0:
             raise ValueError(f"budget_secs must be a positive number, got {self.budget_secs!r}")
+        _require_bool("integer_mode", self.integer_mode)
 
     @classmethod
     def from_json(cls, text: str) -> "SearchConfig":

@@ -171,7 +171,7 @@ def test_criterion6_bound_suite():
     b_sts9 = sts_base(CANONICAL_STS[9])
     assert not theorem3_applies(b_sts9)
     for entry in catalog.CATALOG:
-        if entry.family == "all_ones" and entry.d_min is not None:
+        if not entry.degree_matrix().has_no_edge() and entry.d_min is not None:
             assert entry.d_min <= 24
     d2 = d2_bruteforce(all_ones_base(2, 3), budget=8)
     assert d2 == 6

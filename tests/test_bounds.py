@@ -83,11 +83,13 @@ def test_distance_cap_values():
 
 def test_distance_cap_holds_on_catalog():
     for entry in catalog.CATALOG:
-        if entry.family == "all_ones" and entry.d_min is not None:
-            assert entry.d_min <= distance_cap(3, False, entry.k, entry.k - 3)
+        w = entry.degree_matrix()
+        if entry.d_min is not None:
+            assert entry.d_min <= distance_cap(3, w.has_no_edge(), w.n_cols,
+                                               w.n_cols - w.n_rows), entry.name
 
 
 def test_certified_girth_respects_theorem3_cap():
     for entry in catalog.CATALOG:
-        if entry.family == "all_ones":
-            assert entry.girth <= 12
+        if theorem3_applies(entry.degree_matrix().base()):
+            assert entry.girth <= 12, entry.name

@@ -5,25 +5,23 @@ import json
 import numpy as np
 import pytest
 
-from girthforge.cli import CORPUS_DIR
+from girthforge.catalog import CORPUS_DIR
 from girthforge.lifting import TailbitingCode, lift_tailbiting
-from girthforge.matrices import gf2_rank, parse_degree_matrix
+from girthforge.matrices import emit_degree_matrix, gf2_rank
 from girthforge.mindist import min_weight_codeword
 from girthforge import catalog, gf2
 
-_C = {"sts9": 12, "sts13": 26, "s_sts13": 20}
-_CB = {"all_ones": 3, "sts9": 9, "sts13": 13, "s_sts13": 12}
-
 
 def test_block_length_arithmetic():
+    # c is the base's column count
     for e in catalog.CATALOG:
-        c = e.k if e.family == "all_ones" else _C[e.family]
-        assert e.n == e.m * c, e.name
+        assert e.n == e.m * e.degree_matrix().n_cols, e.name
 
 
 def test_dimension_never_below_row_count_floor():
+    # c - b is the base's row count
     for e in catalog.CATALOG:
-        assert e.dim >= e.n - e.m * _CB[e.family], e.name
+        assert e.dim >= e.n - e.m * e.degree_matrix().n_rows, e.name
 
 
 def test_dimensions_match_rank_small():
@@ -121,17 +119,18 @@ def test_short_table_distances():
         assert res.exact and res.value == d, name
 
 
-def test_corpus_matches_catalog():
-    # the catalog is the one source; the corpus is its derived copy
-    # (scripts/build_corpus.py regenerates it)
+def test_catalog_loads_the_corpus_in_index_order():
+    # the corpus is the one copy: index.json and one canonical .wm per entry
     index = json.loads((CORPUS_DIR / "index.json").read_text(encoding="utf-8"))
     names = [e.name for e in catalog.CATALOG]
-    assert sorted(index) == sorted(names)
+    assert names == list(index) and len(names) == 57
     assert sorted(p.name for p in CORPUS_DIR.iterdir()) == sorted(
         [f"{name}.wm" for name in names] + ["index.json"])
     for e in catalog.CATALOG:
-        w = parse_degree_matrix((CORPUS_DIR / f"{e.name}.wm").read_text(encoding="ascii"))
-        assert w == e.degree_matrix(), e.name
-        assert index[e.name] == {"file": f"{e.name}.wm", "family": e.family,
-                                 "girth": e.girth, "k": e.k, "m": e.m, "n": e.n,
-                                 "dim": e.dim, "d_min": e.d_min}, e.name
+        meta = index[e.name]
+        assert meta["file"] == f"{e.name}.wm", e.name
+        assert {key: meta[key] for key in ("girth", "k", "m", "n", "dim", "d_min")} == {
+            "girth": e.girth, "k": e.k, "m": e.m, "n": e.n, "dim": e.dim,
+            "d_min": e.d_min}, e.name
+        text = emit_degree_matrix(e.degree_matrix()).encode("ascii")
+        assert (CORPUS_DIR / meta["file"]).read_bytes() == text, e.name

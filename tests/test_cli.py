@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from girthforge.cli import CORPUS_DIR, main
+from girthforge.catalog import CORPUS_DIR
+from girthforge.cli import main
 from girthforge.matrices import emit_degree_matrix, parse_alist, parse_degree_matrix
 from girthforge import catalog
 
@@ -189,10 +190,16 @@ _GOOD_SEARCH = {"base": {"kind": "all_ones", "j": 3, "k": 4}, "girth": 8, "m_max
     ({}, ["--jobs", "0"]),
     ({"budget_secs": 0}, []),
     ({"seed": -1}, []),
+    ({"integer_mode": "false"}, []),
+    ({"integer_mode": 0}, []),
+    ({"restrictions": {"zero_mask": "false"}}, []),
+    ({"restrictions": {"first_row_ascending": 1}}, []),
 ], ids=["odd_girth", "girth_2", "bool_girth", "base_not_object", "sts_order_7",
         "sts_no_order", "unknown_kind", "all_ones_no_k", "all_ones_string_k",
         "code_no_path", "code_int_path", "string_m_max", "m_max_0", "m_min_above_m_max",
-        "no_attempts", "jobs_0", "jobs_flag_0", "budget_0", "negative_seed"])
+        "no_attempts", "jobs_0", "jobs_flag_0", "budget_0", "negative_seed",
+        "string_integer_mode", "int_integer_mode", "string_zero_mask",
+        "int_first_row_ascending"])
 def test_search_bad_config(tmp_path, capsys, change, flags):
     # each is refused at the boundary, at once, rather than with a traceback
     # or a search that spins until its budget runs out
@@ -221,22 +228,28 @@ def test_verify_corpus_small(capsys, tmp_path):
 def test_verify_corpus_bad_file(capsys, tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
+    (corpus / "ok.wm").write_text("M=5\n0 1 2 4\n0 3 1 2\n0 0 0 0\n")
+    good = {"file": "ok.wm", "girth": 6, "k": 4, "m": 5, "n": 20, "dim": 7, "d_min": 6}
+    (corpus / "index.json").write_text(json.dumps({"x": good}))
+    assert main(["verify-corpus", "--dir", str(corpus)]) == 0
+    assert "1/1 corpus entries verified" in capsys.readouterr().out
     (corpus / "bad.wm").write_text("M=0\n- -\n")
-    (corpus / "index.json").write_text(json.dumps(
-        {"bad": {"file": "bad.wm", "m": 1, "girth": 6, "n": 2}}))
+    (corpus / "index.json").write_text(json.dumps({"bad": {**good, "file": "bad.wm"}}))
     assert main(["verify-corpus", "--dir", str(corpus)]) == 1
     assert "error: bad.wm" in capsys.readouterr().err
-    (corpus / "index.json").write_text(json.dumps(
-        {"gone": {"file": "missing.wm", "m": 1, "girth": 6, "n": 2}}))
+    (corpus / "index.json").write_text(json.dumps({"gone": {**good, "file": "missing.wm"}}))
     assert main(["verify-corpus", "--dir", str(corpus)]) == 1
     assert "error: missing.wm" in capsys.readouterr().err
     assert main(["verify-corpus", "--dir", str(tmp_path / "nowhere")]) == 1
     assert "error:" in capsys.readouterr().err
-    (corpus / "ok.wm").write_text("M=5\n0 1 2 4\n0 3 1 2\n0 0 0 0\n")
-    good = {"file": "ok.wm", "m": 5, "girth": 6, "n": 20}
+    (corpus / "no_m.wm").write_text("0 1 2 4\n0 3 1 2\n0 0 0 0\n")
     broken = [["ok.wm"], {"x": {"file": "ok.wm"}}, {"x": "ok.wm"}, {"x": None}]
     broken += [{"x": {k: v for k, v in good.items() if k != key}} for key in good]
-    broken += [{"x": {**good, "m": "5"}}, {"x": {**good, "file": 3}}]
+    broken += [{"x": {**good, "m": "5"}}, {"x": {**good, "file": 3}},
+               {"x": {**good, "dim": True}}, {"x": {**good, "d_min": "6"}}]
+    # the index must agree with the file's M= line and column count
+    broken += [{"x": {**good, "m": 7, "n": 28}}, {"x": {**good, "n": 25}},
+               {"x": {**good, "file": "no_m.wm"}}]
     for index in broken:
         (corpus / "index.json").write_text(json.dumps(index))
         assert main(["verify-corpus", "--dir", str(corpus)]) == 1
@@ -260,3 +273,23 @@ def test_search_bad_code_base(capsys, tmp_path, body):
 def test_complexity_command(capsys):
     assert main(["complexity", "--k-min", "4", "--k-max", "4", "--girths", "8"]) == 0
     assert "53 42" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    ["min-distance", "G06_K4", "--cap", "1"],
+    ["complexity", "--girths", "7"],
+    ["complexity", "--girths", "x"],
+    ["complexity", "--girths", "8,,10"],
+    ["complexity", "--k-min", "1"],
+    ["verify-girth", "G06_K4", "--cap", "-4"],
+    ["verify-girth", "G06_K4", "--cap", "3"],
+    ["no-such-command"],
+], ids=["distance_cap_1", "odd_girth", "girth_not_int", "empty_girth", "k_min_1",
+        "negative_girth_cap", "girth_cap_3", "unknown_command"])
+def test_bad_arguments_rejected(capsys, args):
+    args = [corpus_file("g06_k4") if a == "G06_K4" else a for a in args]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""

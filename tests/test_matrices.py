@@ -63,7 +63,7 @@ def test_parse_degree_matrix_errors(text):
 
 
 def test_degree_matrix_round_trip_catalog():
-    for entry in catalog.entries(max_m=200):
+    for entry in [e for e in catalog.CATALOG if e.m <= 200]:
         w = entry.degree_matrix()
         assert parse_degree_matrix(emit_degree_matrix(w)) == w
 

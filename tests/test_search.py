@@ -210,7 +210,7 @@ def test_code_as_base_relift(tmp_path):
     # an existing lifted code reused as base: any assignment keeps at least
     # the base girth, and a short search pushes past it
     from girthforge.bounds import base_girth
-    from girthforge.cli import CORPUS_DIR
+    from girthforge.catalog import CORPUS_DIR
 
     path = str(CORPUS_DIR / "g06_k4.wm")
     base = resolve_base({"kind": "code", "path": path})
@@ -278,7 +278,7 @@ def _pinned_extension():
 
 
 def _pinned_code_base():
-    from girthforge.cli import CORPUS_DIR
+    from girthforge.catalog import CORPUS_DIR
     return search(SearchConfig(base={"kind": "code", "path": str(CORPUS_DIR / "g06_k4.wm")},
                                girth=8, m_max=12, seed=3, budget_secs=60.0))
 
