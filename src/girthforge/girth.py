@@ -14,6 +14,12 @@ One level expander serves :func:`grow_trees` and the level walker behind
 nodes by parent, parents in stable order of their labels, and each parent's
 children in slot order; inequality witnesses are node numbers, so this rule
 fixes them.
+
+Node pairs are enumerated in preorder, and each inequality is kept at its
+first witness.  Inequalities are deduplicated on exact word-major keys: a
+difference row maps injectively to a few int64 words, stored word by word.
+A hash of the words serves only as the sort key that brings equal keys
+together; no key is dropped before its words compare equal.
 """
 
 from __future__ import annotations
@@ -139,54 +145,65 @@ class InequalitySet:
 
 
 def _dfs_rank(tree: PathTree) -> np.ndarray:
-    """Preorder index of every node (children visited in creation order)."""
-    children: list[list[int]] = [[] for _ in range(tree.n_nodes)]
-    for n in range(1, tree.n_nodes):
-        children[tree.parent[n]].append(n)
-    rank = np.empty(tree.n_nodes, dtype=np.int64)
-    stack = [0]
-    t = 0
-    while stack:
-        n = stack.pop()
-        rank[n] = t
-        t += 1
-        stack.extend(reversed(children[n]))
+    """Preorder index of every node (children visited in creation order).
+
+    :func:`_expand_level` emits each parent's children contiguously, so a
+    level splits into sibling segments.  Subtree sizes add up bottom-up, one
+    segment sum per level; then a node's rank is its parent's, plus one,
+    plus the subtree sizes of its earlier siblings.
+    """
+    parent = tree.parent
+    segments = []  # first node of each sibling segment, per level below the root
+    for lo, hi in tree.levels[1:]:
+        par = parent[lo:hi]
+        segments.append(np.flatnonzero(np.r_[True, par[1:] != par[:-1]]))
+    size = np.ones(tree.n_nodes, dtype=np.int64)
+    for (lo, hi), seg in zip(reversed(tree.levels[1:]), reversed(segments)):
+        size[parent[lo + seg]] += np.add.reduceat(size[lo:hi], seg)
+    rank = np.zeros(tree.n_nodes, dtype=np.int64)
+    for (lo, hi), seg in zip(tree.levels[1:], segments):
+        before = np.cumsum(size[lo:hi]) - size[lo:hi]
+        before -= np.repeat(before[seg], np.diff(np.r_[seg, hi - lo]))
+        rank[lo:hi] = rank[parent[lo:hi]] + 1 + before
     return rank
+
+
+def _pair_groups(tree: PathTree) -> tuple[int, np.ndarray]:
+    """(first node at depth 2, (depth, label) code of every node from it on):
+    the nodes that can pair, and the groups they pair within."""
+    lo = tree.levels[2][0] if len(tree.levels) > 2 else tree.n_nodes
+    labels = int(tree.number.max()) + 1
+    return lo, tree.depth[lo:].astype(np.int64) * labels + tree.number[lo:]
 
 
 def _candidate_pairs(tree: PathTree) -> tuple[np.ndarray, np.ndarray]:
     """All qualifying node pairs of one tree (same depth and label), ordered
-    as a double loop over the preorder node array would visit them.
+    as a double loop over the preorder node array would visit them, as int32
+    (u, v) with u before v in preorder.
 
     Two children of one node always carry different labels, so any same-level
     same-label pair automatically has distinct parents.  The ordering fixes
     which pair first witnesses each inequality and thereby the reduced-tree
-    node counts.
+    node counts.  Nodes are taken in preorder and grouped by a stable sort,
+    so each group lists its members in preorder, and each node pairs with the
+    group members after it.
     """
-    pairs_u: list[np.ndarray] = []
-    pairs_v: list[np.ndarray] = []
-    for d in range(2, len(tree.levels)):
-        lo, hi = tree.levels[d]
-        numbers = tree.number[lo:hi]
-        for label in np.unique(numbers):
-            idx = lo + np.nonzero(numbers == label)[0]
-            if idx.size < 2:
-                continue
-            a, b = np.triu_indices(idx.size, 1)
-            pairs_u.append(idx[a])
-            pairs_v.append(idx[b])
-    if not pairs_u:
-        empty = np.zeros(0, dtype=np.int64)
+    lo, group = _pair_groups(tree)
+    in_preorder = np.empty(tree.n_nodes, dtype=np.int32)
+    in_preorder[_dfs_rank(tree)] = np.arange(tree.n_nodes, dtype=np.int32)
+    node = in_preorder[in_preorder >= lo]
+    if not node.size:
+        empty = np.zeros(0, dtype=np.int32)
         return empty, empty
-    u = np.concatenate(pairs_u)
-    v = np.concatenate(pairs_v)
-    rank = _dfs_rank(tree)
-    ru, rv = rank[u], rank[v]
-    swap = ru > rv
-    u, v = np.where(swap, v, u), np.where(swap, u, v)
-    # pairs are distinct, so the combined key needs no stable sort
-    order = np.argsort(rank[u] * np.int64(tree.n_nodes) + rank[v])
-    return u[order], v[order]
+    key = group[node - lo]
+    by_group = np.argsort(key, kind="stable")
+    key = key[by_group]
+    position = np.empty_like(by_group)  # of each preorder node in by_group
+    position[by_group] = np.arange(by_group.size)
+    later = np.searchsorted(key, key, side="right")[position] - position - 1
+    u = np.repeat(node, later)
+    first = np.repeat(position + 1 - (np.cumsum(later) - later), later)
+    return u, node[by_group][np.arange(u.size) + first]
 
 
 def _key_weights(trees: Sequence[PathTree]) -> np.ndarray:
@@ -211,32 +228,82 @@ def _key_weights(trees: Sequence[PathTree]) -> np.ndarray:
     return weights
 
 
+# odd 64-bit multiplier (2**64 / golden ratio) that mixes key words into a hash
+_HASH_MULTIPLIER = 0x9E3779B97F4A7C15
+
+
 def _first_occurrences(keys: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first occurrence of each distinct key row.
-    The sort is stable, so within a run of equal rows the first index
-    comes first."""
-    perm = np.lexsort(keys.T[::-1])  # first word is the primary key
-    new_run = np.zeros(keys.shape[0], dtype=bool)
+    """Ascending indices of the first occurrence of each distinct key column
+    of a word-major (n_words, n) int64 array.
+
+    The words mix into a uint64 hash whose low bit_length(n - 1) bits are
+    overwritten with the column index.  The indices are distinct, so one
+    plain (unstable) sort orders the values totally: columns with equal
+    high bits form a run, and within a run the low bits put them in index
+    order.
+
+    The hash decides nothing by itself.  Equal keys have equal hashes, so
+    all columns of one key fall in one run; the run may also hold other
+    keys whose hashes collide.  So every run is checked by comparing
+    adjacent columns word by word.  A run holding two distinct keys has an
+    adjacent pair that differs, so if no adjacent pair within a run differs,
+    each run is exactly one key, and its first column, the smallest index,
+    is that key's first occurrence.  If any pair differs, the call is
+    answered exactly by :func:`_first_occurrences_exact`, which uses no
+    hash.
+    """
+    n = keys.shape[1]
+    low = (n - 1).bit_length() if n else 0
+    index_bits = np.uint64((1 << low) - 1)
+    mixed = np.zeros(n, dtype=np.uint64)
+    for word in keys:
+        mixed += word.view(np.uint64)
+        mixed *= np.uint64(_HASH_MULTIPLIER)
+    mixed &= ~index_bits
+    mixed |= np.arange(n, dtype=np.uint64)
+    mixed.sort()
+    order = (mixed & index_bits).astype(np.intp)
+    mixed >>= np.uint64(low)
+    same_run = mixed[1:] == mixed[:-1]
+    for word in keys:
+        w = word[order]
+        differ = w[1:] != w[:-1]
+        differ &= same_run
+        if differ.any():
+            return _first_occurrences_exact(keys)
+    first = np.ones(n, dtype=bool)
+    first[order[1:][same_run]] = False
+    return np.flatnonzero(first)
+
+
+def _first_occurrences_exact(keys: np.ndarray) -> np.ndarray:
+    """:func:`_first_occurrences` by a stable lexsort: within a run of
+    equal columns the first index comes first."""
+    perm = np.lexsort(keys[::-1])  # first word is the primary key
+    new_run = np.zeros(keys.shape[1], dtype=bool)
     new_run[:1] = True
-    for word in keys.T:
+    for word in keys:
         w = word[perm]
         new_run[1:] |= w[1:] != w[:-1]
     return np.sort(perm[new_run])
 
 
 def _tree_unique_inequalities(t_idx: int, tree: PathTree, weights: np.ndarray):
-    """Per-tree canonical inequality keys, kept in pair-enumeration order,
-    with the sign that made each key canonical and the first witness
-    (t_idx, u, v) as three columns."""
+    """Per-tree canonical word-major inequality keys, kept in
+    pair-enumeration order, with the sign that made each key canonical and
+    the first witness (t_idx, u, v) as three arrays."""
     u_nodes, v_nodes = _candidate_pairs(tree)
-    node_keys = tree.voltages.astype(np.int64) @ weights
-    keys = node_keys[u_nodes] - node_keys[v_nodes]
-    sign = np.sign(keys[:, 0])
-    for word in keys.T[1:]:
+    # one contiguous row per word: two 1-D gathers per word build the keys
+    node_keys = np.ascontiguousarray((tree.voltages.astype(np.int64) @ weights).T)
+    keys = np.empty((weights.shape[1], u_nodes.size), dtype=np.int64)
+    for word, node_word in zip(keys, node_keys):
+        np.subtract(node_word[u_nodes], node_word[v_nodes], out=word)
+    sign = np.sign(keys[0])
+    for word in keys[1:]:
         sign = np.where(sign == 0, np.sign(word), sign)
-    keys[sign < 0] *= -1  # canonical sign: first nonzero coefficient positive
+    keys *= sign  # canonical sign: first nonzero coefficient positive
     order = _first_occurrences(keys)
-    return (keys[order], sign[order].astype(np.int8),
+    return (keys[:, order], sign[order].astype(np.int8),
             np.full(order.size, t_idx, dtype=np.int32), u_nodes[order], v_nodes[order])
 
 
@@ -248,7 +315,8 @@ def collect_inequalities(trees: Sequence[PathTree]) -> InequalitySet:
     weights = _key_weights(trees)
     blocks = [_tree_unique_inequalities(t_idx, tree, weights)
               for t_idx, tree in enumerate(trees)]
-    keys, sign, t, u, v = (np.concatenate(parts) for parts in zip(*blocks))
+    keys, sign, t, u, v = (np.concatenate(parts, axis=-1) for parts in zip(*blocks))
+    del blocks
     order = _first_occurrences(keys)  # global first occurrences, in order
     sign, t, u, v = sign[order], t[order], u[order], v[order]
     # coefficients are bounded by the tree depth, so int8 cannot overflow
@@ -257,7 +325,7 @@ def collect_inequalities(trees: Sequence[PathTree]) -> InequalitySet:
         sel = t == t_idx
         volts = trees[t_idx].voltages
         coeffs[sel] = (volts[u[sel]] - volts[v[sel]]) * sign[sel, None]
-    return InequalitySet(coeffs, np.column_stack((t, u, v)))
+    return InequalitySet(coeffs, np.column_stack((t, u, v)).astype(np.int64))
 
 
 def reduce_trees(trees: Sequence[PathTree],
@@ -282,8 +350,13 @@ def complexity_counts(b: BaseMatrix, g: int) -> tuple[int, int]:
 
 
 def node_pair_count(trees: Sequence[PathTree]) -> int:
-    """Number of qualifying node pairs before deduplication."""
-    return sum(_candidate_pairs(tree)[0].size for tree in trees)
+    """Number of qualifying node pairs before deduplication: s(s - 1)/2
+    over the sizes s of the (depth, label) groups."""
+    total = 0
+    for tree in trees:
+        sizes = np.unique(_pair_groups(tree)[1], return_counts=True)[1]
+        total += int((sizes * (sizes - 1) // 2).sum())
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,14 @@ def test_verify_corpus_small(capsys, tmp_path):
     assert "FAIL" not in out
 
 
+def test_verify_corpus_checking_nothing_fails(capsys):
+    # a bound below every corpus M leaves nothing to verify, which is no success
+    assert main(["verify-corpus", "--max-m", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: no corpus entry has m <= MAX_M\n"
+    assert "verified" not in captured.out
+
+
 def test_verify_corpus_bad_file(capsys, tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

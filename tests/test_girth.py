@@ -404,6 +404,87 @@ def test_inequality_set_invariants(base_name, g):
     assert (np.diff(witness[:, 0]) >= 0).all()
 
 
+def _pair_test_bases():
+    bases = dict(_STAGED_BASES)
+    rng = np.random.default_rng(18)
+    for i, (rows, cols) in enumerate([(3, 4), (3, 5), (4, 6), (3, 6)]):
+        entries = rng.integers(0, 8, size=(rows, cols))
+        entries[rng.random((rows, cols)) < 0.25] = NO_EDGE
+        entries[rng.integers(rows), rng.integers(cols)] = NO_EDGE
+        bases[f"random{i}"] = DegreeMatrix(entries).base()
+    return bases
+
+
+_PAIR_BASES = _pair_test_bases()
+
+
+def _reference_preorder(tree):
+    """Node numbers in preorder, children in creation order, by recursion."""
+    children = [[] for _ in range(tree.n_nodes)]
+    for node in range(1, tree.n_nodes):
+        children[tree.parent[node]].append(node)
+    order = []
+
+    def visit(node):
+        order.append(node)
+        for child in children[node]:
+            visit(child)
+
+    visit(0)
+    return order
+
+
+@pytest.mark.parametrize("g", [6, 8, 10])
+@pytest.mark.parametrize("base_name", sorted(_PAIR_BASES))
+def test_pair_enumeration_matches_preorder_double_loop(base_name, g):
+    for tree in grow_trees(_PAIR_BASES[base_name], g):
+        preorder = _reference_preorder(tree)
+        rank = girth_module._dfs_rank(tree)
+        assert rank.tolist() == np.argsort(preorder).tolist()
+        depth, label = tree.depth.tolist(), tree.number.tolist()
+        expected = [(a, b) for i, a in enumerate(preorder) for b in preorder[i + 1:]
+                    if depth[a] == depth[b] >= 2 and label[a] == label[b]]
+        u, v = girth_module._candidate_pairs(tree)
+        assert list(zip(u.tolist(), v.tolist())) == expected
+        assert node_pair_count([tree]) == u.size
+
+
+def _reference_first_occurrences(keys):
+    first = {}
+    for i, column in enumerate(keys.T.tolist()):
+        first.setdefault(tuple(column), i)
+    return sorted(first.values())
+
+
+@pytest.mark.parametrize("multiplier", [girth_module._HASH_MULTIPLIER, 0])
+def test_first_occurrences_matches_dict_reference(multiplier, monkeypatch):
+    # a zero multiplier hashes every key alike: one run, settled exactly
+    monkeypatch.setattr(girth_module, "_HASH_MULTIPLIER", multiplier)
+    rng = np.random.default_rng(3)
+    cases = [np.zeros((n_words, n), dtype=np.int64) for n_words in (1, 3) for n in (0, 1, 2)]
+    cases.append(np.array([[5, 5], [-1, 1]]))
+    for n_words in (1, 2, 3):
+        for n in (2, 7, 300, 5000):
+            for bound in (3, 2 ** 62):
+                distinct = rng.integers(-bound, bound, size=(n_words, max(1, n // 4)))
+                distinct[:, :2] = 0  # all-zero columns
+                distinct[:, -1:] = -bound
+                cases.append(distinct[:, rng.integers(0, distinct.shape[1], size=n)])
+    for keys in cases:
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
+        assert girth_module._first_occurrences(keys).tolist() \
+            == _reference_first_occurrences(keys), keys.shape
+
+
+@pytest.mark.parametrize("base_name", sorted(_INEQUALITY_DIGESTS))
+def test_inequality_set_pinned_when_every_hash_collides(base_name, monkeypatch):
+    # every key in one run: only the exact path can give the pinned sets
+    monkeypatch.setattr(girth_module, "_HASH_MULTIPLIER", 0)
+    ineqs = collect_inequalities(grow_trees(_STAGED_BASES[base_name], 10))
+    digest = hashlib.sha256(ineqs.coeffs.tobytes() + ineqs.witness.tobytes())
+    assert digest.hexdigest() == _INEQUALITY_DIGESTS[base_name]
+
+
 def test_lift_girth_at_least_base_girth():
     # the lifted graph covers the base graph, so girth can only grow
     from girthforge.bases import sts_base, CANONICAL_STS
