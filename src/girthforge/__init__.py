@@ -21,7 +21,7 @@ from .girth import (GirthSystem, certified_girth, check_assignment_sorted,
 from .mindist import Distance, min_distance_bruteforce, min_distance_md
 from .bounds import (base_girth, d2_bruteforce, distance_cap,
                      theorem2_lower_bound, theorem3_applies)
-from .search import (InfeasibleTarget, Restrictions, SearchConfig, SearchResult,
+from .search import (InfeasibleTarget, SearchConfig, SearchResult,
                      TimeBudgetExceeded, exhaustive_34, extend_column,
                      minimize_m, search)
 

@@ -77,15 +77,10 @@ def nullspace_basis(packed: np.ndarray, n_cols: int,
     rref, pivots = row_echelon(packed, n_cols)
     if max_dim is not None and n_cols - len(pivots) > max_dim:
         raise ValueError(f"nullspace dimension {n_cols - len(pivots)} exceeds {max_dim}")
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
-    dense = unpack_rows(rref, n_cols)
-    basis = np.zeros((len(free_cols), n_cols), dtype=np.uint8)
-    for i, fc in enumerate(free_cols):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            if dense[r, fc]:
-                basis[i, pc] = 1
+    free_cols = np.setdiff1d(np.arange(n_cols), pivots)
+    basis = np.zeros((free_cols.size, n_cols), dtype=np.uint8)
+    basis[np.arange(free_cols.size), free_cols] = 1
+    basis[:, pivots] = unpack_rows(rref[:len(pivots)], n_cols)[:, free_cols].T
     return basis
 
 

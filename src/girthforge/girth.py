@@ -45,7 +45,6 @@ class PathTree:
     number: np.ndarray
     depth: np.ndarray
     parent: np.ndarray
-    edge: np.ndarray
     voltages: np.ndarray
     levels: tuple[tuple[int, int], ...]
     keep: np.ndarray | None = None
@@ -112,7 +111,6 @@ def _grow_tree(sides, root: int, max_depth: int) -> PathTree:
         number=np.concatenate(numbers),
         depth=depth_arr,
         parent=np.concatenate(parents),
-        edge=np.concatenate(edges),
         voltages=np.vstack(volts),
         levels=tuple(levels),
     )

@@ -1,6 +1,10 @@
 """Voltage-assignment search: a random sweep over M, an integer mode with
 modulus minimization, column extension and an exhaustive (3,4) scan.
 
+Every mode draws from the space ``_restricted_edges`` derives from the base
+(its zero mask pinned; on an all-ones base the first row also sorted), and
+the random sweep and column extension share one M sweep, ``_sweeps``.
+
 Each mode is a generator that yields ``(tried, hit)`` per block of
 assignments: ``tried`` counts the block's rows and ``hit`` is ``(values, M)``
 for its first accepted row, or None.  One driver, ``_drive``, sums the
@@ -17,7 +21,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -37,23 +41,6 @@ class TimeBudgetExceeded(Exception):
     """Search budget ran out before a certified result was found."""
 
 
-def _require_bool(name: str, value) -> None:
-    if type(value) is not bool:
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-
-
-@dataclass(frozen=True)
-class Restrictions:
-    """Search-space restrictions (voltage-shift and permutation symmetry)."""
-
-    zero_mask: bool = True
-    first_row_ascending: bool = True
-
-    def __post_init__(self) -> None:
-        for name in ("zero_mask", "first_row_ascending"):
-            _require_bool(f"restrictions.{name}", getattr(self, name))
-
-
 @dataclass
 class SearchConfig:
     base: dict
@@ -65,7 +52,6 @@ class SearchConfig:
     attempts_per_m: int = 4096
     jobs: int = 1
     integer_mode: bool = False
-    restrictions: Restrictions = field(default_factory=Restrictions)
 
     def __post_init__(self) -> None:
         for name, lo in (("girth", 4), ("m_max", 1), ("m_min", 1), ("attempts_per_m", 1),
@@ -79,20 +65,18 @@ class SearchConfig:
             raise ValueError(f"m_min={self.m_min} is above m_max={self.m_max}")
         if type(self.budget_secs) not in (int, float) or not self.budget_secs > 0:
             raise ValueError(f"budget_secs must be a positive number, got {self.budget_secs!r}")
-        _require_bool("integer_mode", self.integer_mode)
+        if type(self.integer_mode) is not bool:
+            raise ValueError(f"integer_mode must be true or false, got {self.integer_mode!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "SearchConfig":
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("search config must be a JSON object")
-        restr = Restrictions(**raw.pop("restrictions", {}))
-        allowed = {"base", "girth", "m_max", "m_min", "seed", "budget_secs",
-                   "attempts_per_m", "jobs", "integer_mode"}
-        unknown = set(raw) - allowed
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(restrictions=restr, **raw)
+        return cls(**raw)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -139,28 +123,36 @@ def resolve_base(spec: dict | BaseMatrix) -> BaseMatrix:
     raise ValueError(f"unknown base kind {kind!r}")
 
 
-def _restricted_edges(base: BaseMatrix,
-                      restrictions: Restrictions) -> tuple[np.ndarray, np.ndarray]:
-    """Edge ids the restrictions pin to zero, and the unpinned first-row edge
-    ids they sort ascending."""
+def _restricted_edges(base: BaseMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Edge ids pinned to zero, and the unpinned first-row edge ids sorted
+    ascending: the search space every mode draws from.
+
+    The pinned edges are ``zero_voltage_mask(base)``, a spanning forest.
+    Adding one constant to every voltage at a vertex gives an isomorphic
+    lift, so any assignment can be moved onto zeros there without loss.  The
+    first row is sorted only on an all-ones base, whose columns after the
+    first can be permuted without changing the base or its mask; other bases
+    lack that symmetry, and sorting there would lose codes.
+    """
     edges = base.edges()
-    mask = zero_voltage_mask(base) if restrictions.zero_mask else set()
+    mask = zero_voltage_mask(base)
+    sort_first_row = base.entries.all()
     masked = [e for e, pos in enumerate(edges) if pos in mask]
     free = [e for e, pos in enumerate(edges)
-            if restrictions.first_row_ascending and pos[0] == 0 and pos not in mask]
+            if sort_first_row and pos[0] == 0 and pos not in mask]
     return np.array(masked, dtype=np.int64), np.array(free, dtype=np.int64)
 
 
 def sample_assignment(base: BaseMatrix, rng: np.random.Generator, high: int,
-                      restrictions: Restrictions = Restrictions(),
                       size: int = 1, *,
                       edges: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Sample a (size, n_edges) block of voltage assignments in [0, high).
+    """Sample a (size, n_edges) block of voltage assignments in [0, high)
+    from the space of ``_restricted_edges(base)``.
 
-    ``edges`` is ``_restricted_edges(base, restrictions)``, passed by callers
-    that sample many blocks so that it is not recomputed for each one.
+    ``edges`` is ``_restricted_edges(base)``, passed by callers that sample
+    many blocks so that it is not recomputed for each one.
     """
-    masked, free = edges if edges is not None else _restricted_edges(base, restrictions)
+    masked, free = edges if edges is not None else _restricted_edges(base)
     n_edges = int(base.entries.sum())
     values = rng.integers(0, high, size=(size, n_edges), dtype=np.int64)
     values[:, masked] = 0
@@ -251,25 +243,22 @@ def _checked(system: GirthSystem, block: np.ndarray, m: int):
     return block.shape[0], (block[int(np.argmax(ok))], m) if ok.any() else None
 
 
-def _sweeps(system: GirthSystem, cfg: SearchConfig, rng: np.random.Generator):
-    """Ascending sweeps over M, ``attempts_per_m`` random assignments each."""
-    edges = _restricted_edges(system.base, cfg.restrictions)
+def _sweeps(system: GirthSystem, m_lo: int, m_hi: int, per_m: int, draw):
+    """Ascending sweeps over M in [m_lo, m_hi], repeated until the driver
+    stops: ``per_m`` rows of ``draw(m, size)`` per M, in blocks of at most
+    512."""
     while True:
-        for m in range(cfg.m_min or 1, cfg.m_max + 1):
-            for done in range(0, cfg.attempts_per_m, 512):
-                block = sample_assignment(system.base, rng, m, cfg.restrictions,
-                                          size=min(512, cfg.attempts_per_m - done),
-                                          edges=edges)
-                yield _checked(system, block, m)
+        for m in range(m_lo, m_hi + 1):
+            for done in range(0, per_m, 512):
+                yield _checked(system, draw(m, min(512, per_m - done)), m)
 
 
-def _integer_blocks(system: GirthSystem, cfg: SearchConfig, rng: np.random.Generator):
+def _integer_blocks(system: GirthSystem, cfg: SearchConfig, rng: np.random.Generator,
+                    edges: tuple[np.ndarray, np.ndarray]):
     """Integer voltages below ``m_max`` first, then modulus minimization."""
     m_lo = cfg.m_min if cfg.m_min is not None else 2
-    edges = _restricted_edges(system.base, cfg.restrictions)
     while True:
-        block = sample_assignment(system.base, rng, cfg.m_max, cfg.restrictions,
-                                  size=256, edges=edges)
+        block = sample_assignment(system.base, rng, cfg.m_max, size=256, edges=edges)
         nonzero = (system.inequality_values(block) != 0).all(axis=1)
         # lazily, so that minimization stops at the first row that has an M
         hits = ((v, minimize_m(system, v, max(m_lo, int(v.max()) + 1), cfg.m_max,
@@ -277,10 +266,15 @@ def _integer_blocks(system: GirthSystem, cfg: SearchConfig, rng: np.random.Gener
         yield block.shape[0], next(((v, m) for v, m in hits if m is not None), None)
 
 
-def _run_shard(cfg: SearchConfig, shard_seed: int) -> SearchResult | None:
-    system = GirthSystem(resolve_base(cfg.base), cfg.girth)
+def _run_shard(cfg: SearchConfig, base: BaseMatrix, shard_seed: int) -> SearchResult | None:
+    system = GirthSystem(base, cfg.girth)
     rng = np.random.default_rng(shard_seed)
-    steps = (_integer_blocks if cfg.integer_mode else _sweeps)(system, cfg, rng)
+    edges = _restricted_edges(base)
+    if cfg.integer_mode:
+        steps = _integer_blocks(system, cfg, rng, edges)
+    else:
+        steps = _sweeps(system, cfg.m_min or 1, cfg.m_max, cfg.attempts_per_m,
+                        lambda m, size: sample_assignment(base, rng, m, size, edges=edges))
     return _drive(system, steps, time.monotonic() + cfg.budget_secs, cfg.seed)
 
 
@@ -294,10 +288,11 @@ def search(cfg: SearchConfig) -> SearchResult:
     _feasibility_check(base, cfg.girth)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.jobs)]
     if cfg.jobs == 1:
-        results = [_run_shard(cfg, seeds[0])]
+        results = [_run_shard(cfg, base, seeds[0])]
     else:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_run_shard, [cfg] * len(seeds), seeds))
+            results = list(pool.map(_run_shard, [cfg] * len(seeds), [base] * len(seeds),
+                                    seeds))
     found = [r for r in results if r is not None]
     if not found:
         raise TimeBudgetExceeded("search budget exceeded")
@@ -323,21 +318,22 @@ def extend_column(w: DegreeMatrix, cfg: SearchConfig) -> SearchResult:
     system = GirthSystem(base_new, cfg.girth)
     rng = np.random.default_rng(cfg.seed)
     old_values, high = degree_matrix_to_assignment(w), 2 * w.max_degree + 1
-    edges_new, mask = base_new.edges(), zero_voltage_mask(base_new)
-    new = np.array([jj == k_old for _, jj in edges_new])
-    masked = np.array([pos in mask for pos in edges_new])
+    new = np.array([jj == k_old for _, jj in base_new.edges()])
+    # the input's voltages stay as they are, so only the new column's pinned
+    # edges are zeroed; its one first-row edge has nothing to be sorted against
+    masked, _ = _restricted_edges(base_new)
+    new_masked = masked[new[masked]]
 
-    def blocks():
-        while True:
-            for m in range(m_lo, cfg.m_max + 1):
-                block = np.empty((256, len(edges_new)), dtype=np.int64)
-                block[:, ~new] = old_values % m
-                block[:, new] = rng.integers(0, min(high, m), size=(256, int(new.sum())),
-                                             dtype=np.int64)
-                block[:, new & masked] = 0
-                yield _checked(system, block, m)
+    def draw(m, size):
+        block = np.empty((size, new.size), dtype=np.int64)
+        block[:, ~new] = old_values % m
+        block[:, new] = rng.integers(0, min(high, m), size=(size, int(new.sum())),
+                                     dtype=np.int64)
+        block[:, new_masked] = 0
+        return block
 
-    result = _drive(system, blocks(), time.monotonic() + cfg.budget_secs, cfg.seed)
+    result = _drive(system, _sweeps(system, m_lo, cfg.m_max, 256, draw),
+                    time.monotonic() + cfg.budget_secs, cfg.seed)
     if result is None:
         raise TimeBudgetExceeded("search budget exceeded")
     return result
@@ -346,18 +342,19 @@ def extend_column(w: DegreeMatrix, cfg: SearchConfig) -> SearchResult:
 def exhaustive_34(g: int, m_max: int, m_min: int = 2) -> SearchResult | None:
     """Exhaustive scan of restricted (3,4) degree matrices, smallest M first.
 
-    Restrictions: zeros on the first column and last row, first free row
-    non-decreasing, second row below the first when both are sorted in
-    decreasing order (kills row/column permutations of known solutions).
+    The space is ``_restricted_edges``' (zeros on the first column and last
+    row, first free row non-decreasing) with one more cut: the second row
+    below the first when both are sorted in decreasing order (kills
+    row/column permutations of known solutions).
     Each first row's admissible second rows are checked as one block, in
     enumeration order, so the first accepted row in that order wins.
     """
     base = all_ones_base(3, 4)
     _feasibility_check(base, g)
     system = GirthSystem(base, g)
-    edges = base.edges()
-    row0 = [e for e, (i, jj) in enumerate(edges) if i == 0 and jj > 0]
-    row1 = [e for e, (i, jj) in enumerate(edges) if i == 1 and jj > 0]
+    masked, row0 = _restricted_edges(base)
+    # the edges neither pinned nor sorted: the second row's last three
+    row1 = np.setdiff1d(np.arange(12), np.concatenate([masked, row0]))
 
     def blocks():
         for m in range(max(2, m_min), m_max + 1):
@@ -369,7 +366,7 @@ def exhaustive_34(g: int, m_max: int, m_min: int = 2) -> SearchResult | None:
                 second = seconds[second_keys < np.array(first[::-1]) @ weights]
                 if second.shape[0] == 0:
                     continue
-                block = np.zeros((second.shape[0], len(edges)), dtype=np.int64)
+                block = np.zeros((second.shape[0], 12), dtype=np.int64)
                 block[:, row0] = first
                 block[:, row1] = second
                 yield _checked(system, block, m)

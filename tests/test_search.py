@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import sys
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 from girthforge.bases import all_ones_base, zero_voltage_mask
 from girthforge.girth import GirthSystem
-from girthforge.search import (InfeasibleTarget, Restrictions, SearchConfig,
-                               SearchResult, TimeBudgetExceeded,
+from girthforge.matrices import BaseMatrix
+from girthforge.search import (InfeasibleTarget, SearchConfig,
+                               SearchResult, TimeBudgetExceeded, _restricted_edges,
                                degree_matrix_to_assignment, exhaustive_34,
                                extend_column, minimize_m, resolve_base,
                                sample_assignment, search)
@@ -25,7 +27,7 @@ def cfg34(girth=8, **kw):
 def test_sample_assignment_mask_and_determinism():
     base = all_ones_base(3, 4)
     rng = np.random.default_rng(5)
-    block = sample_assignment(base, rng, 9, Restrictions(), size=8)
+    block = sample_assignment(base, rng, 9, size=8)
     mask = zero_voltage_mask(base)
     edge_index = {pos: e for e, pos in enumerate(base.edges())}
     for pos in mask:
@@ -33,15 +35,59 @@ def test_sample_assignment_mask_and_determinism():
     # first free row is sorted ascending
     row0 = [edge_index[(0, j)] for j in range(1, 4)]
     assert (np.diff(block[:, row0], axis=1) >= 0).all()
-    replay = sample_assignment(all_ones_base(3, 4), np.random.default_rng(5), 9,
-                               Restrictions(), size=8)
+    replay = sample_assignment(all_ones_base(3, 4), np.random.default_rng(5), 9, size=8)
     assert np.array_equal(block, replay)
 
 
 def test_sample_assignment_range_one_is_zero():
     base = all_ones_base(3, 4)
-    block = sample_assignment(base, np.random.default_rng(0), 1, Restrictions(), size=4)
+    block = sample_assignment(base, np.random.default_rng(0), 1, size=4)
     assert not block.any()
+
+
+def test_sample_assignment_leaves_sts_first_row_unsorted():
+    # sorting the first row is a column symmetry that only all-ones bases have
+    base = resolve_base({"kind": "sts", "order": 9})
+    block = sample_assignment(base, np.random.default_rng(0), 50, size=64)
+    mask = zero_voltage_mask(base)
+    edges = base.edges()
+    assert not block[:, [e for e, pos in enumerate(edges) if pos in mask]].any()
+    row0 = [e for e, pos in enumerate(edges) if pos[0] == 0 and pos not in mask]
+    assert (np.diff(block[:, row0], axis=1) < 0).any()
+
+
+def _smallest_m(system, pinned, ordered):
+    """Smallest M at which some assignment passes, among all assignments with
+    the ``pinned`` edges at zero and the ``ordered`` ones non-decreasing."""
+    n_edges = int(system.base.entries.sum())
+    free = np.setdiff1d(np.arange(n_edges), pinned)
+    for m in itertools.count(2):
+        block = np.zeros((m ** free.size, n_edges), dtype=np.int64)
+        block[:, free] = list(itertools.product(range(m), repeat=free.size))
+        block = block[(np.diff(block[:, ordered], axis=1) >= 0).all(axis=1)]
+        if system.check_batch(block, m).any():
+            return m
+
+
+@pytest.mark.parametrize("rows,g,m,m_sorted,n_ordered", [
+    ([[1, 1, 1, 1], [0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 1, 1]], 8, 6, 7, 0),
+    ([[1, 1, 1, 1], [1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 1, 1]], 8, 6, 7, 0),
+    ([[1, 1, 1, 1], [0, 0, 1, 1], [1, 0, 1, 0], [1, 1, 1, 1]], 8, 6, 7, 0),
+    ([[1, 1, 1, 1]] * 3, 6, 5, 5, 3),
+], ids=["irregular_a", "irregular_b", "irregular_c", "all_ones_34"])
+def test_restricted_space_keeps_smallest_m(rows, g, m, m_sorted, n_ordered):
+    # exhaustively, the derived space reaches the smallest M that the zero
+    # mask alone reaches, while a sorted first row (m_sorted) is a loss on
+    # every base but the all-ones one
+    base = BaseMatrix(np.array(rows, dtype=np.uint8))
+    system = GirthSystem(base, g)
+    mask = [e for e, pos in enumerate(base.edges()) if pos in zero_voltage_mask(base)]
+    row0 = [e for e, pos in enumerate(base.edges()) if pos[0] == 0 and e not in mask]
+    pinned, ordered = _restricted_edges(base)
+    assert pinned.tolist() == mask and ordered.size == n_ordered
+    assert _smallest_m(system, mask, []) == m
+    assert _smallest_m(system, mask, row0) == m_sorted
+    assert _smallest_m(system, pinned, ordered) == m
 
 
 def test_minimize_m_reference_values():
@@ -138,6 +184,9 @@ def test_config_json_round_trip(tmp_path):
     assert parsed == cfg
     with pytest.raises(ValueError):
         SearchConfig.from_json('{"base": {}, "girth": 8, "m_max": 4, "bogus": 1}')
+    # the search space follows from the base, so no config key restricts it
+    with pytest.raises(ValueError, match="unknown config keys"):
+        SearchConfig.from_json('{"base": {}, "girth": 8, "m_max": 4, "restrictions": {}}')
 
 
 @pytest.mark.parametrize("change", [
@@ -283,10 +332,11 @@ def _pinned_code_base():
                                girth=8, m_max=12, seed=3, budget_secs=60.0))
 
 
-# The code base's 60 voltages, row-major over its nonzero base entries.
-_CODE_BASE_VALUES = [0, 2, 2, 3, 0, 1, 4, 2, 0, 3, 2, 0, 0, 2, 5, 1, 0, 0, 3, 3,
-                     0, 4, 5, 0, 0, 0, 5, 0, 0, 2, 2, 2, 0, 5, 2, 5, 0, 0, 5, 2,
-                     0, 0, 4, 1, 0, 1, 2, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0]
+# The code base's 60 voltages, row-major over its nonzero base entries.  Its
+# first row is drawn unsorted: a code base has no column symmetry to sort by.
+_CODE_BASE_VALUES = [0, 2, 1, 0, 0, 3, 4, 1, 0, 0, 1, 2, 0, 0, 4, 4, 0, 1, 0, 1,
+                     0, 0, 0, 2, 0, 4, 4, 2, 0, 3, 4, 1, 0, 3, 0, 3, 0, 0, 3, 1,
+                     0, 0, 0, 3, 0, 4, 0, 0, 0, 0, 0, 3, 0, 0, 0, 3, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("run,m,attempts,values", [
@@ -294,7 +344,7 @@ _CODE_BASE_VALUES = [0, 2, 2, 3, 0, 1, 4, 2, 0, 3, 2, 0, 0, 2, 5, 1, 0, 0, 3, 3,
     (_pinned_extension, 15, 2304, [0, 1, 4, 6, 12, 0, 5, 2, 3, 7, 0, 0, 0, 0, 0]),
     (lambda: exhaustive_34(6, 6), 5, 1595, [0, 1, 2, 4, 0, 3, 1, 2, 0, 0, 0, 0]),
     (lambda: exhaustive_34(8, 16), 9, 66456, [0, 1, 3, 7, 0, 2, 6, 5, 0, 0, 0, 0]),
-    (_pinned_code_base, 6, 21504, _CODE_BASE_VALUES),
+    (_pinned_code_base, 5, 19968, _CODE_BASE_VALUES),
 ], ids=["integer", "extend_column", "exhaustive_g6", "exhaustive_g8", "code_base"])
 def test_scan_mode_outcomes_pinned(run, m, attempts, values):
     # every scan mode keeps its draws, its scan order and its attempt count
