@@ -1,21 +1,50 @@
 """Exact minimum distance of lifted codes.
 
 The branch-and-bound engine grows one syndrome tree per base column: the
-root syndrome is that column, every branch XORs in one further column, and a
-node dies when some M-row block of its partial syndrome weighs more than the
-remaining column budget (each column clears at most one bit per block).
-A syndrome is one Python int over all cb*M check bits, block i at bits
-i*M .. i*M+M-1, so a branch is one XOR and the branching bit is the lowest
-set bit.  Quasi-cyclicity makes the block-offset-zero columns a complete set
-of roots.  The independent oracle for dimensions up to 28 enumerates all
-2^k codewords from the systematic nullspace basis, in numpy chunks of parity
-words.
+root syndrome is that column, every branch XORs in one further column that
+covers the lowest set bit of the partial syndrome, and a node dies when some
+M-row block of its syndrome weighs more than the remaining column budget
+(each column clears at most one bit per block).  Quasi-cyclicity makes the
+block-offset-zero columns a complete set of roots.
+
+Word layout.  Check bit i*M + r (row r of block i) is bit (i*M + r) % 64 of
+word (i*M + r) // 64, so a syndrome is ceil(cb*M/64) uint64 words and its
+lowest set bit is the low bit of its first nonzero word.  A block weight is
+a sum of popcounts over the words the block overlaps, masked where blocks
+share a word.  Syndromes are stored word-major, one row per word and one
+column per node, so a branch is one 1-D ``take`` and XOR per word.
+
+Block stack.  The engine walks the tree in blocks of at most ``_BNB_BLOCK``
+nodes of one depth, with no recursion.  It pops the top block, drops the
+nodes the rule cuts under the current best (which may have fallen since the
+push) and expands the rest at once.  A node's children are the columns
+covering its lowest set bit, ascending, that lie above its root and off its
+path; they come out parent-major.  A zero child is a codeword one column
+heavier than its parent.  The other children face the rule at their own
+budget, and the survivors are pushed in blocks with the first on top.  A
+node stores only its column and its parent's index in the block above; the
+columns of a path are read back through those links.
+
+Witness.  The engine returns the first leaf of weight d in preorder, the
+leaf a depth-first walk of the same tree returns, where d is the smallest
+weight below the cap:
+  * while the best weight found exceeds d, no ancestor of a weight-d leaf is
+    cut: at depth k its syndrome is the sum of the d - k columns still to
+    come, so it weighs at most d - k <= best - 1 - k in every block;
+  * the blocks of one depth are popped in preorder, since the subtrees of a
+    pushed block all precede those of the block pushed under it;
+  * within a block the children come out parent-major, and the first zero
+    child is taken.
+So the first weight-d leaf found is the first in preorder, and after it
+only a lighter leaf could change the answer, and none exists.
+
+The independent oracle for dimensions up to 28 enumerates all 2^k codewords
+from the systematic nullspace basis, in numpy chunks of parity words.
 """
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,36 +56,57 @@ from .lifting import TailbitingCode, degree_matrix_of_lift
 # is 512 KB of uint64, so wider blocks only raise peak memory
 _ENUM_BLOCK = 1 << 16
 
+# nodes per block of the branch-and-bound stack; about depth blocks are live
+_BNB_BLOCK = 2048
+
+# a block and its temporaries span a multiple of this many nodes, so they
+# come in few sizes: numpy keeps freed arrays under 1 KB in a per-size cache,
+# and blocks of every size would fill it for good
+_PAD = 64
+
+_ONE = np.uint64(1)
+
 
 @dataclass(frozen=True)
 class Distance:
-    """``exact`` means value is d_min; otherwise d_min >= value is certified."""
+    """``exact`` means value is d_min; otherwise d_min >= value is certified.
+    ``nodes`` counts the tree nodes branch and bound expanded and ``pruned``
+    the nodes its weight rule cut; neither takes part in ``==``."""
 
     value: int
     exact: bool
+    nodes: int = field(default=0, compare=False)
+    pruned: int = field(default=0, compare=False)
 
     def __str__(self) -> str:
         return str(self.value) if self.exact else f">= {self.value}"
 
 
 def _column_tables(w: DegreeMatrix, m: int):
-    """Per-column syndromes, each one int over all cb*M check bits (block i
-    at bits i*M .. i*M+M-1), and for every check bit the list of columns
-    covering it.  Columns are indexed t*c + j over block column t and base
-    column j."""
+    """Word-major column syndromes, (ceil(cb*M/64), M*c) uint64 with check
+    bit i*M + r at bit (i*M + r) % 64 of word (i*M + r) // 64; the
+    (cb*M, max row weight) table of the columns covering each check bit,
+    ascending and padded with -1; and the (word, block, mask) pieces in which
+    M-row blocks overlap words, in word order, mask None for a whole word.
+    Columns are indexed t*c + j over block column t and base column j."""
     cb, c = w.n_rows, w.n_cols
-    col_synd = [0] * (m * c)
-    hitters: list[list[int]] = [[] for _ in range(cb * m)]
-    edges_by_col = [[(i, int(w.entries[i, j])) for i in range(cb)
-                     if w.entries[i, j] != NO_EDGE] for j in range(c)]
-    for t in range(m):
-        for j in range(c):
-            cid = t * c + j
-            for i, deg in edges_by_col[j]:
-                bit = i * m + (t + deg) % m
-                col_synd[cid] |= 1 << bit
-                hitters[bit].append(cid)
-    return col_synd, hitters
+    present = w.entries != NO_EDGE
+    col_synd = np.zeros((-(-cb * m // 64), m * c), dtype=np.uint64)
+    hitters = np.full((cb * m, int(present.sum(axis=1).max(initial=0))), -1, dtype=np.int64)
+    t = np.arange(m)[:, None]
+    for i in range(cb):
+        cols = np.flatnonzero(present[i])
+        deg = w.entries[i, cols].astype(np.int64)
+        bit = i * m + (t + deg) % m
+        col_synd[bit // 64, t * c + cols] |= _ONE << (bit % 64).astype(np.uint64)
+        hitters[i * m:(i + 1) * m, :cols.size] = np.sort((t - deg) % m * c + cols, axis=1)
+    pieces = []
+    for i in range(cb):
+        for word in range(i * m // 64, ((i + 1) * m - 1) // 64 + 1):
+            lo, hi = max(i * m - 64 * word, 0), min((i + 1) * m - 64 * word, 64)
+            mask = None if hi - lo == 64 else np.uint64(((1 << (hi - lo)) - 1) << lo)
+            pieces.append((word, i, mask))
+    return col_synd, hitters, pieces
 
 
 def _resolve_code(code) -> tuple[DegreeMatrix, int]:
@@ -68,65 +118,139 @@ def _resolve_code(code) -> tuple[DegreeMatrix, int]:
     return w, m
 
 
-def _branch_and_bound(code, t: int) -> tuple[int, tuple[int, ...] | None]:
+def _heaviest_block(words, pieces) -> np.ndarray:
+    """Weight of the heaviest M-row block of each node, from the node's
+    syndrome words in order and the (word, block, mask) pieces of the
+    layout."""
+    words = iter(words)
+    heaviest = weight = None
+    at = block = -1
+    for piece_word, piece_block, mask in pieces:
+        if piece_word != at:
+            word, at = next(words), piece_word
+        count = np.bitwise_count(word if mask is None else word & mask)
+        if piece_block == block:
+            weight = np.add(weight, count, dtype=np.int32)
+            continue
+        if weight is not None:
+            heaviest = weight if heaviest is None else np.maximum(heaviest, weight)
+        weight, block = count, piece_block
+    return weight if heaviest is None else np.maximum(heaviest, weight)
+
+
+def _children(synd: np.ndarray, col_synd: np.ndarray, par: np.ndarray,
+              cand: np.ndarray):
+    """Word by word, the syndrome of node ``par[i]`` XOR column ``cand[i]``."""
+    return (synd[i].take(par) ^ col_synd[i].take(cand) for i in range(synd.shape[0]))
+
+
+def _padded(index: np.ndarray) -> np.ndarray:
+    """``index`` repeated out to a multiple of ``_PAD`` entries."""
+    return np.resize(index, -(-index.size // _PAD) * _PAD)
+
+
+def _branch_and_bound(code, t: int) -> tuple[int, tuple[int, ...] | None, int, int]:
     """Smallest zero-sum column subset below t columns, with its support
-    (tailbiting column indices), or (t, None) when none exists."""
+    (tailbiting column indices), or (t, None) when none exists; then the
+    nodes expanded and the nodes the weight rule cut."""
     if t < 2:
         raise ValueError("distance cap must be at least 2")
     w, m = _resolve_code(code)
-    cb, c = w.n_rows, w.n_cols
-    col_synd, hitters = _column_tables(w, m)
-    # the per-block rule reads block i of a syndrome as s & block_masks[i]
-    block_masks = [((1 << m) - 1) << (i * m) for i in range(cb)]
-    best = t
-    support: tuple[int, ...] | None = None
-    limit = sys.getrecursionlimit()
-    if t + 16 > limit:
-        sys.setrecursionlimit(t + 64)
+    c = w.n_cols
+    col_synd, hitters, pieces = _column_tables(w, m)
+    width = hitters.shape[1]
+    empty = ~col_synd[:, :c].any(axis=0)
+    if empty.any():  # a column with no edge is a codeword of weight one
+        return 1, (int(np.argmax(empty)),), 0, 0
+    best, support = t, None
+    nodes = pruned = 0
+    # a block is (depth, live nodes, word-major syndromes, links, best when
+    # pushed); its links are (columns, parent indices into the block above,
+    # that block's links), with no parents at the roots.  Nodes past the live
+    # ones repeat live ones and are never expanded.  Pushed links are int32
+    # and become intp when their block is popped.
+    roots = _padded(np.arange(c))
+    stack = [(1, c, col_synd.take(roots, axis=1), (roots, None, None), best)]
+    while stack:
+        k, n, synd, links, pushed_at = stack.pop()
+        budget = best - 1 - k
+        if budget <= 0:
+            pruned += n
+            continue
+        cols, parents, up = links
+        if best != pushed_at:
+            keep = np.flatnonzero(_heaviest_block(synd[:, :n], pieces) <= budget)
+            pruned += n - keep.size
+            n, keep = keep.size, _padded(keep)
+            synd, cols = synd.take(keep, axis=1), cols.take(keep)
+            parents = None if parents is None else parents.take(keep)
+        nodes += n
+        # every descendant walks these links, so they become indices once
+        links = (cols.astype(np.intp), None if parents is None else parents.astype(np.intp), up)
+        size = synd.shape[1]
+        # the lowest set bit is the low bit of the first nonzero word, and
+        # word ^ (word - 1) sets every bit up to and including it
+        first = (synd != 0).argmax(axis=0)
+        word = synd.ravel().take(first * size + np.arange(size))
+        cand = hitters.take(first * 64 + np.bitwise_count(word ^ (word - _ONE)) - 1, axis=0)
+        cand[n:] = -1
+        cand, par = cand.ravel(), np.repeat(np.arange(size), width)
+        # drop padding, columns at or below the root, and columns on the path
+        drop = cand < 0
+        at, (cols, parents, up) = par, links
+        while parents is not None:
+            drop |= cols.take(at) == cand
+            at = parents.take(at)
+            cols, parents, up = up
+        drop |= cand <= cols.take(at)
+        valid = np.flatnonzero(~drop)
+        count, valid = valid.size, _padded(valid)
+        cand, par = cand.take(valid), par.take(valid)
+        # the rule reads the children word by word; a zero child weighs 0
+        heaviest = _heaviest_block(_children(synd, col_synd, par, cand), pieces)[:count]
+        if not heaviest.all():
+            first_zero = int(np.argmin(heaviest))
+            best, support = k + 1, _path(links, int(par[first_zero]), int(cand[first_zero]))
+            pruned += count - 1
+            continue
+        keep = np.flatnonzero(heaviest <= best - 2 - k)
+        pruned += count - keep.size
+        for lo in range((keep.size - 1) // _BNB_BLOCK * _BNB_BLOCK, -1, -_BNB_BLOCK):
+            part = keep[lo:lo + _BNB_BLOCK]
+            sel = _padded(part)
+            kid_cols, kid_par = cand.take(sel), par.take(sel)
+            block = np.stack(list(_children(synd, col_synd, kid_par, kid_cols)))
+            links_below = (kid_cols.astype(np.int32), kid_par.astype(np.int32), links)
+            stack.append((k + 1, part.size, block, links_below, best))
+    return best, support, nodes, pruned
 
-    def extend(s: int, used: set[int], count: int, root: int) -> None:
-        nonlocal best, support
-        budget = best - 1 - count
-        if budget < 0:
-            return
-        if not s:
-            best, support = count, tuple(sorted(used))
-            return
-        # no block can outweigh budget while the whole syndrome does not
-        if s.bit_count() > budget:
-            for block in block_masks:
-                if (s & block).bit_count() > budget:
-                    return
-        if budget == 0:
-            return
-        for cid in hitters[(s & -s).bit_length() - 1]:
-            if cid <= root or cid in used:
-                continue
-            used.add(cid)
-            extend(s ^ col_synd[cid], used, count + 1, root)
-            used.discard(cid)
 
-    try:
-        for root in range(c):
-            extend(col_synd[root], {root}, 1, root)
-    finally:
-        sys.setrecursionlimit(limit)
-    return best, support
+def _path(links, at: int, last: int) -> tuple[int, ...]:
+    """Sorted columns of the path ending at node ``at`` of a block, plus
+    ``last``."""
+    path = [last]
+    while links is not None:
+        cols, parents, up = links
+        path.append(int(cols[at]))
+        if parents is not None:
+            at = int(parents[at])
+        links = up
+    return tuple(sorted(path))
 
 
 def min_distance_md(code: TailbitingCode | SparseParityCheck | tuple[DegreeMatrix, int],
                     t: int) -> Distance:
     """Branch-and-bound distance: exact d_min when d_min < t, else a
     certificate that d_min >= t."""
-    best, _ = _branch_and_bound(code, t)
-    return Distance(best, True) if best < t else Distance(t, False)
+    best, _, nodes, pruned = _branch_and_bound(code, t)
+    return Distance(best, best < t, nodes, pruned)
 
 
 def min_weight_codeword(code, t: int) -> tuple[Distance, tuple[int, ...] | None]:
     """Like :func:`min_distance_md` but also returns the witness support as
     column indices of the tailbiting layout (None for a lower bound)."""
-    best, support = _branch_and_bound(code, t)
-    return (Distance(best, True), support) if best < t else (Distance(t, False), None)
+    best, support, nodes, pruned = _branch_and_bound(code, t)
+    return Distance(best, best < t, nodes, pruned), support
 
 
 def min_distance_bruteforce(h: SparseParityCheck, max_dim: int = 28) -> int:

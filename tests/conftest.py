@@ -1,13 +1,18 @@
 """Shared golden data: a toy rate-1/4 (3,4)-regular degree matrix, its two
 hand-checked lifts at M=2 (tailbiting and circulant layout), and the
-canonical order-9 triple-system base matrix; helpers shared by the tests."""
+canonical order-9 triple-system base matrix; helpers shared by the tests,
+among them the per-vertex BFS girth and the recursive branch and bound that
+the numpy engines must agree with."""
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
 
-from girthforge.matrices import DegreeMatrix, SparseParityCheck
+from girthforge.matrices import NO_EDGE, DegreeMatrix, SparseParityCheck
+from girthforge.mindist import _resolve_code
 
 
 TOY_TB = np.array([
@@ -95,3 +100,71 @@ def reference_girth(h: SparseParityCheck, cap: int = 32, start_vertices=None):
         return None
     assert best % 2 == 0, "odd cycle reported on a bipartite graph"
     return best
+
+
+def _column_tables(w: DegreeMatrix, m: int):
+    """Per-column syndromes, each one int over all cb*M check bits (block i
+    at bits i*M .. i*M+M-1), and for every check bit the list of columns
+    covering it.  Columns are indexed t*c + j over block column t and base
+    column j."""
+    cb, c = w.n_rows, w.n_cols
+    col_synd = [0] * (m * c)
+    hitters: list[list[int]] = [[] for _ in range(cb * m)]
+    edges_by_col = [[(i, int(w.entries[i, j])) for i in range(cb)
+                     if w.entries[i, j] != NO_EDGE] for j in range(c)]
+    for t in range(m):
+        for j in range(c):
+            cid = t * c + j
+            for i, deg in edges_by_col[j]:
+                bit = i * m + (t + deg) % m
+                col_synd[cid] |= 1 << bit
+                hitters[bit].append(cid)
+    return col_synd, hitters
+
+
+def reference_branch_and_bound(code, t: int) -> tuple[int, tuple[int, ...] | None]:
+    """Smallest zero-sum column subset below t columns, with its support
+    (tailbiting column indices), or (t, None) when none exists: one Python
+    call per tree node, syndromes as Python ints.  ``mindist``'s block engine
+    must return the same value and support."""
+    if t < 2:
+        raise ValueError("distance cap must be at least 2")
+    w, m = _resolve_code(code)
+    cb, c = w.n_rows, w.n_cols
+    col_synd, hitters = _column_tables(w, m)
+    # the per-block rule reads block i of a syndrome as s & block_masks[i]
+    block_masks = [((1 << m) - 1) << (i * m) for i in range(cb)]
+    best = t
+    support: tuple[int, ...] | None = None
+    limit = sys.getrecursionlimit()
+    if t + 16 > limit:
+        sys.setrecursionlimit(t + 64)
+
+    def extend(s: int, used: set[int], count: int, root: int) -> None:
+        nonlocal best, support
+        budget = best - 1 - count
+        if budget < 0:
+            return
+        if not s:
+            best, support = count, tuple(sorted(used))
+            return
+        # no block can outweigh budget while the whole syndrome does not
+        if s.bit_count() > budget:
+            for block in block_masks:
+                if (s & block).bit_count() > budget:
+                    return
+        if budget == 0:
+            return
+        for cid in hitters[(s & -s).bit_length() - 1]:
+            if cid <= root or cid in used:
+                continue
+            used.add(cid)
+            extend(s ^ col_synd[cid], used, count + 1, root)
+            used.discard(cid)
+
+    try:
+        for root in range(c):
+            extend(col_synd[root], {root}, 1, root)
+    finally:
+        sys.setrecursionlimit(limit)
+    return best, support

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from girthforge.lifting import (TailbitingCode, degree_matrix_of_lift, lift_circulant,
                                 lift_tailbiting)
-from girthforge.matrices import DegreeMatrix, QCBlock, SparseParityCheck
+from girthforge.matrices import NO_EDGE, DegreeMatrix, QCBlock, SparseParityCheck
 from girthforge.mindist import (Distance, min_distance_bruteforce, min_distance_md,
                                 min_weight_codeword)
 from girthforge import catalog, gf2, mindist
 
-from conftest import toggle_row
+from conftest import reference_branch_and_bound, toggle_row
 
 
 def code_for(name: str) -> TailbitingCode:
@@ -75,6 +75,88 @@ def test_branch_and_bound_restores_recursion_limit():
     limit = sys.getrecursionlimit()
     assert min_distance_md(code_for("g06_k4"), limit + 100) == Distance(6, True)
     assert sys.getrecursionlimit() == limit
+
+
+def test_branch_and_bound_leaves_recursion_limit_alone(monkeypatch):
+    # the block engine has no recursion, so a cap far past the limit needs
+    # no change to interpreter-global state
+    def refuse(limit):
+        raise AssertionError("sys.setrecursionlimit called")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    dist, support = min_weight_codeword(code_for("g06_k4"), sys.getrecursionlimit() + 100)
+    assert (dist.value, dist.exact, support) == WITNESS_PINS["g06_k4"]
+
+
+def block_engine(code, t):
+    return mindist._branch_and_bound(code, t)[:2]
+
+
+def random_degree_matrices(seed: int, count: int):
+    """Small degree matrices with holes, some with a column of holes."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        cb, c, m = int(rng.integers(1, 4)), int(rng.integers(2, 6)), int(rng.integers(2, 14))
+        entries = rng.integers(0, m, size=(cb, c))
+        entries[rng.random((cb, c)) < 0.25] = NO_EDGE
+        if rng.random() < 0.2:
+            entries[:, rng.integers(c)] = NO_EDGE
+        yield DegreeMatrix(entries, modulus=m), m
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_PINS))
+def test_block_engine_matches_recursion_on_pins(name):
+    code = code_for(name)
+    assert block_engine(code, 26) == reference_branch_and_bound(code, 26)
+
+
+def test_block_engine_matches_recursion_on_catalog():
+    entries = [e for e in catalog.CATALOG if e.m <= 200]
+    assert len(entries) > 30
+    for entry in entries:
+        code = (entry.degree_matrix(), entry.m)
+        for t in (4, 8):
+            assert block_engine(code, t) == reference_branch_and_bound(code, t), entry.name
+
+
+# blocks of one and seven nodes split each expansion into many pushed blocks,
+# which exercises the pop order; a pad of one leaves every array unpadded
+@pytest.mark.parametrize("block,pad", [(1, 64), (7, 64), (7, 1), (2048, 64)])
+def test_block_engine_matches_recursion_on_random_matrices(block, pad, monkeypatch):
+    monkeypatch.setattr(mindist, "_BNB_BLOCK", block)
+    monkeypatch.setattr(mindist, "_PAD", pad)
+    for w, m in random_degree_matrices(block * 100 + pad, 25):
+        for t in range(2, 14):
+            assert block_engine((w, m), t) == reference_branch_and_bound((w, m), t), \
+                (w.entries.tolist(), m, t)
+
+
+@pytest.mark.parametrize("t", [2, 8])
+def test_edgeless_column_is_weight_one_codeword(t):
+    w = DegreeMatrix([[0, NO_EDGE], [1, NO_EDGE]], modulus=3)
+    dist, support = min_weight_codeword((w, 3), t)
+    assert dist == Distance(1, True) and support == (1,)
+    assert reference_branch_and_bound((w, 3), t) == (1, (1,))
+
+
+def test_edgeless_matrix_has_distance_one():
+    w = DegreeMatrix(np.full((2, 3), NO_EDGE), modulus=4)
+    assert min_weight_codeword((w, 4), 5) == (Distance(1, True), (0,))
+    assert reference_branch_and_bound((w, 4), 5) == (1, (0,))
+
+
+def test_distance_counters_stay_out_of_equality():
+    a, b = Distance(6, True, nodes=10, pruned=3), Distance(6, True)
+    assert a == b and str(a) == str(b) == "6"
+    assert str(Distance(12, False, nodes=5)) == ">= 12"
+
+
+def test_distance_counters_shrink_with_the_cap():
+    # a lower cap prunes from the first node on, so fewer nodes are expanded
+    low, high = (min_distance_md(code_for("g10_k4"), t) for t in (15, 26))
+    assert low == high == Distance(14, True)
+    assert 0 < low.nodes < high.nodes
+    assert low.pruned > 0 and high.pruned > 0
 
 
 def test_toy_code_both_engines(toy_degrees):
