@@ -180,25 +180,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _int_at_least(lo: int):
+def _int_at_least(lo: int, even: bool = False):
     def parse(text: str) -> int:
-        try:
-            if int(text) >= lo:
-                return int(text)
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text!r}")
+        if text.strip().isdecimal() and int(text) >= lo and not (even and int(text) % 2):
+            return int(text)
+        raise argparse.ArgumentTypeError(f"expected an {'even ' * even}integer >= {lo}, "
+                                         f"got {text!r}")
     return parse
 
 
 def _girths(text: str) -> list[int]:
-    try:
-        girths = [int(g) for g in text.split(",")]
-        if all(g >= 4 and g % 2 == 0 for g in girths):
-            return girths
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected comma-separated even girths >= 4, got {text!r}")
+    return [_int_at_least(4, even=True)(g) for g in text.split(",")]
 
 
 def main(argv=None) -> int:
@@ -215,7 +207,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify-girth", help="certify the girth of a degree-matrix file")
     p.add_argument("file")
-    p.add_argument("--girth", type=int, default=None)
+    p.add_argument("--girth", type=_int_at_least(4, even=True), default=None)
     p.add_argument("--cap", type=_int_at_least(4), default=32)
     p.set_defaults(func=cmd_verify_girth)
 
@@ -246,6 +238,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_complexity)
 
     args = parser.parse_args(argv)
+    if args.command == "complexity" and args.k_min > args.k_max:
+        parser.error(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
     return args.func(args)
 
 

@@ -584,10 +584,9 @@ def girth_bfs_oracle(h: SparseParityCheck, cap: int = 32,
         raise ValueError("start vertices must be integers")
     if starts.size and (starts.min() < 0 or starts.max() >= n_v):
         raise ValueError(f"start vertices must lie in [0, {n_v})")
-    rows = np.repeat(np.arange(h.n_rows), np.diff(h.indptr))
-    tail = np.concatenate((rows, h.indices + h.n_rows))
-    nbrs = np.concatenate((h.indices + h.n_rows, rows))[np.argsort(tail, kind="stable")]
-    deg = np.bincount(tail, minlength=n_v)
+    t = h.transpose()  # constraints list their symbols, then symbols their constraints
+    nbrs = np.concatenate((h.indices + h.n_rows, t.indices))
+    deg = np.concatenate((np.diff(h.indptr), np.diff(t.indptr)))
     slot_end = np.cumsum(deg)
     per_chunk = max(1, _BFS_BLOCK // (1 + n_v + nbrs.size))
     best = cap + 2

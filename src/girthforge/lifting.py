@@ -5,7 +5,8 @@ edges with (r - t) mod M equal to their degree; equivalently each edge (i, j)
 with degree w puts a one at (((t + w) mod M) * (c-b) + i, t*c + j) for every
 block column t.  Circulant layout groups by base position instead: block
 (i, j) is the M x M circulant with ones at (s, (s - w) mod M).  The two are
-column/row permutations of each other.
+column/row permutations of each other.  Each lift is built in CSR form by one
+sort of the int64 keys ``row * Mc + col``, which fit while M(c-b) * Mc < 2**63.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .matrices import (
     DegreeMatrix,
     QCBlock,
     SparseParityCheck,
+    csr_from_pairs,
 )
 
 
@@ -32,17 +34,14 @@ def _lifted_rows(w: DegreeMatrix, m: int, layout: str) -> tuple[np.ndarray, np.n
         raise ValueError(f"tailbiting length {m} must exceed max degree {w.max_degree}")
     cb, c = w.n_rows, w.n_cols
     ei, ej = np.nonzero(w.entries != NO_EDGE)
-    ew = w.entries[ei, ej]
-    s = np.arange(m).repeat(ei.size)
-    ei, ej, ew = np.tile(ei, m), np.tile(ej, m), np.tile(ew, m)
+    ew, s = w.entries[ei, ej], np.arange(m)[:, None]  # ones as (s, edge) grids
     if layout == TAILBITING:  # s is the block column
         row_idx = ((s + ew) % m) * cb + ei
         col_idx = s * c + ej
     else:  # s is the row within each circulant
         row_idx = ei * m + s
         col_idx = ej * m + (s - ew) % m
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(row_idx, minlength=m * cb))))
-    return indptr, col_idx[np.lexsort((col_idx, row_idx))]
+    return csr_from_pairs(m * cb, m * c, row_idx, col_idx)
 
 
 def lift_tailbiting(w: DegreeMatrix, m: int) -> SparseParityCheck:
@@ -77,14 +76,10 @@ def reorder_to_circulant(h_tb: SparseParityCheck, c: int, cb: int, m: int,
     col_perm = (np.arange(m) * c + np.arange(c)[:, None]).ravel()
     row_perm = (np.arange(m) * cb + np.arange(cb)[:, None]).ravel()
     col_rank = (np.arange(c) * m + np.arange(m)[:, None]).ravel()  # inverse of col_perm
-    # gather the source rows in row_perm order, then sort each row's new columns
-    weights = np.diff(h_tb.indptr)[row_perm]
-    indptr = np.concatenate(([0], np.cumsum(weights)))
-    rows = np.repeat(np.arange(row_perm.size), weights)
-    cols = col_rank[h_tb.indices[h_tb.indptr[row_perm][rows] - indptr[rows] + np.arange(rows.size)]]
-    reordered = SparseParityCheck(h_tb.n_cols, indptr, cols[np.lexsort((cols, rows))],
-                                  CIRCULANT, QCBlock(m, c, cb))
-    return reordered, col_perm, row_perm
+    row_rank = (np.arange(cb) * m + np.arange(m)[:, None]).ravel()  # inverse of row_perm
+    rows = np.repeat(row_rank, np.diff(h_tb.indptr))
+    csr = csr_from_pairs(h_tb.n_rows, h_tb.n_cols, rows, col_rank[h_tb.indices])
+    return SparseParityCheck(h_tb.n_cols, *csr, CIRCULANT, QCBlock(m, c, cb)), col_perm, row_perm
 
 
 def degree_matrix_of_lift(h: SparseParityCheck) -> tuple[DegreeMatrix, int]:
@@ -109,7 +104,7 @@ def degree_matrix_of_lift(h: SparseParityCheck) -> tuple[DegreeMatrix, int]:
             j, t = np.divmod(h.indices[h.indptr[i * m]:h.indptr[i * m + 1]], m)
         entries[i, j] = -t % m
     w = DegreeMatrix(entries, modulus=m)
-    if SparseParityCheck(h.n_cols, *_lifted_rows(w, m, h.layout)) != h:
+    if not all(map(np.array_equal, _lifted_rows(w, m, h.layout), (h.indptr, h.indices))):
         raise ValueError("matrix is not the lift of a single-circulant degree matrix")
     return w, m
 

@@ -139,10 +139,19 @@ class QCBlock:
     cb: int  # number of base rows, i.e. c - b
 
 
+def csr_from_pairs(n_rows: int, n_cols: int, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of distinct ones at ``(rows, cols)`` in any order and
+    shape, by one sort of the int64 keys ``row * n_cols + col`` taken apart by divmod."""
+    rows, cols = np.divmod(np.sort((rows * n_cols + cols).ravel()), n_cols)
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows)))), cols
+
+
 @dataclass(frozen=True)
 class SparseParityCheck:
     """Sparse binary matrix in CSR form: row r has its ones at the strictly
-    increasing columns ``indices[indptr[r]:indptr[r + 1]]`` (read-only int64)."""
+    increasing columns ``indices[indptr[r]:indptr[r + 1]]`` (read-only int64).
+    Validation, lifts and transposes order the ones by one int64 key per one
+    (:func:`csr_from_pairs`), so ``n_rows * n_cols`` must be below ``2**63``."""
 
     n_cols: int
     indptr: np.ndarray
@@ -161,6 +170,8 @@ class SparseParityCheck:
             raise ValueError("row count mismatch: indptr must run from 0 up to indices.size")
         if indices.size and (indices.min() < 0 or indices.max() >= self.n_cols):
             raise ValueError("column index out of range")
+        if self.n_rows * int(self.n_cols) >= 2**63:  # a Python int: no wrap-around
+            raise ValueError("n_rows * n_cols must be below 2**63")
         # with indices in range, row-major keys increase iff every row does
         if (np.diff(self._row_ids() * self.n_cols + indices) <= 0).any():
             raise ValueError("column indices must be strictly increasing")
@@ -183,9 +194,8 @@ class SparseParityCheck:
 
     def transpose(self) -> "SparseParityCheck":
         """The transposed matrix: its rows list each column's row indices."""
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(self.indices, minlength=self.n_cols))))
-        order = np.argsort(self.indices, kind="stable")
-        return SparseParityCheck(self.n_rows, indptr, self._row_ids()[order])
+        return SparseParityCheck(self.n_rows, *csr_from_pairs(
+            self.n_cols, self.n_rows, self.indices, self._row_ids()))
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)

@@ -68,9 +68,11 @@ def reference_girth(h: SparseParityCheck, cap: int = 32, start_vertices=None):
     shortest-cycle search (Itai & Rodeh), one Python step per adjacency; None
     above ``cap``.  ``girth_bfs_oracle`` must return the same value."""
     n_v = h.n_rows + h.n_cols
-    t = h.transpose()
-    adj = [(h.indices[h.indptr[r]:h.indptr[r + 1]] + h.n_rows).tolist() for r in range(h.n_rows)]
-    adj += [t.indices[t.indptr[c]:t.indptr[c + 1]].tolist() for c in range(h.n_cols)]
+    adj: list[list[int]] = [[] for _ in range(n_v)]
+    for r in range(h.n_rows):  # builds its own symbol lists: the oracle reads h.transpose()
+        for col in h.indices[h.indptr[r]:h.indptr[r + 1]].tolist():
+            adj[r].append(h.n_rows + col)
+            adj[h.n_rows + col].append(r)
     dist = [-1] * n_v
     parent = [-1] * n_v
     best = cap + 2

@@ -289,11 +289,15 @@ def test_complexity_command(capsys):
     ["complexity", "--girths", "x"],
     ["complexity", "--girths", "8,,10"],
     ["complexity", "--k-min", "1"],
+    ["complexity", "--k-min", "9", "--k-max", "5"],
     ["verify-girth", "G06_K4", "--cap", "-4"],
     ["verify-girth", "G06_K4", "--cap", "3"],
+    ["verify-girth", "G06_K4", "--girth", "7"],
+    ["verify-girth", "G06_K4", "--girth", "-2"],
     ["no-such-command"],
 ], ids=["distance_cap_1", "odd_girth", "girth_not_int", "empty_girth", "k_min_1",
-        "negative_girth_cap", "girth_cap_3", "unknown_command"])
+        "k_min_above_k_max", "negative_girth_cap", "girth_cap_3", "odd_target_girth",
+        "negative_target_girth", "unknown_command"])
 def test_bad_arguments_rejected(capsys, args):
     args = [corpus_file("g06_k4") if a == "G06_K4" else a for a in args]
     with pytest.raises(SystemExit) as exc:

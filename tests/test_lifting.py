@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from girthforge.lifting import (TailbitingCode, lift_circulant, lift_tailbiting,
-                                reorder_to_circulant)
+from girthforge.lifting import (TailbitingCode, degree_matrix_of_lift, lift_circulant,
+                                lift_tailbiting, reorder_to_circulant)
 from girthforge.matrices import NO_EDGE, DegreeMatrix, QCBlock, SparseParityCheck, gf2_rank
 from girthforge import catalog, gf2
 
@@ -47,6 +47,32 @@ def test_lift_pinned(name, layout):
     digest = hashlib.sha256(h.indptr.tobytes() + h.indices.tobytes()).hexdigest()
     assert digest == LIFT_PINS[name, layout]
     assert h.indptr.dtype == h.indices.dtype == np.int64
+
+
+def reference_lift(w: DegreeMatrix, m: int, layout: str) -> SparseParityCheck:
+    """The lift by the module docstring's formulas, one Python step per one."""
+    cb, c = w.n_rows, w.n_cols
+    dense = np.zeros((m * cb, m * c), dtype=np.uint8)
+    for (i, j), deg in np.ndenumerate(w.entries):
+        for s in range(m) if deg != NO_EDGE else ():
+            if layout == "tailbiting":
+                dense[((s + deg) % m) * cb + i, s * c + j] = 1
+            else:
+                dense[i * m + s, j * m + (s - deg) % m] = 1
+    return SparseParityCheck.from_dense(dense)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lifts_match_reference_random(data):
+    m = data.draw(st.integers(1, 13))
+    cb, c = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 6))
+    entries = data.draw(st.lists(st.integers(NO_EDGE, m - 1), min_size=cb * c, max_size=cb * c))
+    w = DegreeMatrix(np.array(entries).reshape(cb, c), modulus=m)
+    for layout, lift in (("tailbiting", lift_tailbiting), ("circulant", lift_circulant)):
+        h = lift(w, m)
+        assert h == reference_lift(w, m, layout)
+        assert (h.layout, h.block) == (layout, QCBlock(m, c, cb))
 
 
 def test_lift_m1_is_base():
@@ -196,6 +222,20 @@ def test_qc_rank_matches_dense_random(m, seed, dense_calls):
         assert gf2_rank(edited) == dense_rank(edited)
         if m > 1:  # at M = 1 every 0/1 matrix is a lift of its own pattern
             assert dense_calls[0] == h.n_cols
+
+
+def test_degree_matrix_of_lift_rejects_moved_one():
+    # the row weights still match the lift, so only the indices comparison catches it
+    entry = catalog.BY_NAME["g06_k4"]
+    for lift in (lift_tailbiting, lift_circulant):
+        h = lift(entry.degree_matrix(), entry.m)
+        assert degree_matrix_of_lift(h) == (entry.degree_matrix(), entry.m)
+        r = h.n_rows - 1  # not the first row of a block row
+        row = set(h.indices[h.indptr[r]:h.indptr[r + 1]].tolist())
+        moved = toggle_row(h, r, {min(row), min(set(range(h.n_cols)) - row)})
+        assert np.array_equal(moved.indptr, h.indptr)
+        with pytest.raises(ValueError):
+            degree_matrix_of_lift(moved)
 
 
 def test_tailbiting_code_dimensions():

@@ -111,6 +111,29 @@ def test_sparse_parity_check_validation():
         csr([0, 1], [0], layout="diagonal")
 
 
+def test_sparse_parity_check_rejects_int64_key_overflow():
+    # 3 x 2**62: the row-major keys wrap twice and would still read increasing
+    with pytest.raises(ValueError):
+        SparseParityCheck(2**62, [0, 1, 2, 3], [0, 2**61, 2**62 - 1])
+    with pytest.raises(ValueError):
+        SparseParityCheck(2**62, [0, 0, 0], [])  # 2 x 2**62 is exactly 2**63
+    assert SparseParityCheck(2**62, [0, 1], [2**62 - 1]).n_rows == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_transpose_matches_dense_random(data):
+    # zero rows or columns, empty rows and columns, and no ones at all included
+    rows, cols = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 9))
+    density = data.draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dense = (rng.random((rows, cols)) < density).astype(np.uint8)
+    h = SparseParityCheck.from_dense(dense)
+    t = h.transpose()
+    assert np.array_equal(t.to_dense(), dense.T)
+    assert t == SparseParityCheck.from_dense(dense.T) and t.transpose() == h
+
+
 # -- alist --------------------------------------------------------------------
 
 def test_alist_identity():
