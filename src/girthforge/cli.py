@@ -52,7 +52,11 @@ def cmd_search(args) -> int:
                   file=sys.stderr)
             return 1
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an output path that is a file, or not writable
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     t0 = time.time()
     try:
         result = search(cfg)
@@ -127,7 +131,11 @@ def cmd_export(args) -> int:
         layout = lift_circulant if args.layout == "circulant" else lift_tailbiting
         text = emit_alist(layout(w, w.modulus))
     if args.output:
-        Path(args.output).write_text(text, encoding="ascii")
+        try:
+            Path(args.output).write_text(text, encoding="ascii")
+        except OSError as exc:  # an output path that is a directory, or not writable
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0

@@ -430,7 +430,7 @@ class GirthSystem:
     def n_edges(self) -> int:
         return self._matrix.shape[1]
 
-    def _exact_block(self, block: np.ndarray, modulus: int = 0) -> np.ndarray:
+    def _exact_block(self, block: np.ndarray, modulus: int) -> np.ndarray:
         """The block as float64, after checking that every inequality value v
         of it has |v| + modulus <= 2**53, so float64 holds v, and the division
         residue mod a positive modulus is exact."""
@@ -442,12 +442,6 @@ class GirthSystem:
                     f"row L1 norm {self._max_row_l1} x largest entry {largest} "
                     f"+ modulus {modulus} exceeds 2**53, past float64's exact integers")
         return block.astype(np.float64)
-
-    def inequality_values(self, block: np.ndarray) -> np.ndarray:
-        """Exact integer inequality values of a (batch, n_edges) block of
-        assignments, or of one assignment (no modulus), in the stacked order:
-        fewest nonzero coefficients first."""
-        return (self._exact_block(block) @ self._matrix.T).astype(np.int64)
 
     def _passes(self, block: np.ndarray, modulus: int) -> np.ndarray:
         modulus = _valid_modulus(modulus)

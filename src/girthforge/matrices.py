@@ -267,10 +267,8 @@ def parse_degree_matrix(text: str | bytes) -> DegreeMatrix:
     text = _ascii_text(text)
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise FormatError("empty degree matrix")
     modulus = None
-    if lines[0].upper().startswith("M="):
+    if lines and lines[0].upper().startswith("M="):
         try:
             modulus = int(lines[0][2:])
         except ValueError as exc:
@@ -278,6 +276,8 @@ def parse_degree_matrix(text: str | bytes) -> DegreeMatrix:
         if modulus < 1:
             raise FormatError(f"modulus M={modulus} is not positive")
         lines = lines[1:]
+    if not lines:
+        raise FormatError("empty degree matrix")
     rows = []
     width = None
     for ln in lines:

@@ -1,5 +1,5 @@
-"""Voltage-assignment search: a random sweep over M, an integer mode with
-modulus minimization, column extension and an exhaustive (3,4) scan.
+"""Voltage-assignment search: a random sweep over M, column extension and an
+exhaustive (3,4) scan.
 
 Every mode draws from the space ``_restricted_edges`` derives from the base
 (its zero mask pinned; on an all-ones base the first row also sorted), and
@@ -10,8 +10,8 @@ assignments: ``tried`` counts the block's rows and ``hit`` is ``(values, M)``
 for its first accepted row, or None.  One driver, ``_drive``, sums the
 attempts, stops at a hit, at the generator's end or at the first block past
 the deadline, BFS-certifies the hit and builds the ``SearchResult``.  Every
-mode but the integer one accepts through ``GirthSystem.check_batch``, so its
-``attempts`` is the number of rows checked.
+mode accepts through ``GirthSystem.check_batch``, so ``attempts`` is the
+number of rows checked.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ class SearchConfig:
     budget_secs: float = 60.0
     attempts_per_m: int = 4096
     jobs: int = 1
-    integer_mode: bool = False
 
     def __post_init__(self) -> None:
         for name, lo in (("girth", 4), ("m_max", 1), ("m_min", 1), ("attempts_per_m", 1),
@@ -65,8 +64,6 @@ class SearchConfig:
             raise ValueError(f"m_min={self.m_min} is above m_max={self.m_max}")
         if type(self.budget_secs) not in (int, float) or not self.budget_secs > 0:
             raise ValueError(f"budget_secs must be a positive number, got {self.budget_secs!r}")
-        if type(self.integer_mode) is not bool:
-            raise ValueError(f"integer_mode must be true or false, got {self.integer_mode!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "SearchConfig":
@@ -194,25 +191,6 @@ def _certify(system: GirthSystem, values: np.ndarray, m: int) -> int:
     return g_cert
 
 
-def minimize_m(system: GirthSystem, assignment: np.ndarray, m_lo: int,
-               m_hi: int, certify: bool = True) -> int | None:
-    """Smallest M in [m_lo, m_hi] with every inequality nonzero mod M.
-
-    The assignment must satisfy the inequalities over the integers; every
-    candidate below the returned M fails at least one inequality.  The winner
-    is cross-certified with the BFS oracle when ``certify`` is set.
-    """
-    values = system.inequality_values(assignment)
-    if (values == 0).any():
-        return None
-    for m in range(max(1, m_lo), m_hi + 1):
-        if (values % m != 0).all():
-            if certify:
-                _certify(system, assignment, m)
-            return m
-    return None
-
-
 def _feasibility_check(base: BaseMatrix, g: int) -> None:
     if g > 12 and theorem3_applies(base):
         raise InfeasibleTarget(
@@ -253,28 +231,12 @@ def _sweeps(system: GirthSystem, m_lo: int, m_hi: int, per_m: int, draw):
                 yield _checked(system, draw(m, min(512, per_m - done)), m)
 
 
-def _integer_blocks(system: GirthSystem, cfg: SearchConfig, rng: np.random.Generator,
-                    edges: tuple[np.ndarray, np.ndarray]):
-    """Integer voltages below ``m_max`` first, then modulus minimization."""
-    m_lo = cfg.m_min if cfg.m_min is not None else 2
-    while True:
-        block = sample_assignment(system.base, rng, cfg.m_max, size=256, edges=edges)
-        nonzero = (system.inequality_values(block) != 0).all(axis=1)
-        # lazily, so that minimization stops at the first row that has an M
-        hits = ((v, minimize_m(system, v, max(m_lo, int(v.max()) + 1), cfg.m_max,
-                               certify=False)) for v in block[nonzero])
-        yield block.shape[0], next(((v, m) for v, m in hits if m is not None), None)
-
-
 def _run_shard(cfg: SearchConfig, base: BaseMatrix, shard_seed: int) -> SearchResult | None:
     system = GirthSystem(base, cfg.girth)
     rng = np.random.default_rng(shard_seed)
     edges = _restricted_edges(base)
-    if cfg.integer_mode:
-        steps = _integer_blocks(system, cfg, rng, edges)
-    else:
-        steps = _sweeps(system, cfg.m_min or 1, cfg.m_max, cfg.attempts_per_m,
-                        lambda m, size: sample_assignment(base, rng, m, size, edges=edges))
+    steps = _sweeps(system, cfg.m_min or 1, cfg.m_max, cfg.attempts_per_m,
+                    lambda m, size: sample_assignment(base, rng, m, size, edges=edges))
     return _drive(system, steps, time.monotonic() + cfg.budget_secs, cfg.seed)
 
 

@@ -52,8 +52,8 @@ def test_verify_girth_parse_failure(tmp_path):
     assert exc.value.code == 1
 
 
-@pytest.mark.parametrize("content", [b"M=5\n0 \xe9\n", b"M=0\n- -\n"],
-                         ids=["non_ascii", "modulus_zero"])
+@pytest.mark.parametrize("content", [b"M=5\n0 \xe9\n", b"M=0\n- -\n", b"M=5\n"],
+                         ids=["non_ascii", "modulus_zero", "modulus_only"])
 def test_verify_girth_malformed_file(tmp_path, capsys, content):
     bad = tmp_path / "bad.wm"
     bad.write_bytes(content)
@@ -192,13 +192,16 @@ _GOOD_SEARCH = {"base": {"kind": "all_ones", "j": 3, "k": 4}, "girth": 8, "m_max
     ({"seed": -1}, []),
     ({"integer_mode": "false"}, []),
     ({"integer_mode": 0}, []),
+    ({"integer_mode": True}, []),
+    ({"integer_mode": False}, []),
     ({"restrictions": {"zero_mask": "false"}}, []),
     ({"restrictions": {"first_row_ascending": 1}}, []),
 ], ids=["odd_girth", "girth_2", "bool_girth", "base_not_object", "sts_order_7",
         "sts_no_order", "unknown_kind", "all_ones_no_k", "all_ones_string_k",
         "code_no_path", "code_int_path", "string_m_max", "m_max_0", "m_min_above_m_max",
         "no_attempts", "jobs_0", "jobs_flag_0", "budget_0", "negative_seed",
-        "string_integer_mode", "int_integer_mode", "string_zero_mask",
+        "string_integer_mode", "int_integer_mode", "true_integer_mode",
+        "false_integer_mode", "string_zero_mask",
         "int_first_row_ascending"])
 def test_search_bad_config(tmp_path, capsys, change, flags):
     # each is refused at the boundary, at once, rather than with a traceback
@@ -209,6 +212,17 @@ def test_search_bad_config(tmp_path, capsys, change, flags):
     assert main(["search", str(cfg), "-o", str(tmp_path / "o"), *flags]) == 1
     assert time.monotonic() - t0 < 1.0
     assert capsys.readouterr().err.startswith("error: bad config: ")
+
+
+def test_unwritable_output_paths(tmp_path, toy_file, capsys, monkeypatch):
+    # an output path that cannot be written is refused before any search
+    monkeypatch.setattr("girthforge.cli.search", lambda cfg: pytest.fail("search started"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_GOOD_SEARCH))
+    assert main(["search", str(cfg), "-o", toy_file]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["export", toy_file, "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_corpus_small(capsys, tmp_path):

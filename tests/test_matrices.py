@@ -53,6 +53,7 @@ def test_parse_degree_matrix_no_edge_token():
     "M=5\n0 -1\n",             # negative degree
     "M=5\n0 7\n",              # degree >= M
     "",                        # empty
+    "M=5\n# no rows\n",        # a modulus line and no rows
     "M=x\n0 1\n",              # bad modulus
     "M=0\n- -\n",              # modulus below 1
     b"M=5\n0 \xe9\n",          # not ASCII

@@ -12,7 +12,7 @@ from girthforge.matrices import BaseMatrix
 from girthforge.search import (InfeasibleTarget, SearchConfig,
                                SearchResult, TimeBudgetExceeded, _restricted_edges,
                                degree_matrix_to_assignment, exhaustive_34,
-                               extend_column, minimize_m, resolve_base,
+                               extend_column, resolve_base,
                                sample_assignment, search)
 from girthforge import catalog
 
@@ -90,33 +90,6 @@ def test_restricted_space_keeps_smallest_m(rows, g, m, m_sorted, n_ordered):
     assert _smallest_m(system, pinned, ordered) == m
 
 
-def test_minimize_m_reference_values():
-    sys6 = GirthSystem(all_ones_base(3, 4), 6)
-    w = catalog.BY_NAME["g06_k4"].degree_matrix()
-    values = degree_matrix_to_assignment(w)
-    assert minimize_m(sys6, values, 2, 16) == 5
-    # minimality: every smaller modulus kills at least one inequality
-    ineq_values = sys6.inequality_values(values)
-    for m in (2, 3, 4):
-        assert (ineq_values % m == 0).any()
-    sys8 = GirthSystem(all_ones_base(3, 5), 8)
-    w8 = catalog.BY_NAME["g08_k5"].degree_matrix()
-    assert minimize_m(sys8, degree_matrix_to_assignment(w8), 2, 20) == 13
-
-
-def test_minimize_m_single_inequality_arithmetic():
-    # value 6 vanishes mod 2 and mod 3; the smallest workable modulus is 4
-    values = np.array([6], dtype=np.int64)
-    for m in (2, 3):
-        assert (values % m == 0).any()
-    assert (values % 4 != 0).all()
-
-
-def test_minimize_m_zero_value_unsatisfiable():
-    system = GirthSystem(all_ones_base(3, 4), 6)
-    assert minimize_m(system, np.zeros(12, dtype=np.int64), 2, 40) is None
-
-
 def test_search_finds_g8_within_m12():
     result = search(cfg34())
     assert result.m <= 12
@@ -173,11 +146,6 @@ def test_search_parallel_shards_merge():
     assert result.girth >= 8 and result.m <= 16
 
 
-def test_search_integer_mode():
-    result = search(cfg34(integer_mode=True, m_max=16, seed=3))
-    assert result.girth >= 8
-
-
 def test_config_json_round_trip(tmp_path):
     cfg = cfg34(seed=11)
     parsed = SearchConfig.from_json(cfg.to_json())
@@ -187,6 +155,9 @@ def test_config_json_round_trip(tmp_path):
     # the search space follows from the base, so no config key restricts it
     with pytest.raises(ValueError, match="unknown config keys"):
         SearchConfig.from_json('{"base": {}, "girth": 8, "m_max": 4, "restrictions": {}}')
+    # nor is there an integer search mode to switch on
+    with pytest.raises(ValueError, match="unknown config keys"):
+        SearchConfig.from_json('{"base": {}, "girth": 8, "m_max": 4, "integer_mode": true}')
 
 
 @pytest.mark.parametrize("change", [
@@ -294,19 +265,11 @@ def _extend_g8_k4():
                          SearchConfig(base={}, girth=8, m_max=40, seed=1, budget_secs=5.0))
 
 
-def _minimize_g8_k5():
-    w = catalog.BY_NAME["g08_k5"].degree_matrix()
-    return minimize_m(GirthSystem(all_ones_base(3, 5), 8),
-                      degree_matrix_to_assignment(w), 2, 20)
-
-
 @pytest.mark.parametrize("run", [
     lambda: search(cfg34(budget_secs=5.0)),
-    lambda: search(cfg34(integer_mode=True, budget_secs=5.0)),
     _extend_g8_k4,
     lambda: exhaustive_34(8, 16),
-    _minimize_g8_k5,
-], ids=["search", "search_integer", "extend_column", "exhaustive_34", "minimize_m"])
+], ids=["search", "extend_column", "exhaustive_34"])
 def test_oracle_disagreement_raises(monkeypatch, run):
     # an oracle girth below the target contradicts the checker: every accept
     # path must raise instead of moving on until the budget runs out
@@ -314,10 +277,6 @@ def test_oracle_disagreement_raises(monkeypatch, run):
                         lambda h, cap=32: 6)
     with pytest.raises(AssertionError, match="disagree"):
         run()
-
-
-def _pinned_integer():
-    return search(cfg34(integer_mode=True, m_max=16, seed=3, budget_secs=60.0))
 
 
 def _pinned_extension():
@@ -340,12 +299,11 @@ _CODE_BASE_VALUES = [0, 2, 1, 0, 0, 3, 4, 1, 0, 0, 1, 2, 0, 0, 4, 4, 0, 1, 0, 1,
 
 
 @pytest.mark.parametrize("run,m,attempts,values", [
-    (_pinned_integer, 14, 256, [0, 1, 8, 10, 0, 6, 9, 7, 0, 0, 0, 0]),
     (_pinned_extension, 15, 2304, [0, 1, 4, 6, 12, 0, 5, 2, 3, 7, 0, 0, 0, 0, 0]),
     (lambda: exhaustive_34(6, 6), 5, 1595, [0, 1, 2, 4, 0, 3, 1, 2, 0, 0, 0, 0]),
     (lambda: exhaustive_34(8, 16), 9, 66456, [0, 1, 3, 7, 0, 2, 6, 5, 0, 0, 0, 0]),
     (_pinned_code_base, 5, 19968, _CODE_BASE_VALUES),
-], ids=["integer", "extend_column", "exhaustive_g6", "exhaustive_g8", "code_base"])
+], ids=["extend_column", "exhaustive_g6", "exhaustive_g8", "code_base"])
 def test_scan_mode_outcomes_pinned(run, m, attempts, values):
     # every scan mode keeps its draws, its scan order and its attempt count
     result = run()
