@@ -176,32 +176,16 @@ def shorten_sts_base(b: BaseMatrix, k: int) -> BaseMatrix:
 def zero_voltage_mask(b: BaseMatrix) -> set[tuple[int, int]]:
     """Edge positions that can be fixed to voltage zero without loss.
 
-    All-ones layout: the whole first column and last row.  Otherwise: the
-    last nonzero entry of every column, plus the first nonzero entry of each
-    row that received no such entry.  Both variants zero one edge per vertex
-    along a spanning forest, so any assignment can be shifted onto the mask.
+    The last nonzero entry of every column, plus the first nonzero entry of
+    each row that received no such entry; on an all-ones base that is the
+    whole first column and last row.  The mask zeroes one edge per vertex
+    along a spanning forest, so any assignment can be shifted onto it.
     """
     entries = b.entries
-    if entries.all():
-        mask = {(i, 0) for i in range(b.n_rows)}
-        mask |= {(b.n_rows - 1, j) for j in range(b.n_cols)}
-        return mask
-    mask = set()
-    rows_hit = set()
-    for j in range(b.n_cols):
-        rows = np.nonzero(entries[:, j])[0]
-        if rows.size == 0:
-            continue
-        r = int(rows[-1])
-        mask.add((r, j))
-        rows_hit.add(r)
-    for i in range(b.n_rows):
-        if i in rows_hit:
-            continue
-        cols = np.nonzero(entries[i])[0]
-        if cols.size:
-            mask.add((i, int(cols[0])))
-    return mask
+    mask = {(int(np.nonzero(col)[0][-1]), j) for j, col in enumerate(entries.T) if col.any()}
+    rows_hit = {r for r, _ in mask}
+    return mask | {(i, int(np.nonzero(row)[0][0])) for i, row in enumerate(entries)
+                   if i not in rows_hit and row.any()}
 
 
 def base_from_code(h: SparseParityCheck) -> BaseMatrix:

@@ -52,15 +52,11 @@ def cmd_search(args) -> int:
                   file=sys.stderr)
             return 1
     out = Path(args.output)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # an output path that is a file, or not writable
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     t0 = time.time()
     try:
+        out.mkdir(parents=True, exist_ok=True)  # refuses a bad output path before searching
         result = search(cfg)
-    except (OSError, FormatError) as exc:  # a "code" base file that cannot be read
+    except (OSError, FormatError) as exc:  # that, or a "code" base file that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # a base the config names badly
@@ -72,7 +68,12 @@ def cmd_search(args) -> int:
     except TimeBudgetExceeded:
         print("budget exceeded", file=sys.stderr)
         return 2
-    _write_result(out, result, cfg, time.time() - t0)
+    try:
+        _write_result(out, result, cfg, time.time() - t0)
+    except OSError as exc:  # the search is done: keep its result on stdout
+        sys.stdout.write(emit_degree_matrix(result.degree))
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"found M={result.m} girth={result.girth} after {result.attempts} attempts")
     return 0
 

@@ -3,7 +3,8 @@ exhaustive (3,4) scan.
 
 Every mode draws from the space ``_restricted_edges`` derives from the base
 (its zero mask pinned; on an all-ones base the first row also sorted), and
-the random sweep and column extension share one M sweep, ``_sweeps``.
+the random sweep and column extension share one sampler,
+``sample_assignment``, and one M sweep, ``_sweeps``.
 
 Each mode is a generator that yields ``(tried, hit)`` per block of
 assignments: ``tried`` counts the block's rows and ``hit`` is ``(values, M)``
@@ -19,9 +20,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
+from functools import partial
 
 import numpy as np
 
@@ -146,8 +149,9 @@ def sample_assignment(base: BaseMatrix, rng: np.random.Generator, high: int,
     """Sample a (size, n_edges) block of voltage assignments in [0, high)
     from the space of ``_restricted_edges(base)``.
 
-    ``edges`` is ``_restricted_edges(base)``, passed by callers that sample
-    many blocks so that it is not recomputed for each one.
+    ``edges`` is (pinned edges, edges sorted ascending), by default
+    ``_restricted_edges(base)``; callers that sample many blocks pass it so
+    that it is not recomputed for each one.
     """
     masked, free = edges if edges is not None else _restricted_edges(base)
     n_edges = int(base.entries.sum())
@@ -159,13 +163,9 @@ def sample_assignment(base: BaseMatrix, rng: np.random.Generator, high: int,
 
 
 def assignment_to_degree_matrix(base: BaseMatrix, values: np.ndarray,
-                                modulus: int | None = None) -> DegreeMatrix:
+                                modulus: int) -> DegreeMatrix:
     entries = np.full(base.entries.shape, NO_EDGE, dtype=np.int64)
-    rr, cc = np.nonzero(base.entries)
-    vals = np.asarray(values, dtype=np.int64)
-    if modulus is not None:
-        vals = vals % modulus
-    entries[rr, cc] = vals
+    entries[base.entries != 0] = np.asarray(values, dtype=np.int64) % modulus
     return DegreeMatrix(entries, modulus=modulus)
 
 
@@ -173,20 +173,19 @@ def degree_matrix_to_assignment(w: DegreeMatrix) -> np.ndarray:
     return w.entries[w.entries != NO_EDGE].astype(np.int64)
 
 
-def _certify(system: GirthSystem, values: np.ndarray, m: int) -> int:
-    """BFS-certify an assignment the checker accepted at modulus M.
+def _certify(system: GirthSystem, w: DegreeMatrix) -> int:
+    """BFS-certify a degree matrix the checker accepted at its modulus M.
 
     Returns the oracle girth of the lifted graph, or the target girth when no
     cycle lies within the oracle cap.  An oracle girth below the target means
     the checker and the oracle disagree, which raises.
     """
-    w = assignment_to_degree_matrix(system.base, values, modulus=m)
-    g_cert = certified_girth(lift_tailbiting(w, m), cap=max(32, system.g + 2))
+    g_cert = certified_girth(lift_tailbiting(w, w.modulus), cap=max(32, system.g + 2))
     if g_cert is None:
         return system.g
     if g_cert < system.g:
         raise AssertionError(
-            f"oracle girth {g_cert} below target {system.g} at M={m}: "
+            f"oracle girth {g_cert} below target {system.g} at M={w.modulus}: "
             f"checker and BFS oracle disagree")
     return g_cert
 
@@ -207,9 +206,9 @@ def _drive(system: GirthSystem, steps, deadline: float, seed: int) -> SearchResu
         attempts += tried
         if hit is not None:
             values, m = hit
-            girth = _certify(system, values, m)
-            w = assignment_to_degree_matrix(system.base, values, modulus=m)
-            return SearchResult(w, m, girth, seed, attempts, time.monotonic() - t0)
+            w = assignment_to_degree_matrix(system.base, values, m)
+            return SearchResult(w, m, _certify(system, w), seed, attempts,
+                                time.monotonic() - t0)
         if time.monotonic() > deadline:
             return None
     return None
@@ -231,13 +230,18 @@ def _sweeps(system: GirthSystem, m_lo: int, m_hi: int, per_m: int, draw):
                 yield _checked(system, draw(m, min(512, per_m - done)), m)
 
 
-def _run_shard(cfg: SearchConfig, base: BaseMatrix, shard_seed: int) -> SearchResult | None:
+def _run_shard(cfg: SearchConfig, base: BaseMatrix, shard_seed: int,
+               deadline: float) -> SearchResult | None:
     system = GirthSystem(base, cfg.girth)
     rng = np.random.default_rng(shard_seed)
     edges = _restricted_edges(base)
     steps = _sweeps(system, cfg.m_min or 1, cfg.m_max, cfg.attempts_per_m,
                     lambda m, size: sample_assignment(base, rng, m, size, edges=edges))
-    return _drive(system, steps, time.monotonic() + cfg.budget_secs, cfg.seed)
+    return _drive(system, steps, deadline, cfg.seed)
+
+
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def search(cfg: SearchConfig) -> SearchResult:
@@ -245,16 +249,19 @@ def search(cfg: SearchConfig) -> SearchResult:
 
     Raises InfeasibleTarget when a structural bound rules the target out and
     TimeBudgetExceeded when no certified result appears within the budget.
+    The ``cfg.jobs`` shards, one seed each, run on at most as many worker
+    processes as there are usable cores, and all share one deadline.
     """
     base = resolve_base(cfg.base)
     _feasibility_check(base, cfg.girth)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.jobs)]
+    # the monotonic clock is system-wide, so worker processes can read it too
+    run = partial(_run_shard, cfg, base, deadline=time.monotonic() + cfg.budget_secs)
     if cfg.jobs == 1:
-        results = [_run_shard(cfg, base, seeds[0])]
+        results = [run(seeds[0])]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_run_shard, [cfg] * len(seeds), [base] * len(seeds),
-                                    seeds))
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, _usable_cores())) as pool:
+            results = list(pool.map(run, seeds))
     found = [r for r in results if r is not None]
     if not found:
         raise TimeBudgetExceeded("search budget exceeded")
@@ -264,10 +271,10 @@ def search(cfg: SearchConfig) -> SearchResult:
 def extend_column(w: DegreeMatrix, cfg: SearchConfig) -> SearchResult:
     """Grow a certified (3, K-1) degree matrix by one random column.
 
-    New-column degrees are capped at twice the maximum degree of the input;
-    existing columns are untouched and the result is re-certified at the
-    configured girth.  Each sweep tries 256 new columns per M, from the
-    smallest M the input's degrees allow.
+    The input's columns keep their degrees.  The new column is drawn in
+    [0, M) through ``sample_assignment``, ``cfg.attempts_per_m`` times per M,
+    from the smallest M the input's degrees allow, and the result is
+    re-certified at the configured girth.
     """
     if (w.entries == NO_EDGE).any():
         raise ValueError("column extension expects an all-ones base")
@@ -279,22 +286,18 @@ def extend_column(w: DegreeMatrix, cfg: SearchConfig) -> SearchResult:
         raise ValueError(f"column extension starts at M={m_lo}, above m_max={cfg.m_max}")
     system = GirthSystem(base_new, cfg.girth)
     rng = np.random.default_rng(cfg.seed)
-    old_values, high = degree_matrix_to_assignment(w), 2 * w.max_degree + 1
-    new = np.array([jj == k_old for _, jj in base_new.edges()])
-    # the input's voltages stay as they are, so only the new column's pinned
-    # edges are zeroed; its one first-row edge has nothing to be sorted against
-    masked, _ = _restricted_edges(base_new)
-    new_masked = masked[new[masked]]
+    old = [jj < k_old for _, jj in base_new.edges()]
+    old_values = degree_matrix_to_assignment(w)
+    # the input's columns are fixed, so the new column's first-row edge has
+    # nothing to be sorted against
+    edges = (_restricted_edges(base_new)[0], np.empty(0, dtype=np.int64))
 
     def draw(m, size):
-        block = np.empty((size, new.size), dtype=np.int64)
-        block[:, ~new] = old_values % m
-        block[:, new] = rng.integers(0, min(high, m), size=(size, int(new.sum())),
-                                     dtype=np.int64)
-        block[:, new_masked] = 0
+        block = sample_assignment(base_new, rng, m, size, edges=edges)
+        block[:, old] = old_values
         return block
 
-    result = _drive(system, _sweeps(system, m_lo, cfg.m_max, 256, draw),
+    result = _drive(system, _sweeps(system, m_lo, cfg.m_max, cfg.attempts_per_m, draw),
                     time.monotonic() + cfg.budget_secs, cfg.seed)
     if result is None:
         raise TimeBudgetExceeded("search budget exceeded")

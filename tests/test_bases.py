@@ -74,13 +74,16 @@ def test_sts_pair_property():
         assert overlaps.max() <= 1
 
 
-def test_zero_voltage_mask_all_ones():
+@pytest.mark.parametrize("j,k", [(1, 2), (2, 2), (3, 4), (3, 13), (4, 5), (6, 13)])
+def test_zero_voltage_mask_all_ones(j, k):
+    # on an all-ones base the general rule gives the whole first column and
+    # last row
     from girthforge.matrices import BaseMatrix
 
-    assert zero_voltage_mask(all_ones_base(3, 4)) == {
-        (0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (2, 3)}
-    one_by_two = BaseMatrix(np.ones((1, 2), dtype=np.uint8))
-    assert zero_voltage_mask(one_by_two) == {(0, 0), (0, 1)}
+    mask = zero_voltage_mask(BaseMatrix(np.ones((j, k), dtype=np.uint8)))
+    assert mask == {(i, 0) for i in range(j)} | {(j - 1, c) for c in range(k)}
+    if (j, k) == (3, 4):
+        assert mask == {(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (2, 3)}
 
 
 def test_zero_voltage_mask_sts9_bold_entries():

@@ -225,6 +225,20 @@ def test_unwritable_output_paths(tmp_path, toy_file, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_failed_result_write_keeps_result(tmp_path, capsys):
+    # a write that fails after the search prints the found matrix to stdout
+    # and exits 1 with an error line, instead of losing it in a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"base": {"kind": "all_ones", "j": 3, "k": 4},
+                               "girth": 6, "m_max": 8, "seed": 1}))
+    (tmp_path / "o" / "result.wm").mkdir(parents=True)
+    assert main(["search", str(cfg), "-o", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    w = parse_degree_matrix(captured.out)
+    assert w.entries.shape == (3, 4) and w.modulus <= 8
+
+
 def test_verify_corpus_small(capsys, tmp_path):
     # restrict to a tiny corpus copy to keep the unit test fast
     small = tmp_path / "corpus"

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from girthforge.bases import all_ones_base, zero_voltage_mask
-from girthforge.girth import GirthSystem
+from girthforge.girth import GirthSystem, certified_girth
+from girthforge.lifting import lift_tailbiting
 from girthforge.matrices import BaseMatrix
 from girthforge.search import (InfeasibleTarget, SearchConfig,
                                SearchResult, TimeBudgetExceeded, _restricted_edges,
@@ -146,6 +147,48 @@ def test_search_parallel_shards_merge():
     assert result.girth >= 8 and result.m <= 16
 
 
+def test_search_caps_workers_at_usable_cores(monkeypatch):
+    # the shards run in-process on a recording executor, so no worker
+    # process is started however many shards a config asks for
+    pools, deadlines = [], []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, seeds):
+            return [fn(seed) for seed in seeds]
+
+    search_module = sys.modules["girthforge.search"]
+    run_one = search_module._run_shard
+
+    def run_shard(cfg, base, shard_seed, deadline):
+        deadlines.append(deadline)
+        return run_one(cfg, base, shard_seed, deadline)
+
+    monkeypatch.setattr(search_module, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(search_module, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(search_module, "_run_shard", run_shard)
+    jobs = 5
+    result = search(cfg34(girth=6, m_max=8, jobs=jobs, seed=4))
+    assert pools == [2]
+    # every shard ran, on one shared deadline
+    assert len(deadlines) == jobs and len(set(deadlines)) == 1
+    # the same shards, one seed each, as with one worker per shard
+    shard_seeds = [int(s.generate_state(1)[0])
+                   for s in np.random.SeedSequence(4).spawn(jobs)]
+    shards = [run_one(cfg34(girth=6, m_max=8, seed=4), all_ones_base(3, 4), s,
+                      deadlines[0] + 60) for s in shard_seeds]
+    best = min(shards, key=lambda r: (r.m, tuple(r.degree.entries.ravel().tolist())))
+    assert (result.m, result.degree, result.attempts) == (best.m, best.degree, best.attempts)
+
+
 def test_config_json_round_trip(tmp_path):
     cfg = cfg34(seed=11)
     parsed = SearchConfig.from_json(cfg.to_json())
@@ -215,15 +258,19 @@ def test_extend_column_from_g6_k4():
     # existing columns untouched
     assert np.array_equal(result.degree.entries[:, :4] % result.m,
                           w.entries % result.m)
-    # new column obeys the doubled-degree cap
-    assert result.degree.entries[:, 4].max() <= 2 * w.max_degree
+    # the new column is drawn in [0, M)
+    assert result.degree.entries[:, 4].max() < result.m
 
 
-def test_extension_degree_cap_bound():
-    w = catalog.BY_NAME["g06_k4"].degree_matrix()  # max degree 4
-    result = extend_column(w, SearchConfig(base={}, girth=6, m_max=9, seed=8,
+def test_extend_column_reaches_g10():
+    # the new column draws from all of [0, M): no cap tied to the input's
+    # degrees keeps it from reaching girth 10
+    w = catalog.BY_NAME["g10_k4"].degree_matrix()
+    result = extend_column(w, SearchConfig(base={}, girth=10, m_max=120, seed=1,
                                            budget_secs=30.0))
-    assert result.degree.entries[:, -1].max() <= 8
+    assert (result.m, result.attempts) == (82, 265216)
+    assert np.array_equal(result.degree.entries[:, :4], w.entries)
+    assert certified_girth(lift_tailbiting(result.degree, result.m), cap=32) >= 10
 
 
 def test_code_as_base_relift(tmp_path):
@@ -299,7 +346,7 @@ _CODE_BASE_VALUES = [0, 2, 1, 0, 0, 3, 4, 1, 0, 0, 1, 2, 0, 0, 4, 4, 0, 1, 0, 1,
 
 
 @pytest.mark.parametrize("run,m,attempts,values", [
-    (_pinned_extension, 15, 2304, [0, 1, 4, 6, 12, 0, 5, 2, 3, 7, 0, 0, 0, 0, 0]),
+    (_pinned_extension, 15, 33280, [0, 1, 4, 6, 12, 0, 5, 2, 3, 7, 0, 0, 0, 0, 0]),
     (lambda: exhaustive_34(6, 6), 5, 1595, [0, 1, 2, 4, 0, 3, 1, 2, 0, 0, 0, 0]),
     (lambda: exhaustive_34(8, 16), 9, 66456, [0, 1, 3, 7, 0, 2, 6, 5, 0, 0, 0, 0]),
     (_pinned_code_base, 5, 19968, _CODE_BASE_VALUES),
