@@ -85,9 +85,11 @@ def reorder_to_circulant(h_tb: SparseParityCheck, c: int, cb: int, m: int,
 def degree_matrix_of_lift(h: SparseParityCheck) -> tuple[DegreeMatrix, int]:
     """Recover (degree matrix, M) from a tailbiting or circulant lift.
 
-    Reads the degrees off the first row of every block row and verifies them
-    by lifting again in the same layout and comparing the CSR arrays; raises
-    ``ValueError`` when the block metadata does not describe the matrix.
+    Reads the degrees off the first row of every block row, then checks that
+    every stored one lies where the lift of those degrees has a one and that
+    there are M ones per edge.  The ones of a CSR matrix are distinct, so
+    then the matrix is that lift.  Raises ``ValueError`` when the block
+    metadata does not describe the matrix.
     """
     if h.layout not in (TAILBITING, CIRCULANT) or h.block is None:
         raise ValueError("expected a tailbiting or circulant lift with block metadata")
@@ -97,16 +99,29 @@ def degree_matrix_of_lift(h: SparseParityCheck) -> tuple[DegreeMatrix, int]:
     entries = np.full((cb, c), NO_EDGE, dtype=np.int64)
     for i in range(cb):
         # the first row of block row i holds, per base column j, one entry at offset (-w) mod M
-        # (a block with two circulants there fails the re-lift comparison below)
+        # (a block with two circulants there fails the check of every one below)
         if h.layout == TAILBITING:
             t, j = np.divmod(h.indices[h.indptr[i]:h.indptr[i + 1]], c)
         else:
             j, t = np.divmod(h.indices[h.indptr[i * m]:h.indptr[i * m + 1]], m)
         entries[i, j] = -t % m
-    w = DegreeMatrix(entries, modulus=m)
-    if not all(map(np.array_equal, _lifted_rows(w, m, h.layout), (h.indptr, h.indices))):
+    # a one at offset a in its block row and offset b in its block column
+    # lies on the lift iff b + w - a is 0 or M; the ones are split by a
+    # floor division and a product, which is faster than np.divmod
+    rows, cols = np.arange(h.n_rows), h.indices
+    if h.layout == TAILBITING:  # row ((t + w) % M) * cb + i, column t * c + j
+        (row_at, i), col_at = np.divmod(rows, cb), cols // c
+        j = cols - col_at * c
+    else:  # row i * M + s, column j * M + (s - w) % M
+        (i, row_at), j = np.divmod(rows, m), cols // m
+        col_at = cols - j * m
+    per_row = np.diff(h.indptr)
+    deg = entries.ravel().take(np.repeat(i * c, per_row) + j)
+    gap = col_at + deg - np.repeat(row_at, per_row)
+    lifted = ((gap == 0) | (gap == m)) & (deg != NO_EDGE)
+    if h.indices.size != m * np.count_nonzero(entries != NO_EDGE) or not lifted.all():
         raise ValueError("matrix is not the lift of a single-circulant degree matrix")
-    return w, m
+    return DegreeMatrix(entries, modulus=m), m
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,14 @@ block-offset-zero columns a complete set of roots.
 
 Word layout.  Check bit i*M + r (row r of block i) is bit (i*M + r) % 64 of
 word (i*M + r) // 64, so a syndrome is ceil(cb*M/64) uint64 words and its
-lowest set bit is the low bit of its first nonzero word.  A block weight is
-a sum of popcounts over the words the block overlaps, masked where blocks
-share a word.  Syndromes are stored word-major, one row per word and one
-column per node, so a branch is one 1-D ``take`` and XOR per word.
+lowest set bit is the low bit of its first nonzero word.  Syndromes are
+stored node-major, one row of words per node.  A column meets each base row
+at most once, so it flips exactly one bit in each block it touches.  A node
+therefore carries its cb block weights next to its words, and a child's
+weight in block i is its parent's plus one, or minus one where the parent
+has that bit set; the rule reads these weights and never counts bits.  A
+child's syndrome is its parent's row of words with those bits flipped, read
+off a (cb, M*c) table of each column's bit in each block.
 
 Block stack.  The engine walks the tree in blocks of at most ``_BNB_BLOCK``
 nodes of one depth, with no recursion.  It pops the top block, drops the
@@ -83,30 +87,25 @@ class Distance:
 
 
 def _column_tables(w: DegreeMatrix, m: int):
-    """Word-major column syndromes, (ceil(cb*M/64), M*c) uint64 with check
-    bit i*M + r at bit (i*M + r) % 64 of word (i*M + r) // 64; the
-    (cb*M, max row weight) table of the columns covering each check bit,
-    ascending and padded with -1; and the (word, block, mask) pieces in which
-    M-row blocks overlap words, in word order, mask None for a whole word.
-    Columns are indexed t*c + j over block column t and base column j."""
+    """The word and the one-bit mask of each column's check bit in each
+    block, two (cb, M*c) arrays: column t*c + j meets block i at check bit
+    i*M + (t + w_ij) % M, and has mask 0 (word 0) where base row i misses
+    base column j.  Then the (max row weight, cb*M) table of the columns
+    covering each check bit, ascending down each column of the table and
+    padded with -1."""
     cb, c = w.n_rows, w.n_cols
     present = w.entries != NO_EDGE
-    col_synd = np.zeros((-(-cb * m // 64), m * c), dtype=np.uint64)
-    hitters = np.full((cb * m, int(present.sum(axis=1).max(initial=0))), -1, dtype=np.int64)
     t = np.arange(m)[:, None]
+    bit = np.arange(cb)[:, None, None] * m + (t + w.entries[:, None, :]) % m
+    has = present[:, None, :]
+    word = np.where(has, bit // 64, 0).reshape(cb, m * c)
+    mask = np.where(has, _ONE << (bit % 64).astype(np.uint64), 0).reshape(cb, m * c)
+    hitters = np.full((int(present.sum(axis=1).max(initial=0)), cb * m), -1, dtype=np.int64)
     for i in range(cb):
         cols = np.flatnonzero(present[i])
         deg = w.entries[i, cols].astype(np.int64)
-        bit = i * m + (t + deg) % m
-        col_synd[bit // 64, t * c + cols] |= _ONE << (bit % 64).astype(np.uint64)
-        hitters[i * m:(i + 1) * m, :cols.size] = np.sort((t - deg) % m * c + cols, axis=1)
-    pieces = []
-    for i in range(cb):
-        for word in range(i * m // 64, ((i + 1) * m - 1) // 64 + 1):
-            lo, hi = max(i * m - 64 * word, 0), min((i + 1) * m - 64 * word, 64)
-            mask = None if hi - lo == 64 else np.uint64(((1 << (hi - lo)) - 1) << lo)
-            pieces.append((word, i, mask))
-    return col_synd, hitters, pieces
+        hitters[:cols.size, i * m:(i + 1) * m] = np.sort((t - deg) % m * c + cols, axis=1).T
+    return word, mask, hitters
 
 
 def _resolve_code(code) -> tuple[DegreeMatrix, int]:
@@ -118,30 +117,14 @@ def _resolve_code(code) -> tuple[DegreeMatrix, int]:
     return w, m
 
 
-def _heaviest_block(words, pieces) -> np.ndarray:
-    """Weight of the heaviest M-row block of each node, from the node's
-    syndrome words in order and the (word, block, mask) pieces of the
-    layout."""
-    words = iter(words)
-    heaviest = weight = None
-    at = block = -1
-    for piece_word, piece_block, mask in pieces:
-        if piece_word != at:
-            word, at = next(words), piece_word
-        count = np.bitwise_count(word if mask is None else word & mask)
-        if piece_block == block:
-            weight = np.add(weight, count, dtype=np.int32)
-            continue
-        if weight is not None:
-            heaviest = weight if heaviest is None else np.maximum(heaviest, weight)
-        weight, block = count, piece_block
-    return weight if heaviest is None else np.maximum(heaviest, weight)
-
-
-def _children(synd: np.ndarray, col_synd: np.ndarray, par: np.ndarray,
-              cand: np.ndarray):
-    """Word by word, the syndrome of node ``par[i]`` XOR column ``cand[i]``."""
-    return (synd[i].take(par) ^ col_synd[i].take(cand) for i in range(synd.shape[0]))
+def _flipped(synd: np.ndarray, word: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Node-major syndromes ``synd`` (changed in place) with bit ``mask[i, j]``
+    of word ``word[i, j]`` flipped in node j, block by block."""
+    flat = synd.reshape(-1)
+    at = np.arange(0, flat.size, synd.shape[1])  # each node's first word
+    for i in range(word.shape[0]):  # two blocks can share a word, one node's bits cannot
+        flat[word[i] + at] ^= mask[i]
+    return synd
 
 
 def _padded(index: np.ndarray) -> np.ndarray:
@@ -157,58 +140,71 @@ def _branch_and_bound(code, t: int) -> tuple[int, tuple[int, ...] | None, int, i
         raise ValueError("distance cap must be at least 2")
     w, m = _resolve_code(code)
     c = w.n_cols
-    col_synd, hitters, pieces = _column_tables(w, m)
-    width = hitters.shape[1]
-    empty = ~col_synd[:, :c].any(axis=0)
+    word, mask, hitters = _column_tables(w, m)
+    width = hitters.shape[0]
+    empty = ~mask[:, :c].any(axis=0)
     if empty.any():  # a column with no edge is a codeword of weight one
         return 1, (int(np.argmax(empty)),), 0, 0
     best, support = t, None
     nodes = pruned = 0
-    # a block is (depth, live nodes, word-major syndromes, links, best when
-    # pushed); its links are (columns, parent indices into the block above,
-    # that block's links), with no parents at the roots.  Nodes past the live
-    # ones repeat live ones and are never expanded.  Pushed links are int32
-    # and become intp when their block is popped.
+    # a weight never exceeds the depth, which stays below t
+    dtype = np.min_scalar_type(t)
+    # a block is (depth, live nodes, node-major syndromes, block weights,
+    # links, best when pushed); its links are (columns, parent indices into
+    # the block above, that block's links), with no parents at the roots.
+    # Nodes past the live ones repeat live ones and are never expanded.
+    # Pushed links are int32 and become intp when their block is popped.
     roots = _padded(np.arange(c))
-    stack = [(1, c, col_synd.take(roots, axis=1), (roots, None, None), best)]
+    synd = _flipped(np.zeros((roots.size, -(-w.n_rows * m // 64)), dtype=np.uint64),
+                    word.take(roots, axis=1), mask.take(roots, axis=1))
+    weights = (mask.take(roots, axis=1) != 0).astype(dtype)
+    stack = [(1, c, synd, weights, (roots, None, None), best)]
     while stack:
-        k, n, synd, links, pushed_at = stack.pop()
+        k, n, synd, weights, links, pushed_at = stack.pop()
         budget = best - 1 - k
         if budget <= 0:
             pruned += n
             continue
         cols, parents, up = links
         if best != pushed_at:
-            keep = np.flatnonzero(_heaviest_block(synd[:, :n], pieces) <= budget)
+            keep = np.flatnonzero(weights[:, :n].max(axis=0) <= budget)
             pruned += n - keep.size
             n, keep = keep.size, _padded(keep)
-            synd, cols = synd.take(keep, axis=1), cols.take(keep)
+            synd, weights = synd.take(keep, axis=0), weights.take(keep, axis=1)
+            cols = cols.take(keep)
             parents = None if parents is None else parents.take(keep)
         nodes += n
         # every descendant walks these links, so they become indices once
         links = (cols.astype(np.intp), None if parents is None else parents.astype(np.intp), up)
-        size = synd.shape[1]
+        size, nw = synd.shape
         # the lowest set bit is the low bit of the first nonzero word, and
         # word ^ (word - 1) sets every bit up to and including it
-        first = (synd != 0).argmax(axis=0)
-        word = synd.ravel().take(first * size + np.arange(size))
-        cand = hitters.take(first * 64 + np.bitwise_count(word ^ (word - _ONE)) - 1, axis=0)
-        cand[n:] = -1
-        cand, par = cand.ravel(), np.repeat(np.arange(size), width)
-        # drop padding, columns at or below the root, and columns on the path
+        first = (synd != 0).argmax(axis=1)
+        low = synd.ravel().take(np.arange(0, size * nw, nw) + first)
+        cand = hitters.take(first * 64 + np.bitwise_count(low ^ (low - _ONE)) - 1, axis=1)
+        cand[:, n:] = -1
+        # drop padding, columns at or below the root, and columns on the
+        # path, which is walked once per node rather than once per child
         drop = cand < 0
-        at, (cols, parents, up) = par, links
+        at, (cols, parents, up) = np.arange(size), links
         while parents is not None:
-            drop |= cols.take(at) == cand
+            drop |= cand == cols.take(at)
             at = parents.take(at)
             cols, parents, up = up
         drop |= cand <= cols.take(at)
-        valid = np.flatnonzero(~drop)
+        valid = np.flatnonzero(~drop.T)  # parent-major
         count, valid = valid.size, _padded(valid)
-        cand, par = cand.take(valid), par.take(valid)
-        # the rule reads the children word by word; a zero child weighs 0
-        heaviest = _heaviest_block(_children(synd, col_synd, par, cand), pieces)[:count]
-        if not heaviest.all():
+        cand, par = cand.T.ravel().take(valid), valid // width
+        # a column flips one bit in each block it meets, so a child's block
+        # weight is its parent's plus one, or minus one where that bit is set
+        kid_word, kid_mask = word.take(cand, axis=1), mask.take(cand, axis=1)
+        on = (synd.ravel().take(kid_word + par * nw) & kid_mask) != 0
+        kid_weights = weights.take(par, axis=1)
+        kid_weights += kid_mask != 0
+        kid_weights -= on
+        kid_weights -= on
+        heaviest = kid_weights.max(axis=0)[:count]
+        if not heaviest.all():  # a zero child weighs 0 in every block
             first_zero = int(np.argmin(heaviest))
             best, support = k + 1, _path(links, int(par[first_zero]), int(cand[first_zero]))
             pruned += count - 1
@@ -219,9 +215,11 @@ def _branch_and_bound(code, t: int) -> tuple[int, tuple[int, ...] | None, int, i
             part = keep[lo:lo + _BNB_BLOCK]
             sel = _padded(part)
             kid_cols, kid_par = cand.take(sel), par.take(sel)
-            block = np.stack(list(_children(synd, col_synd, kid_par, kid_cols)))
+            block = _flipped(synd.take(kid_par, axis=0), kid_word.take(sel, axis=1),
+                             kid_mask.take(sel, axis=1))
             links_below = (kid_cols.astype(np.int32), kid_par.astype(np.int32), links)
-            stack.append((k + 1, part.size, block, links_below, best))
+            stack.append((k + 1, part.size, block, kid_weights.take(sel, axis=1),
+                          links_below, best))
     return best, support, nodes, pruned
 
 

@@ -40,7 +40,7 @@ def test_dimensions_match_rank_small():
 def test_every_dimension_machine_checked():
     # the codes past the dense cross-check above, through gf2_rank on the
     # lift; the two with n > 200000 are ranked from their degree matrices,
-    # since lifting them (and re-lifting to verify the blocks) costs more
+    # since lifting them (and checking the lift's blocks) costs more
     # than the rank itself
     for e in catalog.CATALOG:
         if e.n <= 7000:

@@ -238,6 +238,24 @@ def test_degree_matrix_of_lift_rejects_moved_one():
             degree_matrix_of_lift(moved)
 
 
+def test_degree_matrix_of_lift_rejects_one_moved_across_block_rows():
+    # the count of ones still matches the lift, so only the check of each
+    # one against the lift formula catches the one added elsewhere
+    entry = catalog.BY_NAME["g06_k4"]
+    w, m = entry.degree_matrix(), entry.m
+    for lift, block_row in ((lift_tailbiting, lambda r: r % w.n_rows),
+                            (lift_circulant, lambda r: r // m)):
+        h = lift(w, m)
+        src = h.n_rows - 1
+        dst = next(r for r in range(h.n_rows) if block_row(r) != block_row(src))
+        dropped = toggle_row(h, src, {int(h.indices[h.indptr[src]])})
+        row = set(h.indices[h.indptr[dst]:h.indptr[dst + 1]].tolist())
+        moved = toggle_row(dropped, dst, {min(set(range(h.n_cols)) - row)})
+        assert moved.indices.size == h.indices.size
+        with pytest.raises(ValueError):
+            degree_matrix_of_lift(moved)
+
+
 def test_tailbiting_code_dimensions():
     entry = catalog.BY_NAME["g06_k4"]
     code = TailbitingCode(entry.degree_matrix(), entry.m)

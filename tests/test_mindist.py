@@ -131,6 +131,45 @@ def test_block_engine_matches_recursion_on_random_matrices(block, pad, monkeypat
                 (w.entries.tolist(), m, t)
 
 
+def test_block_engine_matches_recursion_across_words():
+    # with M in 60..140 most blocks start or end inside a word and span two
+    # or three, so one column's bits fall in different words; two holes a
+    # matrix make columns of unequal weight, a row of holes leaves a block
+    # untouched, and a column of holes is a weight-one codeword
+    rng = np.random.default_rng(24)
+    codes = []
+    for _ in range(10):
+        cb, c, m = int(rng.integers(2, 5)), int(rng.integers(3, 7)), int(rng.integers(60, 141))
+        entries = rng.integers(0, m, size=(cb, c))
+        entries[rng.integers(cb, size=2), rng.choice(c, 2, replace=False)] = NO_EDGE
+        codes.append((entries, m))
+    row_hole, col_hole = (rng.integers(0, 97, size=(4, 4)) for _ in range(2))
+    row_hole[rng.integers(4)] = NO_EDGE
+    col_hole[:, rng.integers(4)] = NO_EDGE
+    codes += [(row_hole, 97), (col_hole, 97)]
+    for entries, m in codes:
+        code = (DegreeMatrix(entries, modulus=m), m)
+        for t in range(2, 10):
+            assert block_engine(code, t) == reference_branch_and_bound(code, t), \
+                (entries.tolist(), m, t)
+
+
+def test_large_m_memory_stays_linear():
+    # g16_k5 (M=2562, 12x20) has 481 syndrome words a node; a dense table of
+    # every column's syndrome would alone take 197 MB
+    import tracemalloc
+
+    code = code_for("g16_k5")
+    tracemalloc.start()
+    try:
+        dist = min_distance_md(code, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist == Distance(8, False)
+    assert peak < 100 * 2**20
+
+
 @pytest.mark.parametrize("t", [2, 8])
 def test_edgeless_column_is_weight_one_codeword(t):
     w = DegreeMatrix([[0, NO_EDGE], [1, NO_EDGE]], modulus=3)
