@@ -55,6 +55,11 @@ def parse_args(argv):
     parser.add_argument("--traced", type=_workload_count, action="append", default=[],
                         metavar="WORKLOAD=N", help="N --trace 1 runs per side")
     args = parser.parse_args(argv)
+    known = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    unknown = sorted({name for name, _ in args.pairs + args.traced} - known)
+    if unknown:
+        parser.error(f"unknown workloads {', '.join(unknown)}; "
+                     f"BENCHMARK.json lists {', '.join(sorted(known))}")
     if not (args.parent / "bench" / "run.py").is_file():
         parser.error(f"no bench/run.py under {args.parent}")
     return args

@@ -113,8 +113,10 @@ def cmd_min_distance(args) -> int:
         except ValueError as exc:
             print(f"error: oracle unavailable: {exc}", file=sys.stderr)
             return 1
-        if res.exact and bf != res.value:
-            print(f"error: oracle disagrees: {bf} != {res.value}", file=sys.stderr)
+        # an exact value must match; a lower bound must not exceed the oracle
+        if bf < res.value or res.exact and bf != res.value:
+            print(f"error: oracle disagrees: {bf} {'!=' if res.exact else '<'} {res.value}",
+                  file=sys.stderr)
             return 1
         print(f"oracle d_min {bf} (agrees)" if res.exact else f"oracle d_min {bf}")
     return 0

@@ -42,8 +42,11 @@ weight below the cap:
 So the first weight-d leaf found is the first in preorder, and after it
 only a lighter leaf could change the answer, and none exists.
 
-The independent oracle for dimensions up to 28 enumerates all 2^k codewords
-from the systematic nullspace basis, in numpy chunks of parity words.
+The independent oracle for dimensions up to 28 enumerates codewords from
+the systematic nullspace basis, in numpy chunks of parity words, lightest
+messages first.  A codeword weighs at least its message weight, so once its
+two half-basis tables are sorted by message weight the oracle skips every
+codeword whose message alone already reaches the best weight found.
 """
 
 from __future__ import annotations
@@ -252,15 +255,23 @@ def min_weight_codeword(code, t: int) -> tuple[Distance, tuple[int, ...] | None]
 
 
 def min_distance_bruteforce(h: SparseParityCheck, max_dim: int = 28) -> int:
-    """Exact d_min by enumerating all 2^k - 1 nonzero codewords.
+    """Exact d_min by enumerating the nonzero codewords that could be lighter
+    than the best found so far.
 
     The nullspace basis is systematic: row i is the identity on its free
     column (its last set bit), so a codeword weighs wt(message) plus the
     weight of its n-k parity bits.  Each half of the basis becomes a
-    word-major XOR table of parity words, and blocks of back rows meet the
-    whole front table by broadcasting, about ``_ENUM_BLOCK`` elements at a
-    time.  A dimension above ``max_dim`` raises ValueError before the basis
-    is built."""
+    word-major XOR table of parity words, its columns sorted by message
+    weight, and the back rows are walked in ascending weight.  With best
+    the lightest codeword weight found so far, a block of back rows whose
+    first row b weighs wt(b) meets, by broadcasting, only the prefix of
+    front columns a with wt(a) < best - wt(b), and holds about
+    ``_ENUM_BLOCK`` elements; the walk stops at the first back row weighing
+    best or more.  This is exact: a codeword weighs wt(a) + wt(b) +
+    wt(parity) >= wt(a) + wt(b), and the later rows of a block weigh at
+    least wt(b), so every codeword skipped weighs at least the best held
+    when it was skipped, which is at least the final answer.  A dimension
+    above ``max_dim`` raises ValueError before the basis is built."""
     basis = gf2.nullspace_basis(h.packed(), h.n_cols, max_dim=max_dim)
     k = basis.shape[0]
     if k == 0:
@@ -268,21 +279,34 @@ def min_distance_bruteforce(h: SparseParityCheck, max_dim: int = 28) -> int:
     parity = np.ones(h.n_cols, dtype=bool)
     parity[h.n_cols - 1 - np.argmax(basis[:, ::-1], axis=1)] = False
     words = gf2.pack_rows(basis[:, parity]).T
-    front, back = _xor_table(words[:, :k // 2 + 1]), _xor_table(words[:, k // 2 + 1:])
     dtype = np.min_scalar_type(h.n_cols)
-    front_wt = np.bitwise_count(np.arange(front.shape[1])).astype(dtype)
-    back_wt = np.bitwise_count(np.arange(back.shape[1])).astype(dtype)
-    step = max(1, _ENUM_BLOCK // front.shape[1])
+    front, front_wt = _by_weight(_xor_table(words[:, :k // 2 + 1]), dtype)
+    back, back_wt = _by_weight(_xor_table(words[:, k // 2 + 1:]), dtype)
+    # lighter[w] front columns weigh less than w; the zero message is first
+    lighter = np.searchsorted(front_wt, np.arange(h.n_cols + 1))
     best = h.n_cols
-    for b0 in range(0, back.shape[1], step):
-        rows = slice(b0, b0 + step)
-        weights = back_wt[rows, None] + front_wt
+    b0 = 0
+    while b0 < back_wt.size and back_wt[b0] < best:
+        width = int(lighter[best - int(back_wt[b0])])
+        rows = slice(b0, b0 + max(1, _ENUM_BLOCK // width))
+        weights = back_wt[rows, None] + front_wt[:width]
         for fw, bw in zip(front, back):
-            weights += np.bitwise_count(bw[rows, None] ^ fw)
+            weights += np.bitwise_count(bw[rows, None] ^ fw[:width])
         if b0 == 0:
             weights[0, 0] = best  # the all-zero codeword; d_min <= n anyway
         best = min(best, int(weights.min()))
+        b0 = rows.stop
     return best
+
+
+def _by_weight(table: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """An XOR table's columns in ascending message weight (the popcount of
+    the column index), stable, and those weights in ``dtype``."""
+    wt = np.bitwise_count(np.arange(table.shape[1])).astype(dtype)
+    order = np.argsort(wt, kind="stable")
+    # take keeps the table C-contiguous; table[:, order] comes out with
+    # Fortran strides, which slow the inner loop
+    return table.take(order, axis=1), wt[order]
 
 
 def _xor_table(columns: np.ndarray) -> np.ndarray:

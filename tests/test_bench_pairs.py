@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 
 
@@ -67,19 +69,37 @@ def test_traced_runs_follow_the_pair_schedule_and_are_summarized(tmp_path, monke
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--parent", str(tmp_path), "--out", str(out), "--change", "x",
-                             "--pairs", "w=2", "--traced", "w=3"]) == 0
-    assert calls == [("w", 101, "parent", 0), ("w", 101, "change", 0),
-                     ("w", 102, "change", 0), ("w", 102, "parent", 0),
-                     ("w", 101, "parent", 1), ("w", 101, "change", 1),
-                     ("w", 102, "change", 1), ("w", 102, "parent", 1),
-                     ("w", 103, "parent", 1), ("w", 103, "change", 1)]
+                             "--pairs", "search_34=2", "--traced", "search_34=3"]) == 0
+    assert calls == [("search_34", 101, "parent", 0), ("search_34", 101, "change", 0),
+                     ("search_34", 102, "change", 0), ("search_34", 102, "parent", 0),
+                     ("search_34", 101, "parent", 1), ("search_34", 101, "change", 1),
+                     ("search_34", 102, "change", 1), ("search_34", 102, "parent", 1),
+                     ("search_34", 103, "parent", 1), ("search_34", 103, "change", 1)]
     report = json.loads(out.read_text())
     assert [(r["pair"], r["seed"], r["side"]) for r in report["traced_runs"]] == [
         (p, 101 + p, side) for p, order in bench_pairs.schedule(3) for side in order]
-    traced = report["traced_summary"]["w"]
+    traced = report["traced_summary"]["search_34"]
     assert sorted(traced) == sorted(m["name"] for m in spec["per_layer"])
     assert traced["girth.check_batch_rate"] == {
         "pairs": 3, "change_wins": 3, "parent_q1_median_q3": [101.5, 102.0, 102.5],
         "change_q1_median_q3": [102.0, 102.5, 103.0]}
     assert traced["trace.job_s"]["change_wins"] == 0
-    assert sorted(report["summary"]["w"]) == sorted(m["name"] for m in spec["end_to_end"])
+    assert sorted(report["summary"]["search_34"]) == sorted(
+        m["name"] for m in spec["end_to_end"])
+
+
+def test_unknown_workload_rejected_before_any_run(tmp_path, monkeypatch, capsys):
+    # a workload BENCHMARK.json does not list is a usage error: no run starts
+    # and no output file is written
+    bench_pairs = _script()
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text("")
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *a: pytest.fail("a run started"))
+    out = tmp_path / "bench.json"
+    for flags in (["--pairs", "search_43=2"], ["--pairs", "search_34=1", "--traced", "nope=1"]):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(["--parent", str(tmp_path), "--out", str(out), "--change", "x",
+                              *flags])
+        assert exc.value.code == 2
+        assert "unknown workloads" in capsys.readouterr().err
+    assert not out.exists()

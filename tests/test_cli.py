@@ -69,6 +69,25 @@ def test_min_distance_with_oracle(capsys):
     assert "d_min 6" in out and "agrees" in out
 
 
+@pytest.mark.parametrize("cap,printed,err", [
+    (26, "d_min 6", "error: oracle disagrees: 3 != 6"),
+    (5, "d_min >= 5", "error: oracle disagrees: 3 < 5")],
+    ids=["exact", "bound"])
+def test_min_distance_oracle_disagreement(capsys, monkeypatch, cap, printed, err):
+    monkeypatch.setattr("girthforge.cli.min_distance_bruteforce", lambda h: 3)
+    assert main(["min-distance", corpus_file("g06_k4"), "--cap", str(cap), "--oracle"]) == 1
+    out = capsys.readouterr()
+    assert printed in out.out and "oracle d_min" not in out.out
+    assert out.err.strip() == err
+
+
+def test_min_distance_oracle_above_bound(capsys, monkeypatch):
+    # an oracle value at or above a lower bound confirms it
+    monkeypatch.setattr("girthforge.cli.min_distance_bruteforce", lambda h: 6)
+    assert main(["min-distance", corpus_file("g06_k4"), "--cap", "5", "--oracle"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["d_min >= 5", "oracle d_min 6"]
+
+
 def test_min_distance_cap(capsys):
     assert main(["min-distance", corpus_file("g06_k4"), "--cap", "4"]) == 0
     assert "d_min >= 4" in capsys.readouterr().out

@@ -322,6 +322,32 @@ def test_bruteforce_matches_generator_reference(n, k, block, monkeypatch):
         assert min_distance_bruteforce(h) == reference_distance(h)
 
 
+def planted_pair_check_matrix(rng, n: int, k: int) -> SparseParityCheck:
+    """A random check matrix of dimension k whose two free columns i < j are
+    made equal, so e_i + e_j is a codeword of message weight 2 and parity
+    weight 0.  Column j was free, so it stays free and the rank holds."""
+    dense = random_check_matrix(rng, n, k).to_dense()
+    basis = gf2.nullspace_basis(gf2.pack_rows(dense), n)
+    free = n - 1 - np.argmax(basis[:, ::-1], axis=1)
+    i, j = np.sort(rng.choice(free, 2, replace=False))
+    dense[:, j] = dense[:, i]
+    return SparseParityCheck.from_dense(dense)
+
+
+@pytest.mark.parametrize("block", [1 << 16, 1, 40])
+def test_bruteforce_weight_cut_is_not_too_tight(block, monkeypatch):
+    # high-rate codes have many light codewords, so the best often drops to
+    # 3 before the planted pair is met: a cut one weight too tight (front
+    # columns of weight < best - wt(b) - 1) then misses the pair and answers
+    # 3.  At the default block these codes fit in one block, so no cut bites
+    monkeypatch.setattr(mindist, "_ENUM_BLOCK", block)
+    for n, k in [(14, 9), (16, 10), (20, 12)]:
+        rng = np.random.default_rng(n * 100 + k)
+        for _ in range(40):
+            h = planted_pair_check_matrix(rng, n, k)
+            assert min_distance_bruteforce(h) == reference_distance(h) <= 2
+
+
 def test_bruteforce_all_zero_column():
     rng = np.random.default_rng(7)
     dense = random_check_matrix(rng, 30, 6).to_dense()
