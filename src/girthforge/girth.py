@@ -16,6 +16,10 @@ children in slot order; inequality witnesses are node numbers, so this rule
 fixes them.
 
 Node pairs are enumerated in preorder, and each inequality is kept at its
+first witness.  Before any key is built, a node whose path passes the root
+of an earlier tree is dropped: each of its pairs has a row that occurs in
+that tree (see :func:`collect_inequalities`).  The pairs that remain, about
+a quarter of the full enumeration on the (3, K) complexity table, hold every
 first witness.  Inequalities are deduplicated on exact word-major keys: a
 difference row maps injectively to a few int64 words, stored word by word.
 A hash of the words serves only as the sort key that brings equal keys
@@ -174,8 +178,34 @@ def _pair_groups(tree: PathTree) -> tuple[int, np.ndarray]:
     return lo, tree.depth[lo:].astype(np.int64) * labels + tree.number[lo:]
 
 
-def _candidate_pairs(tree: PathTree) -> tuple[np.ndarray, np.ndarray]:
-    """All qualifying node pairs of one tree (same depth and label), ordered
+def _earlier_symbols(trees: Sequence[PathTree]) -> list[np.ndarray]:
+    """Per tree t of the list, a boolean over labels that marks the symbols
+    whose own tree sits before t in the list and is at least as deep as
+    tree t.  Roots missing from the list are never earlier."""
+    deepest = np.full(max(int(t.number.max()) for t in trees) + 1, -1)
+    earlier = []
+    for tree in trees:
+        depth = len(tree.levels) - 1
+        earlier.append(deepest >= depth)
+        root = tree.number[0]
+        deepest[root] = max(deepest[root], depth)
+    return earlier
+
+
+def _passes_earlier(tree: PathTree, earlier: np.ndarray) -> np.ndarray:
+    """Per node, whether its path passes an earlier symbol below the root,
+    carried level by level from the parent."""
+    passes = np.zeros(tree.n_nodes, dtype=bool)
+    for d, (lo, hi) in enumerate(tree.levels[2:], start=2):
+        passes[lo:hi] = passes[tree.parent[lo:hi]]
+        if d % 2 == 0:  # symbol level
+            passes[lo:hi] |= earlier[tree.number[lo:hi]]
+    return passes
+
+
+def _candidate_pairs(tree: PathTree,
+                     earlier: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The qualifying node pairs of one tree (same depth and label), ordered
     as a double loop over the preorder node array would visit them, as int32
     (u, v) with u before v in preorder.
 
@@ -185,11 +215,19 @@ def _candidate_pairs(tree: PathTree) -> tuple[np.ndarray, np.ndarray]:
     node counts.  Nodes are taken in preorder and grouped by a stable sort,
     so each group lists its members in preorder, and each node pairs with the
     group members after it.
+
+    With ``earlier`` (a boolean over symbol labels, see
+    :func:`_earlier_symbols`), a node whose path passes an earlier symbol
+    below the root pairs with nothing: it is dropped from the preorder node
+    list before grouping, so the pairs that remain keep their order.  See
+    :func:`collect_inequalities` for why no first witness is dropped.
     """
     lo, group = _pair_groups(tree)
     in_preorder = np.empty(tree.n_nodes, dtype=np.int32)
     in_preorder[_dfs_rank(tree)] = np.arange(tree.n_nodes, dtype=np.int32)
     node = in_preorder[in_preorder >= lo]
+    if earlier is not None:
+        node = node[~_passes_earlier(tree, earlier)[node]]
     if not node.size:
         empty = np.zeros(0, dtype=np.int32)
         return empty, empty
@@ -286,11 +324,12 @@ def _first_occurrences_exact(keys: np.ndarray) -> np.ndarray:
     return np.sort(perm[new_run])
 
 
-def _tree_unique_inequalities(t_idx: int, tree: PathTree, weights: np.ndarray):
+def _tree_unique_inequalities(t_idx: int, tree: PathTree, weights: np.ndarray,
+                              earlier: np.ndarray):
     """Per-tree canonical word-major inequality keys, kept in
     pair-enumeration order, with the sign that made each key canonical and
     the first witness (t_idx, u, v) as three arrays."""
-    u_nodes, v_nodes = _candidate_pairs(tree)
+    u_nodes, v_nodes = _candidate_pairs(tree, earlier)
     # one contiguous row per word: two 1-D gathers per word build the keys
     node_keys = np.ascontiguousarray((tree.voltages.astype(np.int64) @ weights).T)
     keys = np.empty((weights.shape[1], u_nodes.size), dtype=np.int64)
@@ -305,35 +344,77 @@ def _tree_unique_inequalities(t_idx: int, tree: PathTree, weights: np.ndarray):
             np.full(order.size, t_idx, dtype=np.int32), u_nodes[order], v_nodes[order])
 
 
+def _tree_bounds(tree_index: np.ndarray, n_trees: int) -> np.ndarray:
+    """Row bounds of each tree's slice of tree-sorted witness rows: tree t
+    owns rows bounds[t]:bounds[t + 1]."""
+    return np.searchsorted(tree_index, np.arange(n_trees + 1))
+
+
 def collect_inequalities(trees: Sequence[PathTree]) -> InequalitySet:
-    """Unique voltage inequalities over all trees, first witness recorded."""
+    """Unique voltage inequalities over all trees, first witness recorded.
+
+    The first witness of a row is its first pair in the full enumeration:
+    trees in list order, and within a tree the preorder double loop of
+    :func:`_candidate_pairs`.  Keys are built only for the pairs of nodes
+    whose paths pass no earlier symbol, and the result is the same, because
+    every other pair has a row that occurs in an earlier tree.  A symbol is
+    *earlier* in tree t if its own tree sits before t in the list and is at
+    least as deep.  Take a pair (u, v) of tree t at depth d whose path to u
+    passes the earlier symbol s below the root:
+
+    - Cut the pair back k levels, while its last edges are equal.  Equal
+      last edges cancel in the difference, so the cut pair (a, b) has the
+      same row.  It has distinct last edges and depth >= 2, because the
+      root's children have distinct labels.
+    - Let y be the label of the last common node of a and b, at depth p,
+      and x the label of a and b.  Below that node, the paths of a and b
+      close a cyclically reduced walk W of length 2(d - k - p) with the same
+      row, through y and x.
+    - The path to u runs from the root to y, along W from y to x, and on
+      from x for k edges.  So s lies on W, before y or after x.
+    - In tree s, go to W the short way: not at all, down to y, or back up
+      to x.  The path down enters y by an edge that W does not use at y, and
+      the path up leaves x by the edge that the cut-off parts of both paths
+      take, which W does not use at x either.  Then go half way round W in
+      each direction.  These two paths are non-backtracking, at most d long,
+      split where they reach W and end at one label: a pair of tree s whose
+      row is W's up to sign.  Tree s is at least as deep as tree t, so it
+      holds that pair.
+
+    So the kept pairs are an in-order subsequence of the full enumeration
+    that holds every first witness, and coeffs, witnesses, N_L and N_T are
+    those of the full enumeration.
+    """
     if not trees:
         return InequalitySet(np.zeros((0, 0), dtype=np.int8),
                              np.zeros((0, 3), dtype=np.int64))
     weights = _key_weights(trees)
-    blocks = [_tree_unique_inequalities(t_idx, tree, weights)
-              for t_idx, tree in enumerate(trees)]
+    blocks = [_tree_unique_inequalities(t_idx, tree, weights, earlier)
+              for t_idx, (tree, earlier) in enumerate(zip(trees, _earlier_symbols(trees)))]
     keys, sign, t, u, v = (np.concatenate(parts, axis=-1) for parts in zip(*blocks))
     del blocks
     order = _first_occurrences(keys)  # global first occurrences, in order
     sign, t, u, v = sign[order], t[order], u[order], v[order]
     # coefficients are bounded by the tree depth, so int8 cannot overflow
     coeffs = np.empty((order.size, weights.shape[0]), dtype=np.int8)
-    for t_idx in np.unique(t):
-        sel = t == t_idx
-        volts = trees[t_idx].voltages
-        coeffs[sel] = (volts[u[sel]] - volts[v[sel]]) * sign[sel, None]
+    bounds = _tree_bounds(t, len(trees))
+    for tree, lo, hi in zip(trees, bounds[:-1], bounds[1:]):
+        volts = tree.voltages
+        coeffs[lo:hi] = (volts[u[lo:hi]] - volts[v[lo:hi]]) * sign[lo:hi, None]
     return InequalitySet(coeffs, np.column_stack((t, u, v)).astype(np.int64))
 
 
 def reduce_trees(trees: Sequence[PathTree],
                  ineqs: InequalitySet) -> list[PathTree]:
-    """Keep only nodes on the witness paths of the unique inequalities."""
+    """Keep only nodes on the witness paths of the unique inequalities
+    (witness rows ordered by tree, as :func:`collect_inequalities` gives
+    them)."""
     witness = ineqs.witness
+    bounds = _tree_bounds(witness[:, 0], len(trees))
     keeps = []
-    for t_idx, tree in enumerate(trees):
+    for tree, start, stop in zip(trees, bounds[:-1], bounds[1:]):
         keep = np.zeros(tree.n_nodes, dtype=bool)
-        keep[witness[witness[:, 0] == t_idx, 1:]] = True
+        keep[witness[start:stop, 1:]] = True
         keeps.append(keep)
         for lo, hi in reversed(tree.levels[1:]):  # ancestors, deepest level first
             keep[tree.parent[lo:hi][keep[lo:hi]]] = True
@@ -348,8 +429,11 @@ def complexity_counts(b: BaseMatrix, g: int) -> tuple[int, int]:
 
 
 def node_pair_count(trees: Sequence[PathTree]) -> int:
-    """Number of qualifying node pairs before deduplication: s(s - 1)/2
-    over the sizes s of the (depth, label) groups."""
+    """Number of qualifying node pairs of the full enumeration, before any
+    pruning or deduplication: s(s - 1)/2 over the sizes s of the (depth,
+    label) groups.  :func:`collect_inequalities` keys fewer pairs, since it
+    drops those whose row occurs in an earlier tree; this count is the
+    paper's, 36 on the (3, 4) base at g = 6."""
     total = 0
     for tree in trees:
         sizes = np.unique(_pair_groups(tree)[1], return_counts=True)[1]

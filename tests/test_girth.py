@@ -476,6 +476,84 @@ def test_inequality_set_pinned_when_every_hash_collides(base_name, monkeypatch):
     assert digest.hexdigest() == _INEQUALITY_DIGESTS[base_name]
 
 
+# SHA-256 as in _INEQUALITY_DIGESTS, at g=12, recorded before node pairs
+# were pruned
+_INEQUALITY_DIGESTS_G12 = {
+    "irregular": "3a2c732634944663a4f20030039615aa1e1af8f1b31953aaa0e426f01b6c5342",
+    "3x4": "deafedf6664b3957dd1d3c355042f8cd07e370f9c1e0264fd89f82802f0eca3d",
+    "3x5": "a7bffaf6047c8cb45c54cd221c58161f9216449816c378cb6a71867ab0fbaf0b",
+    "sts9": "79827c8f9f7689df6b0365c376b2fc1785094e4c7ffcf004c3619e5a9f308be5",
+}
+
+
+@pytest.mark.parametrize("multiplier", [girth_module._HASH_MULTIPLIER, 0])
+@pytest.mark.parametrize("base_name", sorted(_INEQUALITY_DIGESTS_G12))
+def test_inequality_set_pinned_g12(base_name, multiplier, monkeypatch):
+    monkeypatch.setattr(girth_module, "_HASH_MULTIPLIER", multiplier)
+    ineqs = collect_inequalities(grow_trees(_STAGED_BASES[base_name], 12))
+    digest = hashlib.sha256(ineqs.coeffs.tobytes() + ineqs.witness.tobytes())
+    assert digest.hexdigest() == _INEQUALITY_DIGESTS_G12[base_name]
+
+
+def _reference_row(tree, u, v):
+    """voltages[u] - voltages[v] as a tuple, first nonzero entry positive."""
+    row = [int(a) - int(b) for a, b in zip(tree.voltages[u], tree.voltages[v])]
+    lead = next((x for x in row if x), 1)
+    return tuple(x if lead > 0 else -x for x in row)
+
+
+def _reference_inequalities(trees):
+    """{row: (tree, u, v)} of each row's first pair in a double loop over
+    every tree's preorder node list, trees in list order; no pruning."""
+    first = {}
+    for t_idx, tree in enumerate(trees):
+        preorder = _reference_preorder(tree)
+        depth, label = tree.depth.tolist(), tree.number.tolist()
+        for i, a in enumerate(preorder):
+            for b in preorder[i + 1:]:
+                if depth[a] == depth[b] >= 2 and label[a] == label[b]:
+                    first.setdefault(_reference_row(tree, a, b), (t_idx, a, b))
+    return first
+
+
+_REFERENCE_CASES = [(name, g) for name in sorted(_PAIR_BASES) for g in (6, 8, 10)]
+_REFERENCE_CASES.append(("sts13", 8))
+
+
+@pytest.mark.parametrize("base_name,g", _REFERENCE_CASES)
+def test_inequality_set_matches_unpruned_reference(base_name, g):
+    # tree order decides which symbols are earlier: a reversed list, a
+    # partial one and one that mixes two depths must still give the
+    # unpruned first witnesses
+    base = sts_base(CANONICAL_STS[13]) if base_name == "sts13" else _PAIR_BASES[base_name]
+    trees = grow_trees(base, g)
+    shallow = grow_trees(base, g - 2)
+    mixed = [deep if j % 2 else flat for j, (deep, flat) in enumerate(zip(trees, shallow))]
+    for order in (trees, trees[::-1], trees[1::2], mixed[::-1]):
+        ineqs = collect_inequalities(order)
+        first = _reference_inequalities(order)
+        assert ineqs.coeffs.tolist() == [list(row) for row in first]
+        assert ineqs.witness.tolist() == [list(w) for w in first.values()]
+
+
+@pytest.mark.parametrize("g", [6, 8, 10])
+@pytest.mark.parametrize("base_name", sorted(_PAIR_BASES))
+def test_pruned_pairs_have_rows_of_earlier_trees(base_name, g):
+    trees = grow_trees(_PAIR_BASES[base_name], g)
+    earlier_rows, dropped = set(), 0
+    for tree, earlier in zip(trees, girth_module._earlier_symbols(trees)):
+        full = list(zip(*(a.tolist() for a in girth_module._candidate_pairs(tree))))
+        kept = list(zip(*(a.tolist() for a in girth_module._candidate_pairs(tree, earlier))))
+        remaining = iter(full)
+        assert all(pair in remaining for pair in kept)  # in-order subsequence
+        rows = {pair: _reference_row(tree, *pair) for pair in full}
+        for pair in set(full) - set(kept):
+            assert rows[pair] in earlier_rows, pair
+            dropped += 1
+        earlier_rows.update(rows.values())
+    assert dropped or g == 6  # sts9 has no 4-cycles, so nothing drops at g=6
+
+
 def test_lift_girth_at_least_base_girth():
     # the lifted graph covers the base graph, so girth can only grow
     from girthforge.bases import sts_base, CANONICAL_STS
