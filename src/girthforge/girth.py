@@ -450,11 +450,14 @@ def node_pair_count(trees: Sequence[PathTree]) -> int:
 # holds about _CHUNK_VALUES inequality values (64 KB of float64), so it
 # widens as assignments drop out, but is never narrower than _MIN_CHUNK rows.
 # A search block of 512 assignments starts at that size too, so each of a
-# chunk's two float64 arrays stays below glibc's default 128 KB mmap
+# chunk's two float64 value arrays stays below glibc's default 128 KB mmap
 # threshold.  Larger arrays were mapped, or the heap trimmed, and faulted in
 # again chunk after chunk whenever the process's earlier allocations had left
 # the threshold low: a search_34 round then took 2.1 s instead of 1.4 s on a
-# 2-core host.
+# 2-core host.  The product also casts the chunk's int8 rows to float64,
+# width x n_edges values: at most 50 KB on the (3,4) systems of that search
+# (at most 519 rows of 12 edges), but 3.9 MB for an 8192-row chunk of a
+# 60-edge base such as s_sts13, which one surviving assignment reaches.
 _CHUNK_VALUES = 1 << 13
 _MIN_CHUNK = 16
 # float64 represents every integer of magnitude up to 2**53 exactly
@@ -483,22 +486,26 @@ class GirthSystem:
     """The voltage inequalities of one (base, target girth) pair, reused
     across many assignment checks.
 
-    The inequality coefficients are stacked once into an (N_L, n_edges)
-    float64 matrix, rows stably sorted by support size so that the shortest
-    cycles come first; ``ineqs`` keeps the witness order.  Every check
-    evaluates that matrix on a block of assignments in chunks of about
-    ``_CHUNK_VALUES`` values, dropping the assignments a chunk rejects.
+    The int8 inequality rows of ``collect_inequalities`` are stacked once
+    into an (N_L, n_edges) matrix, stably sorted by support size so that the
+    shortest cycles come first; ``ineqs`` keeps the witness order.  Every
+    check evaluates that matrix on a block of assignments in chunks of about
+    ``_CHUNK_VALUES`` values, each chunk cast to float64 for the product,
+    dropping the assignments a chunk rejects.
 
-    A value v is zero mod M iff ``rint(v / M) * M == v`` in float64, provided
-    every value satisfies |v| + M <= 2**53.  The products are exact, since
-    every partial sum of a row is an integer of magnitude below 2**53.  If
-    M | v, then v / M is an integer float64 holds, so the division and the
-    rounding are exact and k * M == v.  Otherwise rint gives some integer
-    k', with |k'| <= ceil(|v| / M) because no rounding step crosses an
-    integer below 2**53.  So k' * M is an integer of magnitude at most
-    |v| + M <= 2**53, computed exactly, and differs from v.  Every check
-    therefore raises ``ValueError`` on a block whose largest entry times the
-    largest row L1 norm, plus M, exceeds 2**53.
+    Every row is a closed walk of length at most g - 2 and counts its signed
+    edge traversals, so its L1 norm is at most g - 2.  On a block whose
+    largest entry has magnitude E, every value v and every partial sum of a
+    row therefore has magnitude at most (g - 2) * E.  A value v is zero mod
+    M iff ``rint(v / M) * M == v`` in float64, provided (g - 2) * E + M <=
+    2**53.  The products are exact, since every partial sum is an integer of
+    magnitude below 2**53.  If M | v, then v / M is an integer float64
+    holds, so the division and the rounding are exact and k * M == v.
+    Otherwise rint gives some integer k', with |k'| <= ceil(|v| / M) because
+    no rounding step crosses an integer below 2**53.  So k' * M is an
+    integer of magnitude at most |v| + M <= 2**53, computed exactly, and
+    differs from v.  Every check therefore raises ``ValueError`` on a block
+    with (g - 2) * E + M > 2**53.
     """
 
     def __init__(self, base: BaseMatrix, g: int):
@@ -507,8 +514,7 @@ class GirthSystem:
         self.ineqs = collect_inequalities(grow_trees(base, g))
         coeffs = self.ineqs.coeffs
         order = np.argsort(np.count_nonzero(coeffs, axis=1), kind="stable")
-        self._matrix = coeffs[order].astype(np.float64)
-        self._max_row_l1 = int(np.abs(self._matrix).sum(axis=1).max(initial=0))
+        self._matrix = coeffs[order]
 
     @property
     def n_edges(self) -> int:
@@ -521,9 +527,9 @@ class GirthSystem:
         block = np.asarray(block)
         if block.size:
             largest = max(int(block.max()), -int(block.min()))
-            if self._max_row_l1 * largest + modulus > _EXACT_LIMIT:
+            if (self.g - 2) * largest + modulus > _EXACT_LIMIT:
                 raise ValueError(
-                    f"row L1 norm {self._max_row_l1} x largest entry {largest} "
+                    f"walk length {self.g - 2} x largest entry {largest} "
                     f"+ modulus {modulus} exceeds 2**53, past float64's exact integers")
         return block.astype(np.float64)
 

@@ -92,10 +92,8 @@ class SearchResult:
     wall_secs: float
 
 
-def resolve_base(spec: dict | BaseMatrix) -> BaseMatrix:
+def resolve_base(spec: dict) -> BaseMatrix:
     """Build the base matrix named by a config's ``base`` entry."""
-    if isinstance(spec, BaseMatrix):
-        return spec
     if not isinstance(spec, dict):
         raise ValueError(f"base must be an object, got {spec!r}")
     kind = spec.get("kind", "all_ones")

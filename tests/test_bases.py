@@ -9,6 +9,7 @@ from girthforge.bases import (CANONICAL_STS, SteinerTripleSystem, all_ones_base,
                               base_from_code, order_triples, parse_triples,
                               shorten_sts_base, sts_base, zero_voltage_mask)
 from girthforge.lifting import lift_tailbiting
+from girthforge.matrices import BaseMatrix
 from girthforge import catalog
 
 from conftest import STS9_BASE
@@ -40,6 +41,16 @@ def test_sts_validation_catches_bad_systems():
         SteinerTripleSystem(8, ())
 
 
+def test_sts_validation_names_the_fault():
+    fano = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
+    assert len(SteinerTripleSystem(7, fano).triples) == 7
+    with pytest.raises(ValueError, match="wrong number of triples"):
+        SteinerTripleSystem(7, fano[:-1])
+    for bad in ((2, 4, 7), (2, 4, -1), (2, 4, 4)):
+        with pytest.raises(ValueError, match="bad triple"):
+            SteinerTripleSystem(7, fano[:-1] + (bad,))
+
+
 def test_sts9_base_matches_golden():
     b = sts_base(CANONICAL_STS[9])
     assert np.array_equal(b.entries, STS9_BASE)
@@ -61,8 +72,12 @@ def test_shortened_sts13_shape():
 
 
 def test_shorten_rejects_non_sts_layout():
-    with pytest.raises(ValueError):
-        shorten_sts_base(all_ones_base(3, 4), 4)
+    # sts9's last row has its 4 ones in the last 4 columns: any other k, or
+    # those ones moved to the front, fails the layout check itself
+    b = sts_base(CANONICAL_STS[9])
+    for entries, k in ((b.entries, 3), (b.entries, 5), (b.entries[:, ::-1], 4)):
+        with pytest.raises(ValueError, match="STS layout"):
+            shorten_sts_base(BaseMatrix(entries), k)
 
 
 def test_sts_pair_property():
@@ -131,6 +146,12 @@ def test_parse_triples_round_trip():
     text = "\n".join(" ".join(map(str, t)) for t in CANONICAL_STS[9].triples)
     sts = parse_triples(text)
     assert sts.triples == CANONICAL_STS[9].triples
+
+
+@pytest.mark.parametrize("line", ["3 4", "3 4 5 6"])
+def test_parse_triples_rejects_lines_without_three_integers(line):
+    with pytest.raises(ValueError, match="three integers per line"):
+        parse_triples(f"0 1 2\n{line}\n")
 
 
 def test_base_from_code_preserves_entries():

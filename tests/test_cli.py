@@ -63,6 +63,23 @@ def test_verify_girth_malformed_file(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_verify_girth_without_modulus(tmp_path, capsys):
+    path = tmp_path / "bare.wm"
+    path.write_text("0 1\n1 0\n", encoding="ascii")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-girth", str(path)])
+    assert exc.value.code == 1
+    assert "no M= line" in capsys.readouterr().err
+
+
+def test_min_distance_oracle_unavailable(capsys):
+    # g08_k4_ld has dimension 31, past the enumeration oracle's default
+    assert main(["min-distance", corpus_file("g08_k4_ld"), "--cap", "8", "--oracle"]) == 1
+    out = capsys.readouterr()
+    assert out.out.splitlines() == ["d_min >= 8"]
+    assert out.err.startswith("error: oracle unavailable: ")
+
+
 def test_min_distance_with_oracle(capsys):
     assert main(["min-distance", corpus_file("g06_k4"), "--oracle"]) == 0
     out = capsys.readouterr().out

@@ -304,6 +304,51 @@ def test_exactness_guard_boundary():
         system.check(aligned[0], m + 1)
 
 
+@pytest.mark.parametrize("g", [4, 6, 8, 10, 12])
+def test_row_l1_norm_at_most_walk_length(g):
+    # the exactness guard takes g - 2 as the largest row L1 norm: every row
+    # is a closed walk of length at most g - 2, and (3,4) reaches it
+    rng = np.random.default_rng(g)
+    bases = dict(_STAGED_BASES)
+    for i, k in enumerate([3, 4, 5, 6] * 2):
+        entries = np.zeros((3, k), dtype=np.int64)
+        entries[rng.random((3, k)) < 0.25] = NO_EDGE
+        entries[rng.integers(3), rng.integers(k)] = NO_EDGE
+        bases[f"random{i}"] = DegreeMatrix(entries).base()
+    norms = {name: int(np.abs(GirthSystem(base, g).ineqs.coeffs.astype(np.int64))
+                       .sum(axis=1).max(initial=0)) for name, base in bases.items()}
+    assert max(norms.values()) <= g - 2, norms
+    if g in (6, 8, 10):
+        assert norms["3x4"] == g - 2
+
+
+def test_exactness_guard_boundary_3x4_g8():
+    # the guard admits (g - 2) * e + M == 2**53, here 6e + M with e = 2**50
+    # and M = 2**51, which divides 6e: a 6-cycle row signed by its own
+    # coefficients times e has value 6e, zero mod M, at the largest
+    # magnitude the guard allows
+    system = GirthSystem(all_ones_base(3, 4), 8)
+    coeffs = system.ineqs.coeffs.astype(np.int64)
+    e, m = 2 ** 50, 2 ** 51
+    assert 6 * e + m == 2 ** 53
+    six = coeffs[np.abs(coeffs).sum(axis=1) == 6]
+    rng = np.random.default_rng(8)
+    shifted = e * six  # one entry of each moved one step towards zero
+    first = (np.arange(len(six)), np.argmax(six != 0, axis=1))
+    shifted[first] -= six[first]
+    block = np.concatenate([e * six, shifted,
+                            rng.integers(-e, e + 1, size=(200, system.n_edges))])
+    assert np.abs(block).max() == e
+    expected = (block @ coeffs.T % m != 0).all(axis=1)
+    assert expected.any() and not expected.all()
+    assert np.array_equal(system.check_batch(block, m), expected)
+    assert system.check(block[0], m) == expected[0]
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        system.check_batch(block, m + 1)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        system.check(block[0], m + 1)
+
+
 @pytest.mark.parametrize("entry", [2 ** 52, -2 ** 52, np.iinfo(np.int64).min])
 def test_staged_evaluator_rejects_inexact_blocks(entry):
     # every (3,4) g=8 row has L1 norm >= 4, so these entries could give

@@ -167,6 +167,25 @@ def test_alist_round_trip_random(data):
     assert parse_alist(emit_alist(h)) == h
 
 
+_ALIST = "3 2\n2 2\n1 2 1\n2 2\n1\n1 2\n2\n1 2\n2 3\n"  # [[1 1 0], [0 1 1]]
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("3 2\n", "3 x\n", "bad alist header"),
+    ("1 2 1\n", "1 2\n", "weight lines do not match dimensions"),
+    ("1 2\n2 3\n", "1 2\n", "body does not match dimensions"),
+    ("2 3\n", "2 3\n1\n", "body does not match dimensions"),
+    ("1 2 1\n", "1 2 2\n", "column 3 weight mismatch"),
+    ("1 2\n2 3\n", "1 2\n1 3\n", "row 2 list inconsistent"),
+], ids=["header", "weight_line", "short_body", "long_body", "column_weight", "row_list"])
+def test_parse_alist_names_the_fault(old, new, message):
+    assert parse_alist(_ALIST) == SparseParityCheck.from_dense(
+        np.array([[1, 1, 0], [0, 1, 1]]))
+    assert old in _ALIST
+    with pytest.raises(FormatError, match=message):
+        parse_alist(_ALIST.replace(old, new))
+
+
 def test_parse_alist_rejects_garbage():
     with pytest.raises(FormatError):
         parse_alist("2 2\n1 1\n")

@@ -9,7 +9,7 @@ import pytest
 from girthforge.bases import all_ones_base, zero_voltage_mask
 from girthforge.girth import GirthSystem, certified_girth
 from girthforge.lifting import lift_tailbiting
-from girthforge.matrices import BaseMatrix
+from girthforge.matrices import NO_EDGE, BaseMatrix, DegreeMatrix
 from girthforge.search import (InfeasibleTarget, SearchConfig,
                                SearchResult, TimeBudgetExceeded, _restricted_edges,
                                degree_matrix_to_assignment, exhaustive_34,
@@ -305,6 +305,24 @@ def test_exhaustive_34_finds_published_minimum():
     assert result is not None
     assert result.m == 5
     assert result.degree == catalog.BY_NAME["g06_k4"].degree_matrix()
+
+
+def test_exhaustive_34_returns_none_below_the_minimum():
+    # the (3,4) girth-8 minimum is M=9, so the scan up to 8 runs out of blocks
+    assert exhaustive_34(8, 8) is None
+
+
+def test_extend_column_rejects_bases_with_holes():
+    entries = catalog.BY_NAME["g08_k4"].degree_matrix().entries.copy()
+    entries[1, 2] = NO_EDGE
+    with pytest.raises(ValueError, match="all-ones base"):
+        extend_column(DegreeMatrix(entries), SearchConfig(base={}, girth=8, m_max=40))
+
+
+@pytest.mark.parametrize("text", ["[]", "8", '"base"', "null"])
+def test_config_from_json_rejects_non_objects(text):
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        SearchConfig.from_json(text)
 
 
 def _extend_g8_k4():
