@@ -1,5 +1,6 @@
 """Structural bounds: base-graph girth, the 2x3 all-ones girth cap, the
-achievable-girth lower bound, and the factorial minimum-distance cap.
+achievable-girth lower bound, the Moore floor on the tailbiting length M of
+a lift with a target girth, and the factorial minimum-distance cap.
 """
 
 from __future__ import annotations
@@ -31,6 +32,63 @@ def theorem3_applies(b: BaseMatrix) -> bool:
     overlaps = e @ e.T
     np.fill_diagonal(overlaps, 0)
     return bool((overlaps >= 3).any())
+
+
+# Walk counts saturate at _COUNT_CAP: a floor that large rules out every M a
+# lift could be built at, and a vertex's in-sum of capped counts stays far
+# inside int64.  A block of roots holds about _COUNT_VALUES dart counts.
+_COUNT_CAP = 1 << 40
+_COUNT_VALUES = 1 << 18
+
+
+def _walk_counts(b: BaseMatrix, roots: np.ndarray, depth: int):
+    """Yield, for d = 0..depth, an (len(roots), n_rows + n_cols) array
+    whose [r, u] entry counts the non-backtracking walks of length d from
+    base vertex ``roots[r]`` to u.  Constraints are vertices 0..n_rows-1 and
+    symbols follow them.
+
+    Counts are kept per dart (directed edge) and saturate at ``_COUNT_CAP``.
+    A walk on dart a->b continues on every b->x with x != a, so
+    ``new[b->x] = sum_a old[a->b] - old[x->b]``: O(depth * edges) per root.
+    """
+    rr, cc = np.nonzero(b.entries)
+    n_edges = rr.size
+    head = np.concatenate([b.n_rows + cc, rr])
+    order = np.argsort(head, kind="stable")  # darts grouped by head
+    tail = np.concatenate([rr, b.n_rows + cc])[order]
+    rev = np.argsort(order)[(order + n_edges) % (2 * n_edges)]
+    ptr = np.searchsorted(head[order], np.arange(b.n_rows + b.n_cols + 1))
+    at = np.zeros((roots.size, b.n_rows + b.n_cols), dtype=np.int64)
+    at[np.arange(roots.size), roots] = 1
+    darts = np.zeros((roots.size, 2 * n_edges), dtype=np.int64)
+    cum = np.zeros((roots.size, 2 * n_edges + 1), dtype=np.int64)
+    for d in range(depth + 1):
+        yield at
+        if d < depth:
+            darts = np.minimum(at[:, tail] - darts[:, rev], _COUNT_CAP)
+            np.cumsum(darts, axis=1, out=cum[:, 1:])
+            at = cum[:, ptr[1:]] - cum[:, ptr[:-1]]
+
+
+def lift_floor(b: BaseMatrix, g: int) -> int:
+    """Lower bound on the tailbiting length M of every lift of the base with
+    girth >= g (Moore bound; Hoory, JCTB 86, 2002).
+
+    In a lift of girth >= g = 2t, the ball of radius t - 1 around any vertex
+    is a tree.  So the non-backtracking walks of length <= t - 1 from a base
+    vertex v to a base vertex u end at distinct lifts of u, and M is at least
+    their number.  The floor is the largest such count over every (v, u),
+    exact below ``_COUNT_CAP``.
+    """
+    if g % 2 != 0 or g < 4:
+        raise ValueError("target girth must be even and at least 4")
+    n_vertices = b.n_rows + b.n_cols
+    step = max(1, _COUNT_VALUES // (2 * int(b.entries.sum()) + 1))
+    floor = 0
+    for lo in range(0, n_vertices, step):
+        roots = np.arange(lo, min(lo + step, n_vertices))
+        floor = max(floor, int(sum(_walk_counts(b, roots, g // 2 - 1)).max()))
+    return min(floor, _COUNT_CAP)
 
 
 def theorem2_lower_bound(b: BaseMatrix, d2: int | None = None) -> int:

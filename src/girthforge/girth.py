@@ -455,10 +455,15 @@ def node_pair_count(trees: Sequence[PathTree]) -> int:
 # again chunk after chunk whenever the process's earlier allocations had left
 # the threshold low: a search_34 round then took 2.1 s instead of 1.4 s on a
 # 2-core host.  The product also casts the chunk's int8 rows to float64,
-# width x n_edges values: at most 50 KB on the (3,4) systems of that search
-# (at most 519 rows of 12 edges), but 3.9 MB for an 8192-row chunk of a
-# 60-edge base such as s_sts13, which one surviving assignment reaches.
+# width x n_edges values, and a chunk is cut to _CAST_VALUES of them (never
+# below _MIN_CHUNK rows).  The cut never binds on the (3,4) systems of that
+# search (at most 519 rows of 12 edges), but it keeps a lone surviving
+# assignment from casting 8192-row chunks, 3.9 MB each on a 60-edge base such
+# as s_sts13.  A cut at _CHUNK_VALUES made that pass slower than no cut at
+# all: its 7,000 chunks cost more in per-chunk overhead than the smaller
+# casts saved.
 _CHUNK_VALUES = 1 << 13
+_CAST_VALUES = 1 << 16
 _MIN_CHUNK = 16
 # float64 represents every integer of magnitude up to 2**53 exactly
 _EXACT_LIMIT = 2 ** 53
@@ -490,8 +495,9 @@ class GirthSystem:
     into an (N_L, n_edges) matrix, stably sorted by support size so that the
     shortest cycles come first; ``ineqs`` keeps the witness order.  Every
     check evaluates that matrix on a block of assignments in chunks of about
-    ``_CHUNK_VALUES`` values, each chunk cast to float64 for the product,
-    dropping the assignments a chunk rejects.
+    ``_CHUNK_VALUES`` values, each chunk cast to float64 for the product
+    (at most ``_CAST_VALUES`` values), dropping the assignments a chunk
+    rejects.
 
     Every row is a closed walk of length at most g - 2 and counts its signed
     edge traversals, so its L1 norm is at most g - 2.  On a block whose
@@ -537,17 +543,20 @@ class GirthSystem:
         modulus = _valid_modulus(modulus)
         _check_width(np.shape(block), self.n_edges)
         rows = self._exact_block(block, modulus)
-        live = rows.reshape(-1, self.n_edges)
-        alive = np.arange(live.shape[0])
+        # one column per live assignment: numpy's int8-by-float64 product
+        # runs faster with the int8 chunk on the left of contiguous columns
+        live = rows.reshape(-1, self.n_edges).T.copy()
+        alive = np.arange(live.shape[1])
         lo = 0
         while alive.size and lo < self._matrix.shape[0]:
-            hi = lo + max(_MIN_CHUNK, _CHUNK_VALUES // alive.size)
-            values = live @ self._matrix[lo:hi].T
+            hi = lo + max(_MIN_CHUNK, min(_CHUNK_VALUES // alive.size,
+                                          _CAST_VALUES // self.n_edges))
+            values = self._matrix[lo:hi] @ live
             residue = values / modulus
             np.rint(residue, out=residue)
             residue *= modulus
-            keep = (residue != values).all(axis=1)
-            live, alive = live[keep], alive[keep]
+            keep = (residue != values).all(axis=0)
+            live, alive = live[:, keep], alive[keep]
             lo = hi
         ok = np.zeros(rows.shape[:-1], dtype=bool)
         ok.flat[alive] = True

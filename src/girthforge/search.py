@@ -4,7 +4,9 @@ exhaustive (3,4) scan.
 Every mode draws from the space ``_restricted_edges`` derives from the base
 (its zero mask pinned; on an all-ones base the first row also sorted), and
 the random sweep and column extension share one sampler,
-``sample_assignment``, and one M sweep, ``_sweeps``.
+``sample_assignment``, and one M sweep, ``_sweeps``.  No mode looks below
+``bounds.lift_floor``, the smallest M at which a lift of the base can reach
+the target girth.
 
 Each mode is a generator that yields ``(tried, hit)`` per block of
 assignments: ``tried`` counts the block's rows and ``hit`` is ``(values, M)``
@@ -30,7 +32,7 @@ import numpy as np
 
 from .bases import (CANONICAL_STS, all_ones_base, base_from_code, shorten_sts_base, sts_base,
                     zero_voltage_mask)
-from .bounds import theorem3_applies
+from .bounds import lift_floor, theorem3_applies
 from .girth import GirthSystem, certified_girth
 from .lifting import lift_tailbiting
 from .matrices import NO_EDGE, BaseMatrix, DegreeMatrix, FormatError, parse_degree_matrix
@@ -221,8 +223,8 @@ def _checked(system: GirthSystem, block: np.ndarray, m: int):
 def _sweeps(system: GirthSystem, m_lo: int, m_hi: int, per_m: int, draw):
     """Ascending sweeps over M in [m_lo, m_hi], repeated until the driver
     stops: ``per_m`` rows of ``draw(m, size)`` per M, in blocks of at most
-    512."""
-    while True:
+    512.  An empty range yields nothing."""
+    while m_lo <= m_hi:
         for m in range(m_lo, m_hi + 1):
             for done in range(0, per_m, 512):
                 yield _checked(system, draw(m, min(512, per_m - done)), m)
@@ -233,7 +235,8 @@ def _run_shard(cfg: SearchConfig, base: BaseMatrix, shard_seed: int,
     system = GirthSystem(base, cfg.girth)
     rng = np.random.default_rng(shard_seed)
     edges = _restricted_edges(base)
-    steps = _sweeps(system, cfg.m_min or 1, cfg.m_max, cfg.attempts_per_m,
+    m_lo = max(cfg.m_min or 1, lift_floor(base, cfg.girth))
+    steps = _sweeps(system, m_lo, cfg.m_max, cfg.attempts_per_m,
                     lambda m, size: sample_assignment(base, rng, m, size, edges=edges))
     return _drive(system, steps, deadline, cfg.seed)
 
@@ -245,13 +248,19 @@ def _usable_cores() -> int:
 def search(cfg: SearchConfig) -> SearchResult:
     """Find a certified degree matrix with girth >= cfg.girth and minimal M.
 
-    Raises InfeasibleTarget when a structural bound rules the target out and
+    Every shard sweeps M upwards from ``cfg.m_min`` or the base's
+    ``lift_floor``, whichever is larger.  Raises InfeasibleTarget when a
+    structural bound rules the target out, the floor included, and
     TimeBudgetExceeded when no certified result appears within the budget.
     The ``cfg.jobs`` shards, one seed each, run on at most as many worker
     processes as there are usable cores, and all share one deadline.
     """
     base = resolve_base(cfg.base)
     _feasibility_check(base, cfg.girth)
+    floor = lift_floor(base, cfg.girth)
+    if floor > cfg.m_max:
+        raise InfeasibleTarget(f"a lift of girth {cfg.girth} needs M >= {floor} on this base, "
+                               f"above m_max={cfg.m_max}")
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.jobs)]
     # the monotonic clock is system-wide, so worker processes can read it too
     run = partial(_run_shard, cfg, base, deadline=time.monotonic() + cfg.budget_secs)
@@ -271,15 +280,16 @@ def extend_column(w: DegreeMatrix, cfg: SearchConfig) -> SearchResult:
 
     The input's columns keep their degrees.  The new column is drawn in
     [0, M) through ``sample_assignment``, ``cfg.attempts_per_m`` times per M,
-    from the smallest M the input's degrees allow, and the result is
-    re-certified at the configured girth.
+    from the smallest M that the input's degrees and the new base's
+    ``lift_floor`` allow, and the result is re-certified at the configured
+    girth.
     """
     if (w.entries == NO_EDGE).any():
         raise ValueError("column extension expects an all-ones base")
     j, k_old = w.entries.shape
     base_new = all_ones_base(j, k_old + 1)
     _feasibility_check(base_new, cfg.girth)
-    m_lo = max(2, w.max_degree + 1, (cfg.m_min or 2))
+    m_lo = max(2, w.max_degree + 1, (cfg.m_min or 2), lift_floor(base_new, cfg.girth))
     if m_lo > cfg.m_max:
         raise ValueError(f"column extension starts at M={m_lo}, above m_max={cfg.m_max}")
     system = GirthSystem(base_new, cfg.girth)
@@ -303,7 +313,8 @@ def extend_column(w: DegreeMatrix, cfg: SearchConfig) -> SearchResult:
 
 
 def exhaustive_34(g: int, m_max: int, m_min: int = 2) -> SearchResult | None:
-    """Exhaustive scan of restricted (3,4) degree matrices, smallest M first.
+    """Exhaustive scan of restricted (3,4) degree matrices, smallest M first,
+    from ``m_min`` or the base's ``lift_floor``, whichever is larger.
 
     The space is ``_restricted_edges``' (zeros on the first column and last
     row, first free row non-decreasing) with one more cut: the second row
@@ -320,7 +331,7 @@ def exhaustive_34(g: int, m_max: int, m_min: int = 2) -> SearchResult | None:
     row1 = np.setdiff1d(np.arange(12), np.concatenate([masked, row0]))
 
     def blocks():
-        for m in range(max(2, m_min), m_max + 1):
+        for m in range(max(2, m_min, lift_floor(base, g)), m_max + 1):
             seconds = np.array(list(itertools.product(range(m), repeat=3)), dtype=np.int64)
             # a row's rank under the descending-sort order, as a base-M number
             weights = np.array([m * m, m, 1], dtype=np.int64)

@@ -5,9 +5,11 @@ import pytest
 
 from girthforge.bases import CANONICAL_STS, all_ones_base, sts_base
 from girthforge.bounds import (OverBudgetError, base_girth, d2_bruteforce,
-                               distance_cap, theorem2_lower_bound,
+                               distance_cap, lift_floor, theorem2_lower_bound,
                                theorem3_applies)
-from girthforge.matrices import BaseMatrix
+from girthforge.girth import GirthSystem
+from girthforge.matrices import NO_EDGE, BaseMatrix
+from girthforge.search import _restricted_edges
 from girthforge import catalog
 
 
@@ -93,3 +95,46 @@ def test_certified_girth_respects_theorem3_cap():
     for entry in catalog.CATALOG:
         if theorem3_applies(entry.degree_matrix().base()):
             assert entry.girth <= 12, entry.name
+
+
+@pytest.mark.parametrize("base,floors", [
+    (all_ones_base(3, 4), {4: 1, 6: 4, 8: 7, 10: 25, 12: 43}),
+    (all_ones_base(3, 5), {8: 9, 10: 41, 12: 73}),
+    (sts_base(CANONICAL_STS[9]), {14: 49, 16: 97, 18: 241}),
+], ids=["3x4", "3x5", "sts9"])
+def test_lift_floor_values(base, floors):
+    assert {g: lift_floor(base, g) for g in floors} == floors
+
+
+def test_lift_floor_of_an_edgeless_base_is_one():
+    assert lift_floor(BaseMatrix(np.zeros((2, 3), dtype=np.uint8)), 8) == 1
+
+
+def test_lift_floor_saturates_instead_of_overflowing():
+    # sts13's walks of length 59 number about 10**29, past int64; the
+    # counts saturate at 2**40 instead of wrapping
+    assert lift_floor(sts_base(CANONICAL_STS[13]), 120) == 1 << 40
+
+
+@pytest.mark.parametrize("g,m", [(6, 3), (8, 6)])
+def test_no_restricted_34_assignment_passes_below_the_floor(g, m):
+    # every (3,4) assignment with the six pinned edges at zero, the other
+    # six over all of [0, M)^6: none reaches girth g one step below the floor
+    base = all_ones_base(3, 4)
+    assert lift_floor(base, g) == m + 1
+    pinned, _ = _restricted_edges(base)
+    free = np.setdiff1d(np.arange(12), pinned)
+    block = np.zeros((m ** 6, 12), dtype=np.int64)
+    block[:, free] = np.indices((m,) * 6).reshape(6, -1).T
+    assert not GirthSystem(base, g).check_batch(block, m).any()
+
+
+def test_corpus_codes_sit_on_or_above_the_floor():
+    tight = set()
+    for entry in catalog.CATALOG:
+        pattern = BaseMatrix((entry.degree.entries != NO_EDGE).astype(np.uint8))
+        floor = lift_floor(pattern, entry.girth)
+        assert entry.m >= floor, entry.name
+        if entry.m == floor:
+            tight.add(entry.name)
+    assert tight == {"g06_k5", "g06_k7", "g06_k9", "g06_k11"}

@@ -189,12 +189,23 @@ def test_search_infeasible_exit_code(tmp_path):
 
 
 def test_search_budget_exit_code(tmp_path):
+    # M = 43..60 lies between the Moore floor and the known minimum of 73
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "base": {"kind": "all_ones", "j": 3, "k": 4},
-        "girth": 12, "m_max": 20, "budget_secs": 0.5,
+        "girth": 12, "m_max": 60, "budget_secs": 0.5,
     }))
     assert main(["search", str(cfg), "-o", str(tmp_path / "o")]) == 2
+
+
+def test_search_below_the_floor_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "base": {"kind": "all_ones", "j": 3, "k": 4},
+        "girth": 12, "m_max": 20, "budget_secs": 600,
+    }))
+    assert main(["search", str(cfg), "-o", str(tmp_path / "o")]) == 3
+    assert "M >= 43" in capsys.readouterr().err
 
 
 def test_search_malformed_config(tmp_path):

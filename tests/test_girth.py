@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from girthforge.bases import all_ones_base, sts_base, CANONICAL_STS
 from girthforge import girth as girth_module
+from girthforge.bounds import _walk_counts
 from girthforge.girth import (GirthSystem, certified_girth, check_assignment_sorted,
                               collect_inequalities, complexity_counts, free_girth,
                               girth_bfs_oracle, grow_trees, node_pair_count,
@@ -138,6 +139,22 @@ _IRREGULAR = DegreeMatrix(np.array([[0, 1, NO_EDGE, 2],
                                     [2, 0, 1, 4]]))
 _STAGED_BASES = {"3x4": all_ones_base(3, 4), "3x5": all_ones_base(3, 5),
                  "sts9": sts_base(CANONICAL_STS[9]), "irregular": _IRREGULAR.base()}
+
+
+@pytest.mark.parametrize("g", [8, 12])
+@pytest.mark.parametrize("base_name", ["3x4", "sts9", "irregular"])
+def test_walk_counts_match_tree_levels(base_name, g):
+    # the dart recursion behind lift_floor counts, per length, the same
+    # walks that a symbol-rooted path tree holds as nodes of that depth
+    base = _STAGED_BASES[base_name]
+    n_vertices = base.n_rows + base.n_cols
+    roots = base.n_rows + np.arange(base.n_cols)
+    levels = list(_walk_counts(base, roots, g // 2 - 1))
+    for j, tree in enumerate(grow_trees(base, g)):
+        assert len(tree.levels) == len(levels)
+        for d, (lo, hi) in enumerate(tree.levels):
+            labels = tree.number[lo:hi] + (0 if d % 2 else base.n_rows)
+            assert np.bincount(labels, minlength=n_vertices).tolist() == levels[d][j].tolist()
 
 
 @pytest.mark.parametrize("g", [6, 8, 10])

@@ -112,10 +112,10 @@ def test_search_deterministic_for_seed():
 
 
 @pytest.mark.parametrize("girth,seed,m_max,m,attempts,entries", [
-    (8, 1, 24, 9, 35840, [[0, 1, 4, 6], [0, 5, 2, 3], [0, 0, 0, 0]]),
-    (8, 2, 24, 10, 38400, [[0, 3, 4, 8], [0, 6, 9, 2], [0, 0, 0, 0]]),
-    (10, 2, 96, 43, 173056, [[0, 1, 3, 36], [0, 27, 18, 14], [0, 0, 0, 0]]),
-])
+    (8, 1, 24, 9, 11776, [[0, 5, 6, 8], [0, 7, 3, 4], [0, 0, 0, 0]]),
+    (8, 2, 24, 9, 10240, [[0, 3, 4, 7], [0, 6, 8, 5], [0, 0, 0, 0]]),
+    (10, 2, 96, 46, 88576, [[0, 9, 12, 36], [0, 41, 13, 30], [0, 0, 0, 0]]),
+], ids=["g8-seed1", "g8-seed2", "g10-seed2"])
 def test_seeded_search_outcomes_pinned(girth, seed, m_max, m, attempts, entries):
     # a checker or sampler change must not change what a seeded search finds
     result = search(cfg34(girth=girth, seed=seed, m_max=m_max))
@@ -137,9 +137,38 @@ def test_search_rejects_girth_above_cap():
 
 
 def test_search_budget_exceeded():
-    # girth 12 needs M = 73; an m_max of 20 can never succeed
+    # girth 12 needs M = 73, so a sweep of M = 43..60 (from the Moore floor
+    # up) can never succeed
     with pytest.raises(TimeBudgetExceeded):
-        search(cfg34(girth=12, m_max=20, budget_secs=0.5))
+        search(cfg34(girth=12, m_max=60, budget_secs=0.5))
+
+
+def _no_checks(monkeypatch):
+    def refuse(self, assignments, modulus):
+        raise AssertionError("an assignment below the Moore floor was checked")
+
+    monkeypatch.setattr(GirthSystem, "check_batch", refuse)
+
+
+def test_search_below_the_floor_is_infeasible(monkeypatch):
+    # (3,4) at girth 12 has a Moore floor of M = 43: an m_max of 20 is
+    # refused before any assignment is drawn, whatever the budget
+    _no_checks(monkeypatch)
+    with pytest.raises(InfeasibleTarget, match="M >= 43 .* above m_max=20"):
+        search(cfg34(girth=12, m_max=20, budget_secs=600.0))
+
+
+def test_extend_column_below_the_floor_is_refused(monkeypatch):
+    # (3,5) at girth 10 has a Moore floor of M = 41, above g10_k4's degrees
+    _no_checks(monkeypatch)
+    w = catalog.BY_NAME["g10_k4"].degree_matrix()
+    with pytest.raises(ValueError, match="M=41, above m_max=40"):
+        extend_column(w, SearchConfig(base={}, girth=10, m_max=40, budget_secs=600.0))
+
+
+def test_exhaustive_34_below_the_floor_scans_nothing(monkeypatch):
+    _no_checks(monkeypatch)
+    assert exhaustive_34(12, 20) is None
 
 
 def test_search_parallel_shards_merge():
@@ -230,10 +259,11 @@ def test_resolve_base_rejects_unknown_specs(spec):
 
 
 def test_extend_column_rejects_m_max_below_start():
-    # g08_k4's largest degree is 6, so the extension cannot start below M=7
+    # g08_k4's largest degree is 6, so the extension cannot start below M=7;
+    # at girth 6 the (3,5) Moore floor of M=5 lies below that
     w = catalog.BY_NAME["g08_k4"].degree_matrix()
     with pytest.raises(ValueError, match="M=7, above m_max=6"):
-        extend_column(w, SearchConfig(base={}, girth=8, m_max=6, budget_secs=30.0))
+        extend_column(w, SearchConfig(base={}, girth=6, m_max=6, budget_secs=30.0))
 
 
 def test_resolve_base_kinds(tmp_path):
@@ -268,7 +298,7 @@ def test_extend_column_reaches_g10():
     w = catalog.BY_NAME["g10_k4"].degree_matrix()
     result = extend_column(w, SearchConfig(base={}, girth=10, m_max=120, seed=1,
                                            budget_secs=30.0))
-    assert (result.m, result.attempts) == (82, 265216)
+    assert (result.m, result.attempts) == (82, 171008)
     assert np.array_equal(result.degree.entries[:, :4], w.entries)
     assert certified_girth(lift_tailbiting(result.degree, result.m), cap=32) >= 10
 
@@ -364,10 +394,10 @@ _CODE_BASE_VALUES = [0, 2, 1, 0, 0, 3, 4, 1, 0, 0, 1, 2, 0, 0, 4, 4, 0, 1, 0, 1,
 
 
 @pytest.mark.parametrize("run,m,attempts,values", [
-    (_pinned_extension, 15, 33280, [0, 1, 4, 6, 12, 0, 5, 2, 3, 7, 0, 0, 0, 0, 0]),
-    (lambda: exhaustive_34(6, 6), 5, 1595, [0, 1, 2, 4, 0, 3, 1, 2, 0, 0, 0, 0]),
-    (lambda: exhaustive_34(8, 16), 9, 66456, [0, 1, 3, 7, 0, 2, 6, 5, 0, 0, 0, 0]),
-    (_pinned_code_base, 5, 19968, _CODE_BASE_VALUES),
+    (_pinned_extension, 15, 25600, [0, 1, 4, 6, 12, 0, 5, 2, 3, 7, 0, 0, 0, 0, 0]),
+    (lambda: exhaustive_34(6, 6), 5, 1466, [0, 1, 2, 4, 0, 3, 1, 2, 0, 0, 0, 0]),
+    (lambda: exhaustive_34(8, 16), 9, 58080, [0, 1, 3, 7, 0, 2, 6, 5, 0, 0, 0, 0]),
+    (_pinned_code_base, 5, 15872, _CODE_BASE_VALUES),
 ], ids=["extend_column", "exhaustive_g6", "exhaustive_g8", "code_base"])
 def test_scan_mode_outcomes_pinned(run, m, attempts, values):
     # every scan mode keeps its draws, its scan order and its attempt count
