@@ -446,27 +446,32 @@ def node_pair_count(trees: Sequence[PathTree]) -> int:
 # ---------------------------------------------------------------------------
 
 # The staged evaluator checks the stacked inequalities in chunks, the
-# shortest cycles first: they reject nearly every random assignment.  A chunk
-# holds about _CHUNK_VALUES inequality values (64 KB of float64), so it
-# widens as assignments drop out, but is never narrower than _MIN_CHUNK rows.
-# A search block of 512 assignments starts at that size too, so each of a
-# chunk's two float64 value arrays stays below glibc's default 128 KB mmap
-# threshold.  Larger arrays were mapped, or the heap trimmed, and faulted in
-# again chunk after chunk whenever the process's earlier allocations had left
-# the threshold low: a search_34 round then took 2.1 s instead of 1.4 s on a
-# 2-core host.  The product also casts the chunk's int8 rows to float64,
-# width x n_edges values, and a chunk is cut to _CAST_VALUES of them (never
-# below _MIN_CHUNK rows).  The cut never binds on the (3,4) systems of that
-# search (at most 519 rows of 12 edges), but it keeps a lone surviving
-# assignment from casting 8192-row chunks, 3.9 MB each on a 60-edge base such
-# as s_sts13.  A cut at _CHUNK_VALUES made that pass slower than no cut at
-# all: its 7,000 chunks cost more in per-chunk overhead than the smaller
-# casts saved.
-_CHUNK_VALUES = 1 << 13
-_CAST_VALUES = 1 << 16
+# shortest cycles first: they reject nearly every random assignment.  A
+# block is evaluated in float32 when every value of it fits float32's exact
+# integers (see GirthSystem), else in float64, and chunks are budgeted in
+# bytes so that either type keeps the same memory behaviour.  A chunk's
+# value arrays hold about _CHUNK_BYTES (64 KB: 2**14 float32 or 2**13
+# float64 values), so a chunk widens as assignments drop out, but is never
+# narrower than _MIN_CHUNK rows.  A search block of 512 assignments starts
+# at that size too, so each of a chunk's two value arrays stays below
+# glibc's default 128 KB mmap threshold.  Larger arrays were mapped, or the
+# heap trimmed, and faulted in again chunk after chunk whenever the
+# process's earlier allocations had left the threshold low: a search_34
+# round then took 2.1 s instead of 1.4 s on a 2-core host.  The product also
+# casts the chunk's int8 rows to the float type, width x n_edges values, and
+# a chunk is cut to _CAST_BYTES of them (never below _MIN_CHUNK rows).  The
+# cut never binds on the (3,4) systems of that search (at most 519 rows of
+# 12 edges), but it keeps a lone surviving assignment from casting 8192-row
+# chunks, 3.9 MB each in float64 on a 60-edge base such as s_sts13.  A cut
+# at the value budget made that pass slower than no cut at all: its 7,000
+# chunks cost more in per-chunk overhead than the smaller casts saved.
+_CHUNK_BYTES = 1 << 16
+_CAST_BYTES = 1 << 19
 _MIN_CHUNK = 16
-# float64 represents every integer of magnitude up to 2**53 exactly
-_EXACT_LIMIT = 2 ** 53
+# float32 and float64 represent every integer of magnitude up to 2**24 and
+# 2**53 exactly
+_FLOAT32_EXACT = 2 ** 24
+_FLOAT64_EXACT = 2 ** 53
 
 
 def _is_integer(x) -> bool:
@@ -494,24 +499,28 @@ class GirthSystem:
     The int8 inequality rows of ``collect_inequalities`` are stacked once
     into an (N_L, n_edges) matrix, stably sorted by support size so that the
     shortest cycles come first; ``ineqs`` keeps the witness order.  Every
-    check evaluates that matrix on a block of assignments in chunks of about
-    ``_CHUNK_VALUES`` values, each chunk cast to float64 for the product
-    (at most ``_CAST_VALUES`` values), dropping the assignments a chunk
-    rejects.
+    check casts a block of assignments to the narrowest float type that
+    holds its values exactly (float32 or float64, below), then evaluates
+    that matrix on it in chunks of about ``_CHUNK_BYTES`` of values, each
+    chunk's rows cast to the same type for the product (at most
+    ``_CAST_BYTES``), dropping the assignments a chunk rejects.
 
     Every row is a closed walk of length at most g - 2 and counts its signed
     edge traversals, so its L1 norm is at most g - 2.  On a block whose
     largest entry has magnitude E, every value v and every partial sum of a
-    row therefore has magnitude at most (g - 2) * E.  A value v is zero mod
-    M iff ``rint(v / M) * M == v`` in float64, provided (g - 2) * E + M <=
-    2**53.  The products are exact, since every partial sum is an integer of
-    magnitude below 2**53.  If M | v, then v / M is an integer float64
-    holds, so the division and the rounding are exact and k * M == v.
-    Otherwise rint gives some integer k', with |k'| <= ceil(|v| / M) because
-    no rounding step crosses an integer below 2**53.  So k' * M is an
-    integer of magnitude at most |v| + M <= 2**53, computed exactly, and
-    differs from v.  Every check therefore raises ``ValueError`` on a block
-    with (g - 2) * E + M > 2**53.
+    row therefore has magnitude at most (g - 2) * E.  Let P be 2**24 for
+    float32 or 2**53 for float64: each represents every integer of magnitude
+    up to P exactly.  A value v is zero mod M iff ``rint(v / M) * M == v``
+    in that type, provided (g - 2) * E + M <= P.  The products are exact,
+    since every partial sum is an integer of magnitude below P.  If M | v,
+    then v / M is an integer the type holds, so the division and the
+    rounding are exact and k * M == v.  Otherwise rint gives some integer
+    k', with |k'| <= ceil(|v| / M) because no rounding step crosses an
+    integer below P.  So k' * M is an integer of magnitude at most
+    |v| + M <= P, computed exactly, and differs from v.  A block is
+    therefore evaluated in float32 when (g - 2) * E + M <= 2**24, in float64
+    when it is at most 2**53, and every check raises ``ValueError`` on a
+    block past 2**53.
     """
 
     def __init__(self, base: BaseMatrix, g: int):
@@ -527,36 +536,40 @@ class GirthSystem:
         return self._matrix.shape[1]
 
     def _exact_block(self, block: np.ndarray, modulus: int) -> np.ndarray:
-        """The block as float64, after checking that every inequality value v
-        of it has |v| + modulus <= 2**53, so float64 holds v, and the division
-        residue mod a positive modulus is exact."""
+        """The block as float32 if every inequality value v of it has
+        |v| + modulus <= 2**24, else as float64 if |v| + modulus <= 2**53,
+        so the type holds v and the division residue mod a positive modulus
+        is exact; past 2**53 a nonempty block raises ``ValueError``."""
         block = np.asarray(block)
-        if block.size:
-            largest = max(int(block.max()), -int(block.min()))
-            if (self.g - 2) * largest + modulus > _EXACT_LIMIT:
-                raise ValueError(
-                    f"walk length {self.g - 2} x largest entry {largest} "
-                    f"+ modulus {modulus} exceeds 2**53, past float64's exact integers")
+        largest = max(int(block.max(initial=0)), -int(block.min(initial=0)))
+        bound = (self.g - 2) * largest + modulus
+        if bound <= _FLOAT32_EXACT:
+            return block.astype(np.float32)
+        if bound > _FLOAT64_EXACT and block.size:
+            raise ValueError(
+                f"walk length {self.g - 2} x largest entry {largest} "
+                f"+ modulus {modulus} exceeds 2**53, past float64's exact integers")
         return block.astype(np.float64)
 
     def _passes(self, block: np.ndarray, modulus: int) -> np.ndarray:
         modulus = _valid_modulus(modulus)
         _check_width(np.shape(block), self.n_edges)
         rows = self._exact_block(block, modulus)
-        # one column per live assignment: numpy's int8-by-float64 product
+        # one column per live assignment: numpy's int8-by-float product
         # runs faster with the int8 chunk on the left of contiguous columns
         live = rows.reshape(-1, self.n_edges).T.copy()
         alive = np.arange(live.shape[1])
+        item = rows.itemsize
         lo = 0
         while alive.size and lo < self._matrix.shape[0]:
-            hi = lo + max(_MIN_CHUNK, min(_CHUNK_VALUES // alive.size,
-                                          _CAST_VALUES // self.n_edges))
+            hi = lo + max(_MIN_CHUNK, min(_CHUNK_BYTES // (item * alive.size),
+                                          _CAST_BYTES // (item * self.n_edges)))
             values = self._matrix[lo:hi] @ live
             residue = values / modulus
             np.rint(residue, out=residue)
             residue *= modulus
             keep = (residue != values).all(axis=0)
-            live, alive = live[:, keep], alive[keep]
+            live, alive = live.compress(keep, axis=1), alive.compress(keep)
             lo = hi
         ok = np.zeros(rows.shape[:-1], dtype=bool)
         ok.flat[alive] = True
@@ -656,9 +669,9 @@ def girth_bfs_oracle(h: SparseParityCheck, cap: int = 32,
 
     Vertices 0..n_rows-1 are constraints, the rest symbols.  By default every
     vertex is a BFS start, which is exact for any graph; for lifted matrices
-    one start per block orbit suffices (see :func:`qc_start_vertices`).  A
-    start that is not an integer (a float or a bool) or lies outside
-    [0, n_rows + n_cols) raises ValueError.
+    one start per block orbit of one side suffices (see
+    :func:`qc_start_vertices`).  A start that is not an integer (a float or a
+    bool) or lies outside [0, n_rows + n_cols) raises ValueError.
 
     Starts advance in chunks, one level L per step.  The per-vertex search
     (Itai & Rodeh) closes L + dist(x) + 1 at each visited non-parent neighbour
@@ -709,14 +722,26 @@ def girth_bfs_oracle(h: SparseParityCheck, cap: int = 32,
 
 
 def qc_start_vertices(h: SparseParityCheck) -> list[int]:
-    """One BFS start per cyclic-shift orbit of a lifted matrix."""
+    """One BFS start per cyclic-shift orbit of one side of a lifted matrix:
+    the cb constraint orbits if cb <= c, else the c symbol orbits.
+
+    The cyclic shift is an automorphism of the Tanner graph, so it maps a
+    shortest cycle to a shortest cycle.  Every cycle of a bipartite graph
+    passes both sides, so a shortest cycle passes some vertex v of the
+    chosen side, and the shift taking v to the start of its orbit maps that
+    cycle to a shortest cycle through a start.  A BFS from a vertex on a
+    shortest cycle finds its length, and no BFS finds a shorter one, so
+    these starts give the girth.
+    """
     if h.block is None:
         raise ValueError("matrix carries no block metadata")
     m, c, cb = h.block.m, h.block.c, h.block.cb
     if h.layout not in (TAILBITING, CIRCULANT):
         raise ValueError("start vertices need tailbiting or circulant layout")
     step = 1 if h.layout == TAILBITING else m  # block column t = 0, or shift s = 0 per block
-    return [i * step for i in range(cb)] + [h.n_rows + j * step for j in range(c)]
+    if cb <= c:
+        return [i * step for i in range(cb)]
+    return [h.n_rows + j * step for j in range(c)]
 
 
 def certified_girth(h: SparseParityCheck, cap: int = 32) -> int | None:

@@ -167,8 +167,8 @@ def test_staged_evaluator_matches_full_reference(base_name, g, monkeypatch):
     # survivors cross many chunk boundaries
     system = GirthSystem(_STAGED_BASES[base_name], g)
     coeffs = system.ineqs.coeffs.astype(np.int64)
-    for chunk_values in (girth_module._CHUNK_VALUES, 1):
-        monkeypatch.setattr(girth_module, "_CHUNK_VALUES", chunk_values)
+    for chunk_values in (girth_module._CHUNK_BYTES, 1):
+        monkeypatch.setattr(girth_module, "_CHUNK_BYTES", chunk_values)
         rng = np.random.default_rng(g)
         for m in (1, 2, int(rng.integers(3, 100)), int(rng.integers(100, 10_000))):
             for size in (0, 1, 513):
@@ -364,6 +364,45 @@ def test_exactness_guard_boundary_3x4_g8():
         system.check_batch(block, m + 1)
     with pytest.raises(ValueError, match="2\\*\\*53"):
         system.check(block[0], m + 1)
+
+
+def test_float32_boundary_3x4_g8():
+    # float32 holds every integer up to 2**24 exactly, and the evaluator
+    # picks it when (g - 2) * e + M <= 2**24, here 6e + M with e = 2**21 and
+    # M = 2**22, which divides 6e: a 6-cycle row signed by its own
+    # coefficients times e has value 6e, a multiple of M at the largest
+    # magnitude float32 is used for; one more on M falls to float64
+    system = GirthSystem(all_ones_base(3, 4), 8)
+    coeffs = system.ineqs.coeffs.astype(np.int64)
+    e, m = 2 ** 21, 2 ** 22
+    assert 6 * e + m == 2 ** 24
+    six = coeffs[np.abs(coeffs).sum(axis=1) == 6]
+    rng = np.random.default_rng(24)
+    shifted = e * six
+    first = (np.arange(len(six)), np.argmax(six != 0, axis=1))
+    shifted[first] -= six[first]
+    block = np.concatenate([e * six, shifted,
+                            rng.integers(-e, e + 1, size=(200, system.n_edges))])
+    assert np.abs(block).max() == e
+    for modulus, dtype in ((m, np.float32), (m + 1, np.float64)):
+        assert system._exact_block(block, modulus).dtype == dtype
+        expected = (block @ coeffs.T % modulus != 0).all(axis=1)
+        assert expected.any() and not expected.all()
+        assert np.array_equal(system.check_batch(block, modulus), expected), modulus
+        assert system.check(block[0], modulus) == expected[0]
+
+
+def test_float64_past_the_float32_boundary():
+    # a - b - c + d = 2**24 + 1 rounds to 2**24 in float32, a multiple of
+    # M = 2**22; with 4e + M = 2**24 + 2**22 + 4 the block is evaluated in
+    # float64, which gives the exact verdict
+    system = GirthSystem(all_ones_base(2, 2), 6)
+    e = 2 ** 22
+    assert float(np.float32(2 ** 24 + 1)) == 2 ** 24
+    block = np.array([[e + 1, -e, -e, e], [e, -e, -e, e]])
+    assert system._exact_block(block, e).dtype == np.float64
+    assert system.check_batch(block, e).tolist() == [True, False]
+    assert system.check(block[0], e)
 
 
 @pytest.mark.parametrize("entry", [2 ** 52, -2 ** 52, np.iinfo(np.int64).min])
@@ -655,6 +694,32 @@ def test_oracle_orbit_starts_match_full_scan():
     entry = catalog.BY_NAME["g06_k4"]
     h = lift_tailbiting(entry.degree_matrix(), entry.m)
     assert certified_girth(h) == girth_bfs_oracle(h) == 6
+
+
+def test_orbit_starts_of_one_side_match_every_start():
+    # certified_girth starts one BFS per shift orbit of the side with fewer
+    # orbits; every vertex as a start is the reference.  Bases of 1-5 rows
+    # and 1-5 columns, taller and wider ones alike, lose entries to NO_EDGE
+    # at a random rate
+    rng = np.random.default_rng(29)
+    sides, girths = set(), set()
+    for lift in (lift_tailbiting, lift_circulant) * 30:
+        cb, c, m = (int(x) for x in rng.integers(1, [6, 6, 10]))
+        entries = rng.integers(0, m, size=(cb, c))
+        entries[rng.random((cb, c)) < rng.uniform(0, 0.5)] = NO_EDGE
+        h = lift(DegreeMatrix(entries, modulus=m), m)
+        # a lifted symbol has one neighbour per base row it meets, so every
+        # cycle meets two orbits of each side and no single dropped orbit
+        # could change a girth: the start count is pinned as well
+        starts = qc_start_vertices(h)
+        assert len(starts) == min(cb, c)
+        sides.add((cb > c, starts[0] >= h.n_rows))
+        for cap in range(4, 33, 2):
+            expected = girth_bfs_oracle(h, cap)
+            assert certified_girth(h, cap) == expected, (entries, m, cap)
+        girths.add(expected)
+    assert sides == {(False, False), (True, True)}
+    assert {None, 4, 6} < girths
 
 
 def _oracle_cases(rng):
