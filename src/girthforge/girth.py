@@ -722,16 +722,21 @@ def girth_bfs_oracle(h: SparseParityCheck, cap: int = 32,
 
 
 def qc_start_vertices(h: SparseParityCheck) -> list[int]:
-    """One BFS start per cyclic-shift orbit of one side of a lifted matrix:
-    the cb constraint orbits if cb <= c, else the c symbol orbits.
+    """BFS starts of a lifted matrix: one per cyclic-shift orbit of one
+    side, the cb constraint orbits if cb <= c, else the c symbol orbits, but
+    none in that side's last orbit when it has two or more.
 
     The cyclic shift is an automorphism of the Tanner graph, so it maps a
-    shortest cycle to a shortest cycle.  Every cycle of a bipartite graph
-    passes both sides, so a shortest cycle passes some vertex v of the
-    chosen side, and the shift taking v to the start of its orbit maps that
-    cycle to a shortest cycle through a start.  A BFS from a vertex on a
-    shortest cycle finds its length, and no BFS finds a shorter one, so
-    these starts give the girth.
+    shortest cycle to a shortest cycle.  A lifted symbol has one neighbour
+    per base row it meets, so the two checks next to it on a cycle lie in
+    two different constraint orbits; likewise a check has one neighbour per
+    base column it meets.  So every cycle passes at least two orbits of
+    each side, and a shortest cycle passes some vertex v of the chosen side
+    outside its last orbit.  The shift taking v to the start of its orbit
+    maps that cycle to a shortest cycle through a start.  A BFS from a
+    vertex on a shortest cycle finds its length, and no BFS finds a shorter
+    one, so these starts give the girth.  With one orbit on the chosen side
+    no cycle exists, and its one start finds none.
     """
     if h.block is None:
         raise ValueError("matrix carries no block metadata")
@@ -740,8 +745,8 @@ def qc_start_vertices(h: SparseParityCheck) -> list[int]:
         raise ValueError("start vertices need tailbiting or circulant layout")
     step = 1 if h.layout == TAILBITING else m  # block column t = 0, or shift s = 0 per block
     if cb <= c:
-        return [i * step for i in range(cb)]
-    return [h.n_rows + j * step for j in range(c)]
+        return [i * step for i in range(max(1, cb - 1))]
+    return [h.n_rows + j * step for j in range(max(1, c - 1))]
 
 
 def certified_girth(h: SparseParityCheck, cap: int = 32) -> int | None:

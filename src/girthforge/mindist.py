@@ -26,12 +26,15 @@ covering its lowest set bit, ascending, that lie above its root and off its
 path; they come out parent-major.  A zero child is a codeword one column
 heavier than its parent.  The other children face the rule at their own
 budget, and the survivors are pushed in blocks with the first on top.  A
-node stores only its column and its parent's index in the block above; the
-columns of a path are read back through those links.
+block of depth k carries its nodes' paths as one (k, nodes) array of
+columns, roots in row 0, so a candidate is tested against its whole path
+in one compare, and a child's path is its parent's column of that array
+with the child's column under it.
 
 Witness.  The engine returns the first leaf of weight d in preorder, the
 leaf a depth-first walk of the same tree returns, where d is the smallest
-weight below the cap:
+weight below the cap; its support is the parent's path column plus the
+leaf's own column:
   * while the best weight found exceeds d, no ancestor of a weight-d leaf is
     cut: at depth k its syndrome is the sum of the d - k columns still to
     come, so it weighs at most d - k <= best - 1 - k in every block;
@@ -153,32 +156,29 @@ def _branch_and_bound(code, t: int) -> tuple[int, tuple[int, ...] | None, int, i
     # a weight never exceeds the depth, which stays below t
     dtype = np.min_scalar_type(t)
     # a block is (depth, live nodes, node-major syndromes, block weights,
-    # links, best when pushed); its links are (columns, parent indices into
-    # the block above, that block's links), with no parents at the roots.
-    # Nodes past the live ones repeat live ones and are never expanded.
-    # Pushed links are int32 and become intp when their block is popped.
+    # paths, best when pushed); its paths are a (depth, nodes) array of
+    # columns, roots in row 0, in the narrowest signed type that holds every
+    # column index.  Nodes past the live ones repeat live ones and are never
+    # expanded.
     roots = _padded(np.arange(c))
     synd = _flipped(np.zeros((roots.size, -(-w.n_rows * m // 64)), dtype=np.uint64),
                     word.take(roots, axis=1), mask.take(roots, axis=1))
     weights = (mask.take(roots, axis=1) != 0).astype(dtype)
-    stack = [(1, c, synd, weights, (roots, None, None), best)]
+    path = roots[None].astype(np.min_scalar_type(-m * c))
+    stack = [(1, c, synd, weights, path, best)]
     while stack:
-        k, n, synd, weights, links, pushed_at = stack.pop()
+        k, n, synd, weights, path, pushed_at = stack.pop()
         budget = best - 1 - k
         if budget <= 0:
             pruned += n
             continue
-        cols, parents, up = links
         if best != pushed_at:
             keep = np.flatnonzero(weights[:, :n].max(axis=0) <= budget)
             pruned += n - keep.size
             n, keep = keep.size, _padded(keep)
             synd, weights = synd.take(keep, axis=0), weights.take(keep, axis=1)
-            cols = cols.take(keep)
-            parents = None if parents is None else parents.take(keep)
+            path = path.take(keep, axis=1)
         nodes += n
-        # every descendant walks these links, so they become indices once
-        links = (cols.astype(np.intp), None if parents is None else parents.astype(np.intp), up)
         size, nw = synd.shape
         # the lowest set bit is the low bit of the first nonzero word, and
         # word ^ (word - 1) sets every bit up to and including it
@@ -186,15 +186,12 @@ def _branch_and_bound(code, t: int) -> tuple[int, tuple[int, ...] | None, int, i
         low = synd.ravel().take(np.arange(0, size * nw, nw) + first)
         cand = hitters.take(first * 64 + np.bitwise_count(low ^ (low - _ONE)) - 1, axis=1)
         cand[:, n:] = -1
-        # drop padding, columns at or below the root, and columns on the
-        # path, which is walked once per node rather than once per child
-        drop = cand < 0
-        at, (cols, parents, up) = np.arange(size), links
-        while parents is not None:
-            drop |= cand == cols.take(at)
-            at = parents.take(at)
-            cols, parents, up = up
-        drop |= cand <= cols.take(at)
+        # drop padding (-1) and columns at or below the root, then columns on
+        # the path; the compare runs in the path's narrow type, which is cheaper
+        narrow = cand.astype(path.dtype)
+        drop = narrow <= path[0]
+        if k > 1:
+            drop |= (narrow == path[1:, None]).any(axis=0)
         valid = np.flatnonzero(~drop.T)  # parent-major
         count, valid = valid.size, _padded(valid)
         cand, par = cand.T.ravel().take(valid), valid // width
@@ -209,7 +206,8 @@ def _branch_and_bound(code, t: int) -> tuple[int, tuple[int, ...] | None, int, i
         heaviest = kid_weights.max(axis=0)[:count]
         if not heaviest.all():  # a zero child weighs 0 in every block
             first_zero = int(np.argmin(heaviest))
-            best, support = k + 1, _path(links, int(par[first_zero]), int(cand[first_zero]))
+            best = k + 1
+            support = tuple(sorted(path[:, par[first_zero]].tolist() + [int(cand[first_zero])]))
             pruned += count - 1
             continue
         keep = np.flatnonzero(heaviest <= best - 2 - k)
@@ -217,26 +215,15 @@ def _branch_and_bound(code, t: int) -> tuple[int, tuple[int, ...] | None, int, i
         for lo in range((keep.size - 1) // _BNB_BLOCK * _BNB_BLOCK, -1, -_BNB_BLOCK):
             part = keep[lo:lo + _BNB_BLOCK]
             sel = _padded(part)
-            kid_cols, kid_par = cand.take(sel), par.take(sel)
+            kid_par = par.take(sel)
             block = _flipped(synd.take(kid_par, axis=0), kid_word.take(sel, axis=1),
                              kid_mask.take(sel, axis=1))
-            links_below = (kid_cols.astype(np.int32), kid_par.astype(np.int32), links)
+            kid_path = np.empty((k + 1, sel.size), dtype=path.dtype)
+            path.take(kid_par, axis=1, out=kid_path[:k])
+            kid_path[k] = cand.take(sel)
             stack.append((k + 1, part.size, block, kid_weights.take(sel, axis=1),
-                          links_below, best))
+                          kid_path, best))
     return best, support, nodes, pruned
-
-
-def _path(links, at: int, last: int) -> tuple[int, ...]:
-    """Sorted columns of the path ending at node ``at`` of a block, plus
-    ``last``."""
-    path = [last]
-    while links is not None:
-        cols, parents, up = links
-        path.append(int(cols[at]))
-        if parents is not None:
-            at = int(parents[at])
-        links = up
-    return tuple(sorted(path))
 
 
 def min_distance_md(code: TailbitingCode | SparseParityCheck | tuple[DegreeMatrix, int],

@@ -198,6 +198,23 @@ def test_distance_counters_shrink_with_the_cap():
     assert low.pruned > 0 and high.pruned > 0
 
 
+# (value, exact, nodes, pruned) of min_distance_md: the counters pin the
+# tree the engine walks, not only its answer, so a change to how a node
+# finds its path must expand and cut exactly the same nodes
+TREE_PINS = {
+    ("g10_k4", 26): (14, True, 196_002, 373_077),
+    ("g12_k4", 26): (24, True, 659_268, 1_272_034),
+    ("g12_k4", 12): (12, False, 491, 986),
+    ("g10_k4_ld", 12): (12, False, 526, 1_050),
+}
+
+
+@pytest.mark.parametrize("name,t", sorted(TREE_PINS))
+def test_tree_counters_pinned(name, t):
+    dist = min_distance_md(code_for(name), t)
+    assert (dist.value, dist.exact, dist.nodes, dist.pruned) == TREE_PINS[name, t]
+
+
 def test_toy_code_both_engines(toy_degrees):
     code = TailbitingCode(toy_degrees, 2)
     md = min_distance_md(code, 10)
