@@ -691,8 +691,11 @@ def girth_bfs_oracle(h: SparseParityCheck, cap: int = 32,
     if starts.size and (starts.min() < 0 or starts.max() >= n_v):
         raise ValueError(f"start vertices must lie in [0, {n_v})")
     t = h.transpose()  # constraints list their symbols, then symbols their constraints
-    nbrs = np.concatenate((h.indices + h.n_rows, t.indices))
+    nbrs = np.empty(2 * h.indices.size, dtype=np.int64)
+    np.add(h.indices, h.n_rows, out=nbrs[:h.indices.size])
+    nbrs[h.indices.size:] = t.indices
     deg = np.concatenate((np.diff(h.indptr), np.diff(t.indptr)))
+    del t  # the levels below read only nbrs and deg
     slot_end = np.cumsum(deg)
     per_chunk = max(1, _BFS_BLOCK // (1 + n_v + nbrs.size))
     best = cap + 2

@@ -5,8 +5,18 @@ edges with (r - t) mod M equal to their degree; equivalently each edge (i, j)
 with degree w puts a one at (((t + w) mod M) * (c-b) + i, t*c + j) for every
 block column t.  Circulant layout groups by base position instead: block
 (i, j) is the M x M circulant with ones at (s, (s - w) mod M).  The two are
-column/row permutations of each other.  Each lift is built in CSR form by one
-sort of the int64 keys ``row * Mc + col``, which fit while M(c-b) * Mc < 2**63.
+column/row permutations of each other.
+
+Each lift is written in CSR form with every row's columns already in
+increasing order, so no lift sorts all its ones.  Base row i of weight k
+lifts to M rows of k ones each.  Tailbiting row a*(c-b) + i holds the
+columns ((a - w) mod M)*c + j of the edges (i, j), so it is a*c plus the
+offset (-w)*c + j, or (M - w)*c + j where a - w wraps.  Cut [0, M) at 0, M
+and the distinct degrees of base row i: inside one stretch [lo, hi) no
+degree lies in (lo, hi), so w > a exactly when w > lo and the offsets are
+the same for every row of the stretch.  One sort of k offsets per stretch,
+at most c + 1 stretches per base row, orders all M rows.  Circulant row
+i*M + s holds the columns j*M + (s - w) mod M, which rise with j already.
 """
 
 from __future__ import annotations
@@ -32,16 +42,27 @@ def _lifted_rows(w: DegreeMatrix, m: int, layout: str) -> tuple[np.ndarray, np.n
     """CSR ``(indptr, indices)`` of the lift of ``w`` in ``layout``."""
     if m <= w.max_degree:
         raise ValueError(f"tailbiting length {m} must exceed max degree {w.max_degree}")
-    cb, c = w.n_rows, w.n_cols
-    ei, ej = np.nonzero(w.entries != NO_EDGE)
-    ew, s = w.entries[ei, ej], np.arange(m)[:, None]  # ones as (s, edge) grids
-    if layout == TAILBITING:  # s is the block column
-        row_idx = ((s + ew) % m) * cb + ei
-        col_idx = s * c + ej
-    else:  # s is the row within each circulant
-        row_idx = ei * m + s
-        col_idx = ej * m + (s - ew) % m
-    return csr_from_pairs(m * cb, m * c, row_idx, col_idx)
+    c = w.n_cols
+    weights = np.count_nonzero(w.entries != NO_EDGE, axis=1)
+    slots = np.concatenate(([0], np.cumsum(weights))).tolist()  # row i: slots[i] to slots[i+1]
+    indices = np.empty(m * slots[-1], dtype=np.int64)
+    s = np.arange(m)[:, None]
+    if layout == TAILBITING:  # block row a is row a of this grid
+        grid, row_c = indices.reshape(m, slots[-1]), s * c
+        indptr = np.concatenate(([0], np.cumsum(np.tile(weights, m))))
+    else:  # base row i owns the M rows from i*M on
+        indptr = np.concatenate(([0], np.cumsum(np.repeat(weights, m))))
+    for i, (first, last) in enumerate(zip(slots[:-1], slots[1:])):
+        j = np.flatnonzero(w.entries[i] != NO_EDGE)
+        deg = w.entries[i, j]
+        if layout == TAILBITING:
+            cuts = np.unique(np.concatenate(([0, m], deg))).tolist()
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                offsets = np.sort(np.where(deg > lo, m - deg, -deg) * c + j)
+                np.add(row_c[lo:hi], offsets, out=grid[lo:hi, first:last])
+        else:
+            np.add(j * m, (s - deg) % m, out=indices[m * first:m * last].reshape(m, last - first))
+    return indptr, indices
 
 
 def lift_tailbiting(w: DegreeMatrix, m: int) -> SparseParityCheck:

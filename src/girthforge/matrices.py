@@ -141,17 +141,22 @@ class QCBlock:
 
 def csr_from_pairs(n_rows: int, n_cols: int, rows, cols) -> tuple[np.ndarray, np.ndarray]:
     """CSR ``(indptr, indices)`` of distinct ones at ``(rows, cols)`` in any order and
-    shape, by one sort of the int64 keys ``row * n_cols + col`` taken apart by divmod."""
-    rows, cols = np.divmod(np.sort((rows * n_cols + cols).ravel()), n_cols)
-    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows)))), cols
+    shape, by one in-place sort of the int64 keys ``row * n_cols + col``."""
+    keys = (rows * n_cols + cols).ravel()
+    keys.sort()
+    rows = keys // n_cols
+    keys -= rows * n_cols  # now the columns
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows)))), keys
 
 
 @dataclass(frozen=True)
 class SparseParityCheck:
     """Sparse binary matrix in CSR form: row r has its ones at the strictly
     increasing columns ``indices[indptr[r]:indptr[r + 1]]`` (read-only int64).
-    Validation, lifts and transposes order the ones by one int64 key per one
-    (:func:`csr_from_pairs`), so ``n_rows * n_cols`` must be below ``2**63``."""
+    Validation compares neighbouring indices within each row, and lifts emit
+    their rows already in order; transposes and layout reorders order the
+    ones by one int64 key per one (:func:`csr_from_pairs`), so
+    ``n_rows * n_cols`` must be below ``2**63``."""
 
     n_cols: int
     indptr: np.ndarray
@@ -172,8 +177,11 @@ class SparseParityCheck:
             raise ValueError("column index out of range")
         if self.n_rows * int(self.n_cols) >= 2**63:  # a Python int: no wrap-around
             raise ValueError("n_rows * n_cols must be below 2**63")
-        # with indices in range, row-major keys increase iff every row does
-        if (np.diff(self._row_ids() * self.n_cols + indices) <= 0).any():
+        # compare each one with the one before it, except where a row starts
+        not_rising = indices[1:] <= indices[:-1]
+        row_starts = indptr[1:-1]
+        not_rising[row_starts[(row_starts > 0) & (row_starts < indices.size)] - 1] = False
+        if not_rising.any():
             raise ValueError("column indices must be strictly increasing")
         if self.layout not in (TAILBITING, CIRCULANT, GENERIC):
             raise ValueError(f"unknown layout {self.layout!r}")

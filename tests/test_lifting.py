@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from girthforge.lifting import (TailbitingCode, degree_matrix_of_lift, lift_circulant,
                                 lift_tailbiting, reorder_to_circulant)
-from girthforge.matrices import NO_EDGE, DegreeMatrix, QCBlock, SparseParityCheck, gf2_rank
+from girthforge.matrices import (NO_EDGE, DegreeMatrix, QCBlock, SparseParityCheck,
+                                 csr_from_pairs, gf2_rank)
 from girthforge import catalog, gf2
 
 from conftest import TOY_TB, TOY_CIRC, toggle_row
@@ -73,6 +74,54 @@ def test_lifts_match_reference_random(data):
         h = lift(w, m)
         assert h == reference_lift(w, m, layout)
         assert (h.layout, h.block) == (layout, QCBlock(m, c, cb))
+
+
+def keyed_lift(w: DegreeMatrix, m: int, layout: str) -> SparseParityCheck:
+    """The lift by the module docstring's formulas, its ones ordered by one
+    sort of their int64 keys."""
+    ei, ej = np.nonzero(w.entries != NO_EDGE)
+    ew, s = w.entries[ei, ej], np.arange(m)[:, None]
+    if layout == "tailbiting":
+        rows, cols = ((s + ew) % m) * w.n_rows + ei, s * w.n_cols + ej
+    else:
+        rows, cols = ei * m + s, ej * m + (s - ew) % m
+    return SparseParityCheck(m * w.n_cols, *csr_from_pairs(m * w.n_rows, m * w.n_cols, rows, cols))
+
+
+def test_corpus_lifts_match_keyed_reference():
+    # reference_lift is dense, so this is the check that reaches M in the thousands
+    for entry in catalog.CATALOG:
+        w = entry.degree_matrix()
+        for layout, lift in (("tailbiting", lift_tailbiting), ("circulant", lift_circulant)):
+            assert lift(w, entry.m) == keyed_lift(w, entry.m, layout), (entry.name, layout)
+
+
+def negated_transpose(w: DegreeMatrix, m: int) -> DegreeMatrix:
+    """The degree matrix of the transposed lift: w transposed, degrees negated mod M."""
+    e = w.entries
+    return DegreeMatrix(np.where(e == NO_EDGE, NO_EDGE, -e % m).T, modulus=m)
+
+
+def duality_cases():
+    for entry in catalog.CATALOG:
+        yield entry.degree_matrix(), entry.m
+    rng = np.random.default_rng(31)
+    for _ in range(40):  # holes, repeated degrees and whole empty base rows
+        m = int(rng.integers(1, 24))
+        cb, c = int(rng.integers(1, 5)), int(rng.integers(2, 8))
+        entries = rng.integers(0, min(m, int(rng.integers(1, 6))), size=(cb, c))
+        entries[rng.random((cb, c)) < 0.3] = NO_EDGE
+        if rng.random() < 0.25:
+            entries[int(rng.integers(cb))] = NO_EDGE
+        yield DegreeMatrix(entries, modulus=m), m
+
+
+def test_transpose_is_lift_of_negated_transpose():
+    # ties the transposed CSR the BFS oracle reads to the lift formula by a second path
+    for w, m in duality_cases():
+        dual = negated_transpose(w, m)
+        for lift in (lift_tailbiting, lift_circulant):
+            assert lift(w, m).transpose() == lift(dual, m), (w.entries.tolist(), m)
 
 
 def test_lift_m1_is_base():

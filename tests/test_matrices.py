@@ -112,6 +112,28 @@ def test_sparse_parity_check_validation():
         csr([0, 1], [0], layout="diagonal")
 
 
+@pytest.mark.parametrize("indptr, indices, ok", [
+    ([0, 0, 2, 4], [2, 3, 0, 1], True),                # empty first row
+    ([0, 2, 2, 4], [2, 3, 0, 1], True),                # empty middle row
+    ([0, 2, 4, 4], [2, 3, 0, 1], True),                # empty last row
+    ([0, 0, 0, 2, 2, 2, 3, 3], [2, 3, 0], True),       # runs of empty rows everywhere
+    ([0, 1, 2, 3], [3, 2, 0], True),                   # every row starts below the last
+    ([0, 0, 2], [1, 1], False),                        # equal pair after an empty row
+    ([0, 0, 2], [3, 2], False),                        # falling pair after an empty row
+    ([0, 2, 2, 4], [0, 1, 2, 2], False),               # equal pair after an empty middle row
+    ([0, 2, 2, 4], [2, 3, 1, 0], False),               # falling pair after an empty middle row
+    ([0, 2, 4, 4], [0, 1, 3, 2], False),               # falling pair before an empty last row
+    ([0, 3, 3], [0, 2, 2], False),                     # equal pair ending the ones
+])
+def test_row_order_check_boundaries(indptr, indices, ok):
+    # each row's first one is exempt from the comparison with the one before it
+    if ok:
+        assert SparseParityCheck(4, indptr, indices).indices.tolist() == indices
+    else:
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SparseParityCheck(4, indptr, indices)
+
+
 def test_sparse_parity_check_rejects_int64_key_overflow():
     # 3 x 2**62: the row-major keys wrap twice and would still read increasing
     with pytest.raises(ValueError):
