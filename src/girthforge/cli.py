@@ -1,7 +1,9 @@
 """Command-line frontend: search, verification, distance, export, corpus.
 
 Exit codes: 0 success, 1 usage/parse error, 2 search budget exceeded,
-3 target infeasible by a structural bound.
+3 target infeasible by a structural bound, 4 verification failed (a
+``verify-girth`` girth below ``--girth``, or a ``verify-corpus`` entry that
+prints ``FAIL``).
 """
 
 from __future__ import annotations

@@ -33,8 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .matrices import (CIRCULANT, NO_EDGE, TAILBITING, BaseMatrix, DegreeMatrix,
-                       SparseParityCheck)
+from .matrices import NO_EDGE, TAILBITING, BaseMatrix, DegreeMatrix, SparseParityCheck
 
 
 @dataclass
@@ -498,7 +497,7 @@ class GirthSystem:
 
     The int8 inequality rows of ``collect_inequalities`` are stacked once
     into an (N_L, n_edges) matrix, stably sorted by support size so that the
-    shortest cycles come first; ``ineqs`` keeps the witness order.  Every
+    shortest cycles come first; that matrix is all the system keeps.  Every
     check casts a block of assignments to the narrowest float type that
     holds its values exactly (float32 or float64, below), then evaluates
     that matrix on it in chunks of about ``_CHUNK_BYTES`` of values, each
@@ -526,8 +525,7 @@ class GirthSystem:
     def __init__(self, base: BaseMatrix, g: int):
         self.base = base
         self.g = g
-        self.ineqs = collect_inequalities(grow_trees(base, g))
-        coeffs = self.ineqs.coeffs
+        coeffs = collect_inequalities(grow_trees(base, g)).coeffs
         order = np.argsort(np.count_nonzero(coeffs, axis=1), kind="stable")
         self._matrix = coeffs[order]
 
@@ -741,20 +739,18 @@ def qc_start_vertices(h: SparseParityCheck) -> list[int]:
     one, so these starts give the girth.  With one orbit on the chosen side
     no cycle exists, and its one start finds none.
     """
-    if h.block is None:
-        raise ValueError("matrix carries no block metadata")
-    m, c, cb = h.block.m, h.block.c, h.block.cb
-    if h.layout not in (TAILBITING, CIRCULANT):
-        raise ValueError("start vertices need tailbiting or circulant layout")
-    step = 1 if h.layout == TAILBITING else m  # block column t = 0, or shift s = 0 per block
+    if h.lift is None:
+        raise ValueError("start vertices need a tailbiting or circulant lift")
+    w, layout = h.lift
+    m, c, cb = w.modulus, w.n_cols, w.n_rows
+    step = 1 if layout == TAILBITING else m  # block column t = 0, or shift s = 0 per block
     if cb <= c:
         return [i * step for i in range(max(1, cb - 1))]
     return [h.n_rows + j * step for j in range(max(1, c - 1))]
 
 
 def certified_girth(h: SparseParityCheck, cap: int = 32) -> int | None:
-    """Girth via the BFS oracle, using orbit starts when metadata allows."""
-    starts = None
-    if h.block is not None and h.layout in (TAILBITING, CIRCULANT):
-        starts = qc_start_vertices(h)
+    """Girth via the BFS oracle, from orbit starts on a lift and from every
+    vertex on any other matrix."""
+    starts = None if h.lift is None else qc_start_vertices(h)
     return girth_bfs_oracle(h, cap=cap, start_vertices=starts)

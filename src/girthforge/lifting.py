@@ -17,6 +17,11 @@ degree lies in (lo, hi), so w > a exactly when w > lo and the offsets are
 the same for every row of the stretch.  One sort of k offsets per stretch,
 at most c + 1 stretches per base row, orders all M rows.  Circulant row
 i*M + s holds the columns j*M + (s - w) mod M, which rise with j already.
+
+Both lifts, and the circulant matrix :func:`reorder_to_circulant` makes of
+a tailbiting lift, carry the degree matrix (with modulus M) and layout they
+were built from as ``SparseParityCheck.lift``, which rank, the orbit-start
+BFS and branch and bound read.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from .matrices import (
     NO_EDGE,
     TAILBITING,
     DegreeMatrix,
-    QCBlock,
     SparseParityCheck,
+    _adopt,
     csr_from_pairs,
 )
 
@@ -65,84 +70,43 @@ def _lifted_rows(w: DegreeMatrix, m: int, layout: str) -> tuple[np.ndarray, np.n
     return indptr, indices
 
 
+def _lift(w: DegreeMatrix, m: int, layout: str) -> SparseParityCheck:
+    indptr, indices = _lifted_rows(w, m, layout)
+    return _adopt(m * w.n_cols, indptr, indices, (DegreeMatrix(w.entries, modulus=m), layout))
+
+
 def lift_tailbiting(w: DegreeMatrix, m: int) -> SparseParityCheck:
     """Tailbiting parity-check matrix of size M(c-b) x Mc."""
-    return SparseParityCheck(m * w.n_cols, *_lifted_rows(w, m, TAILBITING),
-                             TAILBITING, QCBlock(m, w.n_cols, w.n_rows))
+    return _lift(w, m, TAILBITING)
 
 
 def lift_circulant(w: DegreeMatrix, m: int) -> SparseParityCheck:
     """Circulant-block parity-check matrix, equivalent to the tailbiting one."""
-    return SparseParityCheck(m * w.n_cols, *_lifted_rows(w, m, CIRCULANT),
-                             CIRCULANT, QCBlock(m, w.n_cols, w.n_rows))
+    return _lift(w, m, CIRCULANT)
 
 
-def reorder_to_circulant(h_tb: SparseParityCheck, c: int, cb: int, m: int,
-                         ) -> tuple[SparseParityCheck, np.ndarray, np.ndarray]:
-    """Permute a tailbiting matrix into circulant layout.
+def reorder_to_circulant(
+        h_tb: SparseParityCheck) -> tuple[SparseParityCheck, np.ndarray, np.ndarray]:
+    """Permute a tailbiting lift into circulant layout.
 
     Returns (matrix, column permutation, row permutation) where position p of
     a permutation holds the source index: column p of the result is column
     ``col_perm[p]`` of the input.  Columns are gathered as 0, c, 2c, ... then
-    1, c+1, ... and rows analogously with stride c-b.  Raises ``ValueError``
-    unless the input is in tailbiting layout with matching block metadata
-    (or none): the result is labelled circulant, which is only true then.
+    1, c+1, ... and rows analogously with stride c-b, with c, c-b and M read
+    off the degree matrix the lift carries.  Raises ``ValueError`` unless the
+    input is a tailbiting lift.
     """
-    if h_tb.layout != TAILBITING:
-        raise ValueError(f"expected a tailbiting layout, got {h_tb.layout!r}")
-    if h_tb.block is not None and h_tb.block != QCBlock(m, c, cb):
-        raise ValueError("block metadata does not match (c, c-b, M)")
-    if h_tb.n_rows != m * cb or h_tb.n_cols != m * c:
-        raise ValueError("dimensions do not match (c, c-b, M)")
+    if h_tb.lift is None or h_tb.lift[1] != TAILBITING:
+        raise ValueError("expected a tailbiting lift")
+    w, _ = h_tb.lift
+    c, cb, m = w.n_cols, w.n_rows, w.modulus
     col_perm = (np.arange(m) * c + np.arange(c)[:, None]).ravel()
     row_perm = (np.arange(m) * cb + np.arange(cb)[:, None]).ravel()
     col_rank = (np.arange(c) * m + np.arange(m)[:, None]).ravel()  # inverse of col_perm
     row_rank = (np.arange(cb) * m + np.arange(m)[:, None]).ravel()  # inverse of row_perm
     rows = np.repeat(row_rank, np.diff(h_tb.indptr))
     csr = csr_from_pairs(h_tb.n_rows, h_tb.n_cols, rows, col_rank[h_tb.indices])
-    return SparseParityCheck(h_tb.n_cols, *csr, CIRCULANT, QCBlock(m, c, cb)), col_perm, row_perm
-
-
-def degree_matrix_of_lift(h: SparseParityCheck) -> tuple[DegreeMatrix, int]:
-    """Recover (degree matrix, M) from a tailbiting or circulant lift.
-
-    Reads the degrees off the first row of every block row, then checks that
-    every stored one lies where the lift of those degrees has a one and that
-    there are M ones per edge.  The ones of a CSR matrix are distinct, so
-    then the matrix is that lift.  Raises ``ValueError`` when the block
-    metadata does not describe the matrix.
-    """
-    if h.layout not in (TAILBITING, CIRCULANT) or h.block is None:
-        raise ValueError("expected a tailbiting or circulant lift with block metadata")
-    m, c, cb = h.block.m, h.block.c, h.block.cb
-    if m < 1 or h.n_rows != m * cb or h.n_cols != m * c:
-        raise ValueError("block metadata does not match the matrix shape")
-    entries = np.full((cb, c), NO_EDGE, dtype=np.int64)
-    for i in range(cb):
-        # the first row of block row i holds, per base column j, one entry at offset (-w) mod M
-        # (a block with two circulants there fails the check of every one below)
-        if h.layout == TAILBITING:
-            t, j = np.divmod(h.indices[h.indptr[i]:h.indptr[i + 1]], c)
-        else:
-            j, t = np.divmod(h.indices[h.indptr[i * m]:h.indptr[i * m + 1]], m)
-        entries[i, j] = -t % m
-    # a one at offset a in its block row and offset b in its block column
-    # lies on the lift iff b + w - a is 0 or M; the ones are split by a
-    # floor division and a product, which is faster than np.divmod
-    rows, cols = np.arange(h.n_rows), h.indices
-    if h.layout == TAILBITING:  # row ((t + w) % M) * cb + i, column t * c + j
-        (row_at, i), col_at = np.divmod(rows, cb), cols // c
-        j = cols - col_at * c
-    else:  # row i * M + s, column j * M + (s - w) % M
-        (i, row_at), j = np.divmod(rows, m), cols // m
-        col_at = cols - j * m
-    per_row = np.diff(h.indptr)
-    deg = entries.ravel().take(np.repeat(i * c, per_row) + j)
-    gap = col_at + deg - np.repeat(row_at, per_row)
-    lifted = ((gap == 0) | (gap == m)) & (deg != NO_EDGE)
-    if h.indices.size != m * np.count_nonzero(entries != NO_EDGE) or not lifted.all():
-        raise ValueError("matrix is not the lift of a single-circulant degree matrix")
-    return DegreeMatrix(entries, modulus=m), m
+    return _adopt(h_tb.n_cols, *csr, (w, CIRCULANT)), col_perm, row_perm
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,16 @@
 
 Binary vectors are plain numpy uint8 arrays (or python int bitsets inside
 the hot loops); the structured types below carry the validation that the
-rest of the package relies on.
+rest of the package relies on.  Their arrays are read-only, and a type never
+freezes an array its caller can still write: it copies that one.  A
+tailbiting or circulant lift also carries the degree matrix and layout it
+was built from (``SparseParityCheck.lift``); only the lifts of
+:mod:`girthforge.lifting` set it, so no edited matrix keeps it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,11 +24,21 @@ NO_EDGE = -1
 
 TAILBITING = "tailbiting"
 CIRCULANT = "circulant"
-GENERIC = "generic"
 
 
 class FormatError(ValueError):
     """Raised on malformed degree-matrix or alist text."""
+
+
+def _frozen(value, dtype) -> np.ndarray:
+    """``value`` as a read-only ``dtype`` array.  Where numpy hands back the
+    caller's own writeable array (or a view of it), that is copied, so the
+    caller keeps writing to it and no write reaches the matrix."""
+    arr = np.asarray(value, dtype=dtype)
+    if arr.flags.writeable and (arr is value or not arr.flags.owndata):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -39,14 +53,13 @@ class BaseMatrix:
     regularity: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=np.uint8)
+        entries = _frozen(self.entries, np.uint8)
         if entries.ndim != 2:
             raise ValueError("base matrix must be two-dimensional")
         if not np.isin(entries, (0, 1)).all():
             raise ValueError("base matrix entries must be 0 or 1")
         if entries.shape[0] < 1 or entries.shape[1] < 2:
             raise ValueError("base matrix needs at least 1 row and 2 columns")
-        entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
         if self.regularity is not None:
             j, k = self.regularity
@@ -86,7 +99,7 @@ class DegreeMatrix:
     modulus: int | None = None
 
     def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=np.int64)
+        entries = _frozen(self.entries, np.int64)
         if entries.ndim != 2:
             raise ValueError("degree matrix must be two-dimensional")
         if ((entries < 0) & (entries != NO_EDGE)).any():
@@ -96,7 +109,6 @@ class DegreeMatrix:
                 raise ValueError("modulus must be positive")
             if (entries >= self.modulus).any():
                 raise ValueError(f"degree >= modulus M={self.modulus}")
-        entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -130,15 +142,6 @@ class DegreeMatrix:
         return hash((self.modulus, self.entries.tobytes()))
 
 
-@dataclass(frozen=True)
-class QCBlock:
-    """Block metadata of a lifted matrix: circulant size and base shape."""
-
-    m: int
-    c: int
-    cb: int  # number of base rows, i.e. c - b
-
-
 def csr_from_pairs(n_rows: int, n_cols: int, rows, cols) -> tuple[np.ndarray, np.ndarray]:
     """CSR ``(indptr, indices)`` of distinct ones at ``(rows, cols)`` in any order and
     shape, by one in-place sort of the int64 keys ``row * n_cols + col``."""
@@ -156,19 +159,21 @@ class SparseParityCheck:
     Validation compares neighbouring indices within each row, and lifts emit
     their rows already in order; transposes and layout reorders order the
     ones by one int64 key per one (:func:`csr_from_pairs`), so
-    ``n_rows * n_cols`` must be below ``2**63``."""
+    ``n_rows * n_cols`` must be below ``2**63``.
+
+    ``lift`` is ``(degree matrix, layout)`` on a tailbiting or circulant lift,
+    the degree matrix's modulus being the lift's M, and None on any other
+    matrix.  No constructor argument sets it and ``dataclasses.replace``
+    drops it: only the lifts attach it, through :func:`_adopt`."""
 
     n_cols: int
     indptr: np.ndarray
     indices: np.ndarray
-    layout: str = GENERIC
-    block: QCBlock | None = None
+    lift: tuple[DegreeMatrix, str] | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("indptr", "indices"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.int64))
         indptr, indices = self.indptr, self.indices
         if (indptr.ndim != 1 or indices.ndim != 1 or indptr.size == 0 or indptr[0] != 0
                 or (np.diff(indptr) < 0).any() or indptr[-1] != indices.size):
@@ -183,8 +188,6 @@ class SparseParityCheck:
         not_rising[row_starts[(row_starts > 0) & (row_starts < indices.size)] - 1] = False
         if not_rising.any():
             raise ValueError("column indices must be strictly increasing")
-        if self.layout not in (TAILBITING, CIRCULANT, GENERIC):
-            raise ValueError(f"unknown layout {self.layout!r}")
 
     @property
     def n_rows(self) -> int:
@@ -194,7 +197,7 @@ class SparseParityCheck:
     def from_dense(cls, dense: np.ndarray) -> "SparseParityCheck":
         dense = np.asarray(dense)
         rows, cols = np.nonzero(dense)
-        return cls(dense.shape[1], np.searchsorted(rows, np.arange(dense.shape[0] + 1)), cols)
+        return _adopt(dense.shape[1], np.searchsorted(rows, np.arange(dense.shape[0] + 1)), cols)
 
     def _row_ids(self) -> np.ndarray:
         """Row index of every stored one, aligned with ``indices``."""
@@ -202,7 +205,7 @@ class SparseParityCheck:
 
     def transpose(self) -> "SparseParityCheck":
         """The transposed matrix: its rows list each column's row indices."""
-        return SparseParityCheck(self.n_rows, *csr_from_pairs(
+        return _adopt(self.n_rows, *csr_from_pairs(
             self.n_cols, self.n_rows, self.indices, self._row_ids()))
 
     def to_dense(self) -> np.ndarray:
@@ -229,21 +232,26 @@ class SparseParityCheck:
         return hash((self.n_cols, self.indptr.tobytes(), self.indices.tobytes()))
 
 
+def _adopt(n_cols: int, indptr: np.ndarray, indices: np.ndarray,
+           lift: tuple[DegreeMatrix, str] | None = None) -> SparseParityCheck:
+    """The matrix over CSR arrays that the caller made and hands over: they
+    are frozen in place, not copied.  Only a lift passes ``lift``."""
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    h = SparseParityCheck(n_cols, indptr, indices)
+    object.__setattr__(h, "lift", lift)
+    return h
+
+
 def gf2_rank(h: SparseParityCheck) -> int:
     """Rank of the matrix over GF(2); code dimension is n_cols - rank.
 
-    A tailbiting or circulant lift is ranked from its recovered degree matrix
-    by :func:`gf2.qc_rank`; any other matrix, including one whose block
-    metadata does not match its rows, by dense elimination.
+    A tailbiting or circulant lift is ranked from the degree matrix it
+    carries by :func:`gf2.qc_rank`; any other matrix by dense elimination.
     """
-    if h.block is not None:
-        from .lifting import degree_matrix_of_lift
-        try:
-            w, m = degree_matrix_of_lift(h)
-        except ValueError:
-            pass
-        else:
-            return gf2.qc_rank(w.entries, m)
+    if h.lift is not None:
+        w, _ = h.lift
+        return gf2.qc_rank(w.entries, w.modulus)
     return gf2.rank(h.packed(), h.n_cols)
 
 

@@ -60,7 +60,7 @@ import numpy as np
 
 from . import gf2
 from .matrices import NO_EDGE, DegreeMatrix, SparseParityCheck
-from .lifting import TailbitingCode, degree_matrix_of_lift
+from .lifting import TailbitingCode
 
 # elements per broadcast block of the enumeration; a block's XOR temporary
 # is 512 KB of uint64, so wider blocks only raise peak memory
@@ -118,7 +118,10 @@ def _resolve_code(code) -> tuple[DegreeMatrix, int]:
     if isinstance(code, TailbitingCode):
         return code.degree, code.m
     if isinstance(code, SparseParityCheck):
-        return degree_matrix_of_lift(code)
+        if code.lift is None:
+            raise ValueError("matrix is not a lift: pass a lift, a TailbitingCode or (W, M)")
+        w, _ = code.lift
+        return w, w.modulus
     w, m = code
     return w, m
 

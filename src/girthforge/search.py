@@ -91,7 +91,6 @@ class SearchResult:
     girth: int           # oracle-certified
     seed: int
     attempts: int
-    wall_secs: float
 
 
 def resolve_base(spec: dict) -> BaseMatrix:
@@ -200,15 +199,13 @@ def _feasibility_check(base: BaseMatrix, g: int) -> None:
 def _drive(system: GirthSystem, steps, deadline: float, seed: int) -> SearchResult | None:
     """Run a mode's blocks until one holds a hit, the blocks run out or the
     deadline passes; certify the hit and return it as the search result."""
-    t0 = time.monotonic()
     attempts = 0
     for tried, hit in steps:
         attempts += tried
         if hit is not None:
             values, m = hit
             w = assignment_to_degree_matrix(system.base, values, m)
-            return SearchResult(w, m, _certify(system, w), seed, attempts,
-                                time.monotonic() - t0)
+            return SearchResult(w, m, _certify(system, w), seed, attempts)
         if time.monotonic() > deadline:
             return None
     return None

@@ -53,14 +53,14 @@ def toy_degrees() -> DegreeMatrix:
 
 
 def toggle_row(h: SparseParityCheck, r: int, cols) -> SparseParityCheck:
-    """``h`` with the ones of row ``r`` at ``cols`` flipped, keeping its layout
-    and block metadata."""
+    """``h`` with the ones of row ``r`` at ``cols`` flipped: a matrix built
+    from arrays, which carries no lift."""
     a, b = int(h.indptr[r]), int(h.indptr[r + 1])
     row = sorted(set(h.indices[a:b].tolist()) ^ set(cols))
     indptr = h.indptr.copy()
     indptr[r + 1:] += len(row) - (b - a)
     indices = np.concatenate((h.indices[:a], np.array(row, dtype=np.int64), h.indices[b:]))
-    return SparseParityCheck(h.n_cols, indptr, indices, h.layout, h.block)
+    return SparseParityCheck(h.n_cols, indptr, indices)
 
 
 def reference_girth(h: SparseParityCheck, cap: int = 32, start_vertices=None):

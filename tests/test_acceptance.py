@@ -103,7 +103,7 @@ def test_criterion3_lifting_golden(toy_degrees):
     t0 = time.time()
     h_tb = lift_tailbiting(toy_degrees, 2)
     h_c = lift_circulant(toy_degrees, 2)
-    reordered, col_perm, row_perm = reorder_to_circulant(h_tb, 4, 3, 2)
+    reordered, col_perm, row_perm = reorder_to_circulant(h_tb)
     elapsed = time.time() - t0
     ok = (np.array_equal(h_tb.to_dense(), TOY_TB)
           and np.array_equal(h_c.to_dense(), TOY_CIRC)

@@ -1,9 +1,11 @@
-"""The traced benchmark wraps program functions by name (``bench/layers.py``).
+"""The traced benchmark wraps program functions by name (``bench/layers.py``)
+and its workloads call them through module attributes (``bench/workloads.py``).
 These tests fail when a refactor removes or renames one of them, or calls it
 in a way the wrapper no longer sees."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import types
 from pathlib import Path
@@ -78,3 +80,29 @@ def test_traced_bfs_counts_orbit_starts(bench):
         tracer.restore()
     assert tracer.summary()["girth.bfs"]["calls"] == 1
     assert tracer.counts["girth.bfs_starts"] == len(prog.girth.qc_start_vertices(h)) > 0
+
+
+def _program_chains(path: Path) -> set[tuple[str, str]]:
+    """Every ``(module, name)`` of a ``prog.<module>.<name>`` or
+    ``self.prog.<module>.<name>`` chain in the source at ``path``."""
+    def is_prog(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id == "prog"
+                or isinstance(node, ast.Attribute) and node.attr == "prog"
+                and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+    return {(node.value.attr, node.attr) for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+            and is_prog(node.value.value)}
+
+
+def test_workloads_call_names_the_package_has():
+    # the workloads reach the program only through these chains, so a
+    # renamed function would otherwise show only when the benchmark runs
+    chains = _program_chains(BENCH / "workloads.py")
+    assert {("lifting", "lift_tailbiting"), ("matrices", "gf2_rank"),
+            ("girth", "certified_girth"), ("catalog", "BY_NAME"),
+            ("mindist", "min_weight_codeword"), ("mindist", "min_distance_md"),
+            ("mindist", "min_distance_bruteforce")} <= chains
+    missing = [f"{module}.{name}" for module, name in sorted(chains)
+               if not hasattr(importlib.import_module(f"girthforge.{module}"), name)]
+    assert missing == []

@@ -33,10 +33,8 @@ def test_verify_girth_pass(capsys):
 
 
 def test_verify_girth_fail(toy_file, capsys):
-    rc = main(["verify-girth", toy_file, "--girth", "6"])
-    out = capsys.readouterr().out
-    assert rc != 0
-    assert "girth 4" in out
+    assert main(["verify-girth", toy_file, "--girth", "6"]) == 4
+    assert "girth 4" in capsys.readouterr().out
 
 
 def test_verify_girth_without_target(toy_file, capsys):
@@ -298,6 +296,23 @@ def test_verify_corpus_small(capsys, tmp_path):
     assert main(["verify-corpus", "--dir", str(small), "--max-m", "40"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+def test_verify_corpus_wrong_girth_fails(capsys, tmp_path):
+    # an index that gives g06_k4 girth 8 fails that entry with exit code 4
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    index = json.loads((CORPUS_DIR / "index.json").read_text())
+    subset = {k: index[k] for k in ("g06_k4", "g08_k4")}
+    for meta in subset.values():
+        (corpus / meta["file"]).write_text((CORPUS_DIR / meta["file"]).read_text())
+    subset["g06_k4"] = {**subset["g06_k4"], "girth": 8}
+    (corpus / "index.json").write_text(json.dumps(subset))
+    assert main(["verify-corpus", "--dir", str(corpus)]) == 4
+    out = capsys.readouterr().out
+    assert "FAIL g06_k4: girth 6 (expected 8" in out
+    assert "PASS g08_k4" in out
+    assert "1/2 corpus entries verified" in out
 
 
 def test_verify_corpus_checking_nothing_fails(capsys):

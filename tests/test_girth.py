@@ -166,7 +166,7 @@ def test_staged_evaluator_matches_full_reference(base_name, g, monkeypatch):
     # with a value budget of 1 makes every chunk the minimum width, so
     # survivors cross many chunk boundaries
     system = GirthSystem(_STAGED_BASES[base_name], g)
-    coeffs = system.ineqs.coeffs.astype(np.int64)
+    coeffs = collect_inequalities(grow_trees(_STAGED_BASES[base_name], g)).coeffs.astype(np.int64)
     for chunk_values in (girth_module._CHUNK_BYTES, 1):
         monkeypatch.setattr(girth_module, "_CHUNK_BYTES", chunk_values)
         rng = np.random.default_rng(g)
@@ -186,13 +186,14 @@ def test_sorted_checker_matches_staged_evaluator(base_name, g):
     # (no modulus) is compared with the exact inequality values
     base = _STAGED_BASES[base_name]
     system = GirthSystem(base, g)
+    coeffs = collect_inequalities(grow_trees(base, g)).coeffs.astype(np.int64)
     rng = np.random.default_rng(g)
     verdicts = []
     for m in (1, 2, 7, int(rng.integers(8, 100)), int(rng.integers(100, 10_000)), None):
         span = m or 50
         block = rng.integers(-span, span, size=(400, system.n_edges))
         if m is None:
-            expected = (block @ system.ineqs.coeffs.astype(np.int64).T != 0).all(axis=1)
+            expected = (block @ coeffs.T != 0).all(axis=1)
         else:
             expected = system.check_batch(block, m)
         found = check_assignment_sorted(base, g, block, m)
@@ -200,7 +201,7 @@ def test_sorted_checker_matches_staged_evaluator(base_name, g):
         verdicts.append(found)
     # M = 1 rejects every row of a base with short cycles (sts9 has none at g=6)
     verdicts = np.concatenate(verdicts)
-    assert verdicts.any() and verdicts.all() == (len(system.ineqs) == 0)
+    assert verdicts.any() and verdicts.all() == (len(coeffs) == 0)
 
 
 def test_sorted_checker_shapes():
@@ -262,7 +263,7 @@ def test_staged_evaluator_without_inequalities_passes_everything():
     from girthforge.matrices import BaseMatrix
     cycle = BaseMatrix(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8))
     system = GirthSystem(cycle, 6)
-    assert len(system.ineqs) == 0
+    assert len(collect_inequalities(grow_trees(cycle, 6))) == 0
     block = np.random.default_rng(3).integers(0, 7, size=(40, system.n_edges))
     assert system.check_batch(block, 7).all()
     assert system.check(np.zeros(system.n_edges, dtype=np.int64), 1)
@@ -286,7 +287,7 @@ def test_division_residue_matches_integer_remainder(j, k, g, m):
     # {-1, 0, 1} puts many values near multiples of M, r in [0, M) spreads
     # their residues
     system = GirthSystem(all_ones_base(j, k), g)
-    coeffs = system.ineqs.coeffs.astype(np.int64)
+    coeffs = collect_inequalities(grow_trees(system.base, g)).coeffs.astype(np.int64)
     l1 = int(np.abs(coeffs).sum(axis=1).max())
     rng = np.random.default_rng(g * m)
     for q_max in (3, (2 ** 53 - m) // (l1 * m) - 1):
@@ -332,7 +333,7 @@ def test_row_l1_norm_at_most_walk_length(g):
         entries[rng.random((3, k)) < 0.25] = NO_EDGE
         entries[rng.integers(3), rng.integers(k)] = NO_EDGE
         bases[f"random{i}"] = DegreeMatrix(entries).base()
-    norms = {name: int(np.abs(GirthSystem(base, g).ineqs.coeffs.astype(np.int64))
+    norms = {name: int(np.abs(collect_inequalities(grow_trees(base, g)).coeffs.astype(np.int64))
                        .sum(axis=1).max(initial=0)) for name, base in bases.items()}
     assert max(norms.values()) <= g - 2, norms
     if g in (6, 8, 10):
@@ -345,7 +346,7 @@ def test_exactness_guard_boundary_3x4_g8():
     # coefficients times e has value 6e, zero mod M, at the largest
     # magnitude the guard allows
     system = GirthSystem(all_ones_base(3, 4), 8)
-    coeffs = system.ineqs.coeffs.astype(np.int64)
+    coeffs = collect_inequalities(grow_trees(system.base, 8)).coeffs.astype(np.int64)
     e, m = 2 ** 50, 2 ** 51
     assert 6 * e + m == 2 ** 53
     six = coeffs[np.abs(coeffs).sum(axis=1) == 6]
@@ -373,7 +374,7 @@ def test_float32_boundary_3x4_g8():
     # coefficients times e has value 6e, a multiple of M at the largest
     # magnitude float32 is used for; one more on M falls to float64
     system = GirthSystem(all_ones_base(3, 4), 8)
-    coeffs = system.ineqs.coeffs.astype(np.int64)
+    coeffs = collect_inequalities(grow_trees(system.base, 8)).coeffs.astype(np.int64)
     e, m = 2 ** 21, 2 ** 22
     assert 6 * e + m == 2 ** 24
     six = coeffs[np.abs(coeffs).sum(axis=1) == 6]
@@ -449,11 +450,12 @@ def test_stacked_inequalities_shortest_first():
     # non-decreasing support
     for base in _STAGED_BASES.values():
         system = GirthSystem(base, 10)
+        ineqs = collect_inequalities(grow_trees(base, 10))
         stacked = system._matrix.astype(np.int64)
-        assert stacked.shape == (len(system.ineqs), system.n_edges)
+        assert stacked.shape == (len(ineqs), system.n_edges)
         assert (np.diff(np.count_nonzero(stacked, axis=1)) >= 0).all()
         assert np.array_equal(np.unique(stacked, axis=0),
-                              np.unique(system.ineqs.coeffs, axis=0))
+                              np.unique(ineqs.coeffs, axis=0))
 
 
 # -- inequality set ------------------------------------------------------------
@@ -822,7 +824,7 @@ def _free_girth_by_inequalities(w: DegreeMatrix, cap: int) -> int | None:
     zero; None if there is none."""
     values = degree_matrix_to_assignment(w)
     for length in range(4, cap + 1, 2):
-        coeffs = GirthSystem(w.base(), length + 2).ineqs.coeffs.astype(np.int64)
+        coeffs = collect_inequalities(grow_trees(w.base(), length + 2)).coeffs.astype(np.int64)
         if (values @ coeffs.T == 0).any():
             return length
     return None

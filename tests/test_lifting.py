@@ -1,15 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from girthforge.lifting import (TailbitingCode, degree_matrix_of_lift, lift_circulant,
-                                lift_tailbiting, reorder_to_circulant)
-from girthforge.matrices import (NO_EDGE, DegreeMatrix, QCBlock, SparseParityCheck,
-                                 csr_from_pairs, gf2_rank)
+from girthforge.lifting import (TailbitingCode, lift_circulant, lift_tailbiting,
+                                reorder_to_circulant)
+from girthforge.matrices import (NO_EDGE, DegreeMatrix, SparseParityCheck, csr_from_pairs,
+                                 emit_alist, gf2_rank, parse_alist)
 from girthforge import catalog, gf2
 
 from conftest import TOY_TB, TOY_CIRC, toggle_row
@@ -18,7 +19,7 @@ from conftest import TOY_TB, TOY_CIRC, toggle_row
 def test_lift_tailbiting_matches_golden(toy_degrees):
     h = lift_tailbiting(toy_degrees, 2)
     assert np.array_equal(h.to_dense(), TOY_TB)
-    assert h.layout == "tailbiting"
+    assert h.lift == (toy_degrees, "tailbiting")
 
 
 def test_lift_circulant_matches_golden(toy_degrees):
@@ -73,7 +74,7 @@ def test_lifts_match_reference_random(data):
     for layout, lift in (("tailbiting", lift_tailbiting), ("circulant", lift_circulant)):
         h = lift(w, m)
         assert h == reference_lift(w, m, layout)
-        assert (h.layout, h.block) == (layout, QCBlock(m, c, cb))
+        assert h.lift == (w, layout)
 
 
 def keyed_lift(w: DegreeMatrix, m: int, layout: str) -> SparseParityCheck:
@@ -169,7 +170,7 @@ def test_quasi_cyclic_shift_property(toy_degrees):
 
 def test_reorder_matches_printed_permutation(toy_degrees):
     h_tb = lift_tailbiting(toy_degrees, 2)
-    h_c, col_perm, row_perm = reorder_to_circulant(h_tb, 4, 3, 2)
+    h_c, col_perm, row_perm = reorder_to_circulant(h_tb)
     assert h_c == lift_circulant(toy_degrees, 2)
     assert (col_perm + 1).tolist() == [1, 5, 2, 6, 3, 7, 4, 8]
     assert (row_perm + 1).tolist() == [1, 4, 2, 5, 3, 6]
@@ -178,7 +179,7 @@ def test_reorder_matches_printed_permutation(toy_degrees):
 def test_reorder_identity_at_m1():
     w = DegreeMatrix(np.zeros((3, 4), dtype=np.int64))
     h = lift_tailbiting(w, 1)
-    _, col_perm, row_perm = reorder_to_circulant(h, 4, 3, 1)
+    _, col_perm, row_perm = reorder_to_circulant(h)
     assert col_perm.tolist() == list(range(4))
     assert row_perm.tolist() == list(range(3))
 
@@ -188,7 +189,7 @@ def test_reorder_identity_at_m1():
 def test_reorder_equivalence_random(seed, m):
     rng = np.random.default_rng(seed)
     w = DegreeMatrix(rng.integers(0, m, size=(3, 4)), modulus=m)
-    reordered, _, _ = reorder_to_circulant(lift_tailbiting(w, m), 4, 3, m)
+    reordered, _, _ = reorder_to_circulant(lift_tailbiting(w, m))
     assert reordered == lift_circulant(w, m)
 
 
@@ -200,11 +201,10 @@ def test_reorder_rejects_non_tailbiting_input():
     w = DegreeMatrix(np.array([[3, 1, 1, 1], [3, 2, 3, 4], [2, 3, 4, 1]]), modulus=5)
     tb, ci = lift_tailbiting(w, 5), lift_circulant(w, 5)
     with pytest.raises(ValueError):
-        reorder_to_circulant(ci, 4, 3, 5)
-    wrong = SparseParityCheck(tb.n_cols, tb.indptr, tb.indices, tb.layout, QCBlock(5, 3, 4))
-    with pytest.raises(ValueError):
-        reorder_to_circulant(wrong, 4, 3, 5)
-    reordered, _, _ = reorder_to_circulant(tb, 4, 3, 5)
+        reorder_to_circulant(ci)
+    with pytest.raises(ValueError):  # the same ones, built from arrays: no lift
+        reorder_to_circulant(SparseParityCheck(tb.n_cols, tb.indptr, tb.indices))
+    reordered, _, _ = reorder_to_circulant(tb)
     assert reordered == ci
     assert certified_girth(reordered) == girth_bfs_oracle(ci) == 4
 
@@ -259,50 +259,42 @@ def test_qc_rank_matches_dense_random(m, seed, dense_calls):
     tb = lift_tailbiting(w, m)
     expected = dense_rank(tb)
     assert gf2.qc_rank(entries, m) == expected
-    layouts = (tb, lift_circulant(w, m), reorder_to_circulant(tb, c, cb, m)[0])
+    layouts = (tb, lift_circulant(w, m), reorder_to_circulant(tb)[0])
     dense_calls.clear()
     for h in layouts:
         assert gf2_rank(h) == expected
     assert dense_calls == []
-    # rows edited under kept block metadata: the QC engine must not be used
+    # an edited lift carries no degree matrix: the QC engine must not be used
     for h in layouts:
         edited = toggle_row(h, int(rng.integers(h.n_rows)), {int(rng.integers(h.n_cols))})
         dense_calls.clear()
         assert gf2_rank(edited) == dense_rank(edited)
-        if m > 1:  # at M = 1 every 0/1 matrix is a lift of its own pattern
-            assert dense_calls[0] == h.n_cols
+        assert dense_calls[0] == h.n_cols
 
 
-def test_degree_matrix_of_lift_rejects_moved_one():
-    # the row weights still match the lift, so only the indices comparison catches it
+def test_only_lifts_carry_their_degree_matrix(dense_calls):
+    # g06_k4's tailbiting lift with column 5 added to row 14: once it could
+    # keep the lift's metadata, and certified_girth read girth 6 from the
+    # orbit starts where a BFS from every vertex reads 4
+    from girthforge.girth import certified_girth, girth_bfs_oracle
+    from girthforge.mindist import min_distance_md
+
     entry = catalog.BY_NAME["g06_k4"]
-    for lift in (lift_tailbiting, lift_circulant):
-        h = lift(entry.degree_matrix(), entry.m)
-        assert degree_matrix_of_lift(h) == (entry.degree_matrix(), entry.m)
-        r = h.n_rows - 1  # not the first row of a block row
-        row = set(h.indices[h.indptr[r]:h.indptr[r + 1]].tolist())
-        moved = toggle_row(h, r, {min(row), min(set(range(h.n_cols)) - row)})
-        assert np.array_equal(moved.indptr, h.indptr)
-        with pytest.raises(ValueError):
-            degree_matrix_of_lift(moved)
-
-
-def test_degree_matrix_of_lift_rejects_one_moved_across_block_rows():
-    # the count of ones still matches the lift, so only the check of each
-    # one against the lift formula catches the one added elsewhere
-    entry = catalog.BY_NAME["g06_k4"]
-    w, m = entry.degree_matrix(), entry.m
-    for lift, block_row in ((lift_tailbiting, lambda r: r % w.n_rows),
-                            (lift_circulant, lambda r: r // m)):
-        h = lift(w, m)
-        src = h.n_rows - 1
-        dst = next(r for r in range(h.n_rows) if block_row(r) != block_row(src))
-        dropped = toggle_row(h, src, {int(h.indices[h.indptr[src]])})
-        row = set(h.indices[h.indptr[dst]:h.indptr[dst + 1]].tolist())
-        moved = toggle_row(dropped, dst, {min(set(range(h.n_cols)) - row)})
-        assert moved.indices.size == h.indices.size
-        with pytest.raises(ValueError):
-            degree_matrix_of_lift(moved)
+    w = entry.degree_matrix()
+    tb = lift_tailbiting(w, entry.m)
+    assert 5 not in tb.indices[tb.indptr[14]:tb.indptr[15]]
+    edited = toggle_row(tb, 14, {5})
+    assert edited.lift is None
+    assert certified_girth(edited) == girth_bfs_oracle(edited) == 4
+    assert gf2_rank(edited) == 14 and dense_calls == [edited.n_cols]
+    with pytest.raises(ValueError):
+        min_distance_md(edited, 26)
+    for h in (tb.transpose(), SparseParityCheck.from_dense(tb.to_dense()),
+              parse_alist(emit_alist(tb)), dataclasses.replace(tb, indices=tb.indices.copy())):
+        assert h.lift is None
+    ci, reordered = lift_circulant(w, entry.m), reorder_to_circulant(tb)[0]
+    assert tb.lift == (w, "tailbiting")
+    assert ci.lift == reordered.lift == (w, "circulant")
 
 
 def test_tailbiting_code_dimensions():

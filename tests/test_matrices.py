@@ -85,8 +85,8 @@ def test_degree_matrix_round_trip_random(data):
 # -- sparse parity check -------------------------------------------------------
 
 def test_sparse_parity_check_validation():
-    def csr(indptr, indices, n_cols=4, layout="generic"):
-        return SparseParityCheck(n_cols, np.array(indptr), np.array(indices), layout)
+    def csr(indptr, indices, n_cols=4):
+        return SparseParityCheck(n_cols, np.array(indptr), np.array(indices))
 
     h = csr([0, 2, 2, 3], [0, 3, 1])
     assert (h.n_rows, h.n_cols) == (3, 4)
@@ -108,8 +108,26 @@ def test_sparse_parity_check_validation():
     for indptr, indices in bad:
         with pytest.raises(ValueError):
             csr(indptr, indices)
-    with pytest.raises(ValueError):
-        csr([0, 1], [0], layout="diagonal")
+
+
+def test_constructors_leave_caller_arrays_writeable():
+    # each type once froze the caller's own array in place
+    indptr, indices = np.array([0, 2, 3]), np.array([0, 3, 1])
+    entries, bits = np.array([[1, 0, 1], [0, 1, 1]]), np.array([[1, 0, 1], [0, 1, 1]], np.uint8)
+    h = SparseParityCheck(4, indptr, indices)
+    views = SparseParityCheck(4, indptr[:], indices[:])
+    w, b = DegreeMatrix(entries), BaseMatrix(bits)
+    for arr in (indptr, indices, entries, bits):
+        assert arr.flags.writeable
+    indptr[1], indices[0], entries[0, 0], bits[0, 0] = 1, 2, 5, 0
+    assert h.to_dense().tolist() == views.to_dense().tolist() == [
+        [1, 0, 0, 1], [0, 1, 0, 0]]
+    assert w.entries.tolist() == b.entries.tolist() == [[1, 0, 1], [0, 1, 1]]
+    for arr in (h.indptr, h.indices, w.entries, b.entries):
+        assert not arr.flags.writeable
+    # an array that is already read-only is shared, not copied
+    assert SparseParityCheck(h.n_cols, h.indptr, h.indices).indices is h.indices
+    assert DegreeMatrix(w.entries).entries is w.entries
 
 
 @pytest.mark.parametrize("indptr, indices, ok", [

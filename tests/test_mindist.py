@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from girthforge.lifting import (TailbitingCode, degree_matrix_of_lift, lift_circulant,
-                                lift_tailbiting)
-from girthforge.matrices import NO_EDGE, DegreeMatrix, QCBlock, SparseParityCheck
+from girthforge.lifting import TailbitingCode, lift_circulant, lift_tailbiting
+from girthforge.matrices import NO_EDGE, DegreeMatrix, SparseParityCheck
 from girthforge.mindist import (Distance, min_distance_bruteforce, min_distance_md,
                                 min_weight_codeword)
 from girthforge import catalog, gf2, mindist
@@ -232,8 +231,8 @@ def test_md_accepts_circulant_layout():
     for lift in (lift_circulant, lift_tailbiting):
         h = lift(entry.degree_matrix(), entry.m)
         assert min_distance_md(h, 26) == Distance(6, True)
-        w, m = degree_matrix_of_lift(h)
-        assert w == entry.degree_matrix() and m == entry.m
+        w, _ = h.lift
+        assert w == entry.degree_matrix() and w.modulus == entry.m
 
 
 def test_md_rejects_non_circulant_blocks():
@@ -243,18 +242,11 @@ def test_md_rejects_non_circulant_blocks():
         # corrupt one row: no longer a stack of single circulants
         bad = toggle_row(h, 1, {0, 1})
         with pytest.raises(ValueError):
-            degree_matrix_of_lift(bad)
-        with pytest.raises(ValueError):
             min_distance_md(bad, 26)
-        # block metadata of the wrong shape
-        wrong = SparseParityCheck(h.n_cols, h.indptr, h.indices, h.layout,
-                                  QCBlock(entry.m + 1, 4, 3))
-        with pytest.raises(ValueError):
-            degree_matrix_of_lift(wrong)
-    # a generic matrix carries no block structure at all
+    # a matrix built from a lift's ones carries no degree matrix at all
     plain = SparseParityCheck.from_dense(h.to_dense())
     with pytest.raises(ValueError):
-        degree_matrix_of_lift(plain)
+        min_distance_md(plain, 26)
 
 
 def test_md_rejects_tiny_cap():
