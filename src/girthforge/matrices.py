@@ -31,12 +31,18 @@ class FormatError(ValueError):
 
 
 def _frozen(value, dtype) -> np.ndarray:
-    """``value`` as a read-only ``dtype`` array.  Where numpy hands back the
-    caller's own writeable array (or a view of it), that is copied, so the
-    caller keeps writing to it and no write reaches the matrix."""
+    """``value`` as a read-only ``dtype`` array.  Unless numpy made a fresh
+    array for it, it is copied when its memory can still be written: when
+    the end of its ``.base`` chain is writeable or is not a numpy array.
+    So the caller keeps writing to its own arrays, even through a read-only
+    view, and no write reaches the matrix."""
     arr = np.asarray(value, dtype=dtype)
-    if arr.flags.writeable and (arr is value or not arr.flags.owndata):
-        arr = arr.copy()
+    if arr is value or arr.base is not None:
+        end = arr
+        while isinstance(end.base, np.ndarray):
+            end = end.base
+        if end.flags.writeable or end.base is not None:
+            arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -235,9 +241,12 @@ class SparseParityCheck:
 def _adopt(n_cols: int, indptr: np.ndarray, indices: np.ndarray,
            lift: tuple[DegreeMatrix, str] | None = None) -> SparseParityCheck:
     """The matrix over CSR arrays that the caller made and hands over: they
-    are frozen in place, not copied.  Only a lift passes ``lift``."""
-    indptr.setflags(write=False)
-    indices.setflags(write=False)
+    are frozen in place with every array they view, not copied.  Only a
+    lift passes ``lift``."""
+    for arr in (indptr, indices):
+        while isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+            arr = arr.base
     h = SparseParityCheck(n_cols, indptr, indices)
     object.__setattr__(h, "lift", lift)
     return h

@@ -45,11 +45,13 @@ leaf's own column:
 So the first weight-d leaf found is the first in preorder, and after it
 only a lighter leaf could change the answer, and none exists.
 
-The independent oracle for dimensions up to 28 enumerates codewords from
-the systematic nullspace basis, in numpy chunks of parity words, lightest
-messages first.  A codeword weighs at least its message weight, so once its
-two half-basis tables are sorted by message weight the oracle skips every
-codeword whose message alone already reaches the best weight found.
+The independent oracle for dimensions up to 28 is Brouwer-Zimmermann
+enumeration.  It takes s pairwise disjoint information sets of the
+nullspace basis, greedily from the left, and enumerates the codewords of
+message weight 1, 2, ... on each set in numpy chunks of parity words.  A
+codeword missed through message weight w has at least w + 1 ones on each
+set, and s*(w + 1) ones in all because the sets share no column, so the
+oracle stops as soon as s*(w + 1) reaches the best weight found.
 """
 
 from __future__ import annotations
@@ -245,58 +247,85 @@ def min_weight_codeword(code, t: int) -> tuple[Distance, tuple[int, ...] | None]
 
 
 def min_distance_bruteforce(h: SparseParityCheck, max_dim: int = 28) -> int:
-    """Exact d_min by enumerating the nonzero codewords that could be lighter
-    than the best found so far.
+    """Exact d_min by Brouwer-Zimmermann enumeration over pairwise disjoint
+    information sets.
 
-    The nullspace basis is systematic: row i is the identity on its free
-    column (its last set bit), so a codeword weighs wt(message) plus the
-    weight of its n-k parity bits.  Each half of the basis becomes a
-    word-major XOR table of parity words, its columns sorted by message
-    weight, and the back rows are walked in ascending weight.  With best
-    the lightest codeword weight found so far, a block of back rows whose
-    first row b weighs wt(b) meets, by broadcasting, only the prefix of
-    front columns a with wt(a) < best - wt(b), and holds about
-    ``_ENUM_BLOCK`` elements; the walk stops at the first back row weighing
-    best or more.  This is exact: a codeword weighs wt(a) + wt(b) +
-    wt(parity) >= wt(a) + wt(b), and the later rows of a block weigh at
-    least wt(b), so every codeword skipped weighs at least the best held
-    when it was skipped, which is at least the final answer.  A dimension
-    above ``max_dim`` raises ValueError before the basis is built."""
+    An information set is a set of k columns on which some basis of the
+    code is the identity, so every codeword is the sum of the basis rows
+    picked out by its k bits there, and weighs that message weight plus
+    the weight of its n-k parity bits.  Set j is the pivots of one
+    ``gf2.row_echelon`` of the nullspace basis with the columns no earlier
+    set holds first, in column order; it counts only if all k pivots fall
+    in those columns, and the first set short of full rank ends the list.
+    (The basis is the identity on its free columns too, but on g08_k5,
+    k = 28 of n = 65, the 37 columns those leave hold no information set,
+    while the 37 that the leftmost set leaves do.)
+
+    For w = 1, 2, ... every set enumerates its messages of weight w: each
+    half of its basis becomes a word-major XOR table of parity words with
+    its columns sorted by message weight, and the back rows of weight wb
+    meet the front columns of weight w - wb by broadcasting, in blocks of
+    about ``_ENUM_BLOCK`` elements.  After weight w, a codeword not yet
+    seen has at least w + 1 ones on each of the s sets, and as the sets
+    are disjoint those ones are distinct, so it weighs at least s*(w + 1).
+    The walk stops once that reaches the best weight found (at first n,
+    which no codeword exceeds), so the best is then d_min.  Sets sharing a
+    column would count a one there once per set, and the bound would
+    overstate what an unseen codeword weighs.  A dimension above
+    ``max_dim`` raises ValueError before the basis is built."""
     basis = gf2.nullspace_basis(h.packed(), h.n_cols, max_dim=max_dim)
-    k = basis.shape[0]
+    k, n = basis.shape
     if k == 0:
         raise ValueError("code has no nonzero codewords")
-    parity = np.ones(h.n_cols, dtype=bool)
-    parity[h.n_cols - 1 - np.argmax(basis[:, ::-1], axis=1)] = False
-    words = gf2.pack_rows(basis[:, parity]).T
-    dtype = np.min_scalar_type(h.n_cols)
-    front, front_wt = _by_weight(_xor_table(words[:, :k // 2 + 1]), dtype)
-    back, back_wt = _by_weight(_xor_table(words[:, k // 2 + 1:]), dtype)
-    # lighter[w] front columns weigh less than w; the zero message is first
-    lighter = np.searchsorted(front_wt, np.arange(h.n_cols + 1))
-    best = h.n_cols
-    b0 = 0
-    while b0 < back_wt.size and back_wt[b0] < best:
-        width = int(lighter[best - int(back_wt[b0])])
-        rows = slice(b0, b0 + max(1, _ENUM_BLOCK // width))
-        weights = back_wt[rows, None] + front_wt[:width]
-        for fw, bw in zip(front, back):
-            weights += np.bitwise_count(bw[rows, None] ^ fw[:width])
-        if b0 == 0:
-            weights[0, 0] = best  # the all-zero codeword; d_min <= n anyway
-        best = min(best, int(weights.min()))
-        b0 = rows.stop
+    dtype = np.min_scalar_type(n)
+    sets = []
+    unused = np.ones(n, dtype=bool)
+    while (spare := np.count_nonzero(unused)) >= k:
+        order = np.concatenate((np.flatnonzero(unused), np.flatnonzero(~unused)))
+        rref, pivots = gf2.row_echelon(gf2.pack_rows(basis[:, order]), spare)
+        if len(pivots) < k:
+            break
+        sets.append(_info_set_tables(gf2.unpack_rows(rref, n), pivots))
+        unused[order[pivots]] = False
+    best, w = n, 0
+    while len(sets) * (w + 1) < best:
+        w += 1
+        for front, front_cut, back, back_cut in sets:
+            # a table of j message bits has j + 2 cuts
+            for wb in range(max(0, w - front_cut.size + 2), min(w, back_cut.size - 2) + 1):
+                cols = slice(front_cut[w - wb], front_cut[w - wb + 1])
+                step = max(1, _ENUM_BLOCK // (cols.stop - cols.start))
+                for b0 in range(back_cut[wb], back_cut[wb + 1], step):
+                    rows = slice(b0, min(b0 + step, back_cut[wb + 1]))
+                    weights = np.zeros((rows.stop - rows.start, cols.stop - cols.start), dtype)
+                    for fw, bw in zip(front, back):
+                        weights += np.bitwise_count(bw[rows, None] ^ fw[cols])
+                    best = min(best, w + int(weights.min()))
     return best
 
 
-def _by_weight(table: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+def _info_set_tables(gen: np.ndarray, info) -> tuple[np.ndarray, ...]:
+    """Front table, its cuts, back table and its cuts of a dense basis whose
+    row i is the identity on the information set ``info``: rows 0..k//2
+    make the front, the others the back."""
+    parity = np.ones(gen.shape[1], dtype=bool)
+    parity[info] = False
+    words = gf2.pack_rows(gen[:, parity]).T
+    half = gen.shape[0] // 2 + 1
+    return (*_by_weight(_xor_table(words[:, :half])),
+            *_by_weight(_xor_table(words[:, half:])))
+
+
+def _by_weight(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An XOR table's columns in ascending message weight (the popcount of
-    the column index), stable, and those weights in ``dtype``."""
-    wt = np.bitwise_count(np.arange(table.shape[1])).astype(dtype)
+    the column index), stable, and its cuts: columns cut[w] to cut[w + 1]
+    are the messages of weight w, for w = 0 .. (bits in the index)."""
+    wt = np.bitwise_count(np.arange(table.shape[1]))
     order = np.argsort(wt, kind="stable")
+    bits = table.shape[1].bit_length() - 1
     # take keeps the table C-contiguous; table[:, order] comes out with
     # Fortran strides, which slow the inner loop
-    return table.take(order, axis=1), wt[order]
+    return table.take(order, axis=1), np.searchsorted(wt[order], np.arange(bits + 2))
 
 
 def _xor_table(columns: np.ndarray) -> np.ndarray:

@@ -130,6 +130,28 @@ def test_constructors_leave_caller_arrays_writeable():
     assert DegreeMatrix(w.entries).entries is w.entries
 
 
+def test_read_only_view_of_writeable_array_is_copied():
+    # a read-only view was once shared as it was, so a write to the array
+    # under it changed a matrix after validation
+    ix, entries = np.array([0, 1]), np.array([[1, 0, 1], [0, 1, 1]])
+    views = []
+    for arr in (ix, entries):
+        views.append(arr.view())
+        views[-1].setflags(write=False)
+    h = SparseParityCheck(3, np.array([0, 1, 2]), views[0])
+    w = DegreeMatrix(views[1])
+    ix[1], entries[0, 0] = 2, 5
+    assert h.indices.tolist() == [0, 1]
+    assert w.entries.tolist() == [[1, 0, 1], [0, 1, 1]]
+    # what the constructors adopt is frozen down its base chain and shared
+    entry = catalog.BY_NAME["g06_k4"]
+    lift = lift_tailbiting(entry.degree_matrix(), entry.m)
+    dense = SparseParityCheck.from_dense(np.eye(3, dtype=np.uint8)[::-1])
+    for m in (lift, lift.transpose(), dense):
+        again = SparseParityCheck(m.n_cols, m.indptr, m.indices)
+        assert again.indptr is m.indptr and again.indices is m.indices
+
+
 @pytest.mark.parametrize("indptr, indices, ok", [
     ([0, 0, 2, 4], [2, 3, 0, 1], True),                # empty first row
     ([0, 2, 2, 4], [2, 3, 0, 1], True),                # empty middle row

@@ -61,6 +61,17 @@ def test_lower_bound_pinned(name):
     assert min_distance_md(code_for(name), 12) == Distance(12, False)
 
 
+def test_g08_k4_ld_distance_from_two_engines():
+    # k = 31 is past the oracle's default max_dim; its three disjoint
+    # information sets stop it at message weight 7.  Branch and bound at the
+    # CLI's cap returns a witness, which must be a codeword of that weight
+    code = code_for("g08_k4_ld")
+    assert min_distance_bruteforce(code.h_tb, max_dim=31) == 24
+    dist, support = min_weight_codeword(code, 26)
+    assert (dist.value, dist.exact, len(set(support))) == (24, True, 24)
+    assert not (code.h_tb.to_dense()[:, list(support)].sum(axis=1) % 2).any()
+
+
 def test_md_and_bruteforce_agree_small():
     for name in ("g06_k4", "g06_k5", "g08_k4", "g06_k6"):
         code = code_for(name)
@@ -365,11 +376,50 @@ def test_bruteforce_all_zero_column():
     assert min_distance_bruteforce(h) == reference_distance(h) == 1
 
 
+def spread_pair_check_matrix(rng, k: int, tail: int) -> SparseParityCheck:
+    """Check matrix of the code of all (u, u P, u Q, u T): the identity and
+    two random column permutations of it, three disjoint information sets,
+    then a tail T of rank k - 2.  Rows 2.. of T are random, and rows 0 and 1
+    both equal y times them, y of weight >= 2, so the u with u T = 0 are
+    e0 + e1, e1 + y and e0 + y.  A codeword weighs 3 wt(u) + wt(u T), so
+    e0 + e1 gives the only one of weight 6, with two ones on each set, and
+    every other weighs 7 or more: a row of T weighs 4 or more, and one
+    weighs exactly 4."""
+    eye = np.eye(k, dtype=np.uint8)
+    while True:
+        rest = rng.integers(0, 2, size=(k - 2, tail), dtype=np.uint8)
+        y = rng.integers(0, 2, size=k - 2, dtype=np.uint8)
+        y[:2] = 1
+        t = np.vstack([y @ rest % 2] * 2 + [rest]).astype(np.uint8)
+        if (gf2.rank(gf2.pack_rows(rest), tail) == k - 2 and t.any(axis=0).all()
+                and t.sum(axis=1).min() == 4):
+            break
+    g = np.hstack([eye, eye[:, rng.permutation(k)], eye[:, rng.permutation(k)], t])
+    return SparseParityCheck.from_dense(gf2.nullspace_basis(gf2.pack_rows(g), g.shape[1]))
+
+
+@pytest.mark.parametrize("k,tail", [(4, 6), (4, 8), (5, 8), (6, 8), (6, 10), (8, 10)])
+def test_bruteforce_stop_rule_on_spread_pair(k, tail):
+    # the three sets show every codeword with the same message weight, so
+    # after weight 1 the best is 7 and 3 * (1 + 1) = 6 < 7 sends the walk on
+    # to weight 2, where the pair lies: a stop one weight early answers 7.
+    # The tail's >= k columns hold no fourth set.  A set allowed to reuse
+    # columns would take the tail's k - 2 pivots and the first two columns,
+    # where the pair still has two ones, and 4 * (1 + 1) >= 7 would stop
+    # the walk after weight 1 at 7 as well
+    rng = np.random.default_rng(k * 100 + tail)
+    for _ in range(3):
+        h = spread_pair_check_matrix(rng, k, tail)
+        assert min_distance_bruteforce(h) == reference_distance(h) == 6
+
+
 def test_bruteforce_dimension_limits(monkeypatch):
     with pytest.raises(ValueError):  # k = 0
         min_distance_bruteforce(SparseParityCheck.from_dense(np.eye(6, dtype=np.uint8)))
-    # one row reduction gives both the dimension check and the basis; a
-    # dimension over budget raises before the dense basis is unpacked
+    # one row reduction gives both the dimension check and the basis, and
+    # each information set tried takes one more: here five of full rank and
+    # a sixth, on the last five columns, of rank 3.  A dimension over budget
+    # raises before the dense basis is unpacked
     h = random_check_matrix(np.random.default_rng(3), 30, 5)
     expected = reference_distance(h)
     calls = {"row_echelon": 0, "unpack_rows": 0}
@@ -385,10 +435,10 @@ def test_bruteforce_dimension_limits(monkeypatch):
     for name in calls:
         monkeypatch.setattr(gf2, name, counted(name))
     assert min_distance_bruteforce(h, max_dim=5) == expected
-    assert calls == {"row_echelon": 1, "unpack_rows": 1}
+    assert calls == {"row_echelon": 1 + 6, "unpack_rows": 1 + 5}
     with pytest.raises(ValueError, match="exceeds 4"):
         min_distance_bruteforce(h, max_dim=4)
-    assert calls == {"row_echelon": 2, "unpack_rows": 1}
+    assert calls == {"row_echelon": 7 + 1, "unpack_rows": 6}
 
 
 # d_min of every catalog code with k <= 28 from the meet-in-the-middle
