@@ -14,7 +14,7 @@ from .matrices import (BaseMatrix, DegreeMatrix, SparseParityCheck, NO_EDGE,
 from .bases import (SteinerTripleSystem, CANONICAL_STS, all_ones_base,
                     base_from_code, shorten_sts_base, sts_base,
                     zero_voltage_mask)
-from .lifting import TailbitingCode, lift_circulant, lift_tailbiting, reorder_to_circulant
+from .lifting import lift_circulant, lift_tailbiting, reorder_to_circulant
 from .girth import (GirthSystem, certified_girth, check_assignment_sorted,
                     collect_inequalities, complexity_counts, free_girth,
                     girth_bfs_oracle, grow_trees, reduce_trees)

@@ -123,24 +123,18 @@ def all_ones_base(j: int, k: int) -> BaseMatrix:
     return BaseMatrix(np.ones((j, k), dtype=np.uint8), regularity=(j, k))
 
 
-def sts_base(sts: SteinerTripleSystem, k: int | None = None, j: int = 3) -> BaseMatrix:
+def sts_base(sts: SteinerTripleSystem) -> BaseMatrix:
     """Base matrix whose column i has ones at the rows named by triple i.
 
     The triple order is taken as given; canonical systems are already in the
     layout that concentrates zeros in the lower left (see
     :func:`order_triples` for reordering a freshly generated system).
     """
-    if j != 3:
-        raise ValueError("triple systems give column weight 3")
-    if k is None:
-        k = sts.replication
-    elif k != sts.replication:
-        raise ValueError(f"order-{sts.order} system has row weight {sts.replication}, not {k}")
     entries = np.zeros((sts.order, len(sts.triples)), dtype=np.uint8)
     for col, triple in enumerate(sts.triples):
         for point in triple:
             entries[point, col] = 1
-    return BaseMatrix(entries, regularity=(3, k))
+    return BaseMatrix(entries, regularity=(3, sts.replication))
 
 
 def order_triples(sts: SteinerTripleSystem) -> SteinerTripleSystem:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import catalog
 from .girth import certified_girth
-from .lifting import TailbitingCode, lift_circulant, lift_tailbiting
+from .lifting import lift_circulant, lift_tailbiting
 from .matrices import (FormatError, emit_alist, emit_degree_matrix,
                        parse_degree_matrix)
 from .mindist import min_distance_bruteforce, min_distance_md
@@ -106,12 +106,12 @@ def cmd_verify_girth(args) -> int:
 
 def cmd_min_distance(args) -> int:
     w = _load_degree_matrix(args.file)
-    code = TailbitingCode(w, w.modulus)
-    res = min_distance_md(code, args.cap)
+    h = lift_tailbiting(w, w.modulus)
+    res = min_distance_md(h, args.cap)
     print(f"d_min {res}")
     if args.oracle:
         try:
-            bf = min_distance_bruteforce(code.h_tb)
+            bf = min_distance_bruteforce(h)
         except ValueError as exc:
             print(f"error: oracle unavailable: {exc}", file=sys.stderr)
             return 1

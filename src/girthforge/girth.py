@@ -33,7 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .matrices import NO_EDGE, TAILBITING, BaseMatrix, DegreeMatrix, SparseParityCheck
+from .matrices import (NO_EDGE, TAILBITING, BaseMatrix, DegreeMatrix, SparseParityCheck,
+                       _is_integer, _valid_modulus)
 
 
 @dataclass
@@ -471,19 +472,6 @@ _MIN_CHUNK = 16
 # 2**53 exactly
 _FLOAT32_EXACT = 2 ** 24
 _FLOAT64_EXACT = 2 ** 53
-
-
-def _is_integer(x) -> bool:
-    """True for Python and numpy integers; False for bools, floats and the rest."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _valid_modulus(modulus) -> int:
-    if not _is_integer(modulus):
-        raise ValueError(f"modulus must be an integer, not {modulus!r}")
-    if modulus < 1:
-        raise ValueError("modulus must be at least 1")
-    return int(modulus)
 
 
 def _check_width(shape: tuple[int, ...], n_edges: int) -> None:

@@ -21,17 +21,16 @@ i*M + s holds the columns j*M + (s - w) mod M, which rise with j already.
 Both lifts, and the circulant matrix :func:`reorder_to_circulant` makes of
 a tailbiting lift, carry the degree matrix (with modulus M) and layout they
 were built from as ``SparseParityCheck.lift``, which rank, the orbit-start
-BFS and branch and bound read.
+BFS and branch and bound read.  The lift is the code: its length is
+``h.n_cols`` and its dimension ``h.n_cols - gf2_rank(h)``.  A lift first
+builds ``DegreeMatrix(W.entries, modulus=M)``, whose constructor rejects an
+M that is not an integer, is below 1 or does not exceed every degree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
-from . import gf2
 from .matrices import (
     CIRCULANT,
     NO_EDGE,
@@ -43,11 +42,9 @@ from .matrices import (
 )
 
 
-def _lifted_rows(w: DegreeMatrix, m: int, layout: str) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``(indptr, indices)`` of the lift of ``w`` in ``layout``."""
-    if m <= w.max_degree:
-        raise ValueError(f"tailbiting length {m} must exceed max degree {w.max_degree}")
-    c = w.n_cols
+def _lifted_rows(w: DegreeMatrix, layout: str) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of the lift of ``w`` to its modulus in ``layout``."""
+    m, c = w.modulus, w.n_cols
     weights = np.count_nonzero(w.entries != NO_EDGE, axis=1)
     slots = np.concatenate(([0], np.cumsum(weights))).tolist()  # row i: slots[i] to slots[i+1]
     indices = np.empty(m * slots[-1], dtype=np.int64)
@@ -71,8 +68,8 @@ def _lifted_rows(w: DegreeMatrix, m: int, layout: str) -> tuple[np.ndarray, np.n
 
 
 def _lift(w: DegreeMatrix, m: int, layout: str) -> SparseParityCheck:
-    indptr, indices = _lifted_rows(w, m, layout)
-    return _adopt(m * w.n_cols, indptr, indices, (DegreeMatrix(w.entries, modulus=m), layout))
+    w = DegreeMatrix(w.entries, modulus=m)  # checks that M is an integer >= 1 above every degree
+    return _adopt(w.modulus * w.n_cols, *_lifted_rows(w, layout), (w, layout))
 
 
 def lift_tailbiting(w: DegreeMatrix, m: int) -> SparseParityCheck:
@@ -108,26 +105,3 @@ def reorder_to_circulant(
     csr = csr_from_pairs(h_tb.n_rows, h_tb.n_cols, rows, col_rank[h_tb.indices])
     return _adopt(h_tb.n_cols, *csr, (w, CIRCULANT)), col_perm, row_perm
 
-
-@dataclass(frozen=True)
-class TailbitingCode:
-    """A degree matrix wrapped to tailbiting length M."""
-
-    degree: DegreeMatrix
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m <= self.degree.max_degree:
-            raise ValueError("M must exceed the maximum degree")
-
-    @property
-    def n(self) -> int:
-        return self.m * self.degree.n_cols
-
-    @cached_property
-    def h_tb(self) -> SparseParityCheck:
-        return lift_tailbiting(self.degree, self.m)
-
-    @cached_property
-    def k(self) -> int:
-        return self.n - gf2.qc_rank(self.degree.entries, self.m)

@@ -47,6 +47,19 @@ def _frozen(value, dtype) -> np.ndarray:
     return arr
 
 
+def _is_integer(x) -> bool:
+    """True for Python and numpy integers; False for bools, floats and the rest."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _valid_modulus(modulus) -> int:
+    if not _is_integer(modulus):
+        raise ValueError(f"modulus must be an integer, not {modulus!r}")
+    if modulus < 1:
+        raise ValueError("modulus must be at least 1")
+    return int(modulus)
+
+
 @dataclass(frozen=True)
 class BaseMatrix:
     """Binary biadjacency matrix of a base (proto) graph.
@@ -98,7 +111,10 @@ class BaseMatrix:
 class DegreeMatrix:
     """Per-edge shift degrees; ``NO_EDGE`` marks structural zeros.
 
-    When ``modulus`` is set every degree must already be reduced mod M.
+    When ``modulus`` is set it is the tailbiting length M, an integer of at
+    least 1, and every degree must already be reduced mod M.  This is the
+    one place that rule is checked: a lift, a distance call on ``(W, M)``
+    and the text parser all build a ``DegreeMatrix`` with that modulus.
     """
 
     entries: np.ndarray
@@ -111,8 +127,7 @@ class DegreeMatrix:
         if ((entries < 0) & (entries != NO_EDGE)).any():
             raise ValueError("degrees must be non-negative or NO_EDGE")
         if self.modulus is not None:
-            if self.modulus < 1:
-                raise ValueError("modulus must be positive")
+            object.__setattr__(self, "modulus", _valid_modulus(self.modulus))
             if (entries >= self.modulus).any():
                 raise ValueError(f"degree >= modulus M={self.modulus}")
         object.__setattr__(self, "entries", entries)
@@ -298,8 +313,6 @@ def parse_degree_matrix(text: str | bytes) -> DegreeMatrix:
             modulus = int(lines[0][2:])
         except ValueError as exc:
             raise FormatError(f"bad modulus line {lines[0]!r}") from exc
-        if modulus < 1:
-            raise FormatError(f"modulus M={modulus} is not positive")
         lines = lines[1:]
     if not lines:
         raise FormatError("empty degree matrix")
@@ -323,10 +336,10 @@ def parse_degree_matrix(text: str | bytes) -> DegreeMatrix:
         elif len(row) != width:
             raise FormatError(f"row length {len(row)} != {width}")
         rows.append(row)
-    entries = np.array(rows, dtype=np.int64)
-    if modulus is not None and (entries >= modulus).any():
-        raise FormatError(f"degree >= M={modulus}")
-    return DegreeMatrix(entries, modulus=modulus)
+    try:
+        return DegreeMatrix(np.array(rows, dtype=np.int64), modulus=modulus)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,6 @@ import numpy as np
 
 from . import gf2
 from .matrices import NO_EDGE, DegreeMatrix, SparseParityCheck
-from .lifting import TailbitingCode
 
 # elements per broadcast block of the enumeration; a block's XOR temporary
 # is 512 KB of uint64, so wider blocks only raise peak memory
@@ -116,16 +115,14 @@ def _column_tables(w: DegreeMatrix, m: int):
     return word, mask, hitters
 
 
-def _resolve_code(code) -> tuple[DegreeMatrix, int]:
-    if isinstance(code, TailbitingCode):
-        return code.degree, code.m
+def _resolve_code(code) -> DegreeMatrix:
+    """The degree matrix, with modulus M, of a lift or of a pair (W, M)."""
     if isinstance(code, SparseParityCheck):
         if code.lift is None:
-            raise ValueError("matrix is not a lift: pass a lift, a TailbitingCode or (W, M)")
-        w, _ = code.lift
-        return w, w.modulus
+            raise ValueError("matrix is not a lift: pass a lift or (W, M)")
+        return code.lift[0]
     w, m = code
-    return w, m
+    return DegreeMatrix(w.entries, modulus=m)
 
 
 def _flipped(synd: np.ndarray, word: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -149,8 +146,8 @@ def _branch_and_bound(code, t: int) -> tuple[int, tuple[int, ...] | None, int, i
     nodes expanded and the nodes the weight rule cut."""
     if t < 2:
         raise ValueError("distance cap must be at least 2")
-    w, m = _resolve_code(code)
-    c = w.n_cols
+    w = _resolve_code(code)
+    m, c = w.modulus, w.n_cols
     word, mask, hitters = _column_tables(w, m)
     width = hitters.shape[0]
     empty = ~mask[:, :c].any(axis=0)
@@ -231,15 +228,15 @@ def _branch_and_bound(code, t: int) -> tuple[int, tuple[int, ...] | None, int, i
     return best, support, nodes, pruned
 
 
-def min_distance_md(code: TailbitingCode | SparseParityCheck | tuple[DegreeMatrix, int],
-                    t: int) -> Distance:
-    """Branch-and-bound distance: exact d_min when d_min < t, else a
-    certificate that d_min >= t."""
+def min_distance_md(code: SparseParityCheck | tuple[DegreeMatrix, int], t: int) -> Distance:
+    """Branch-and-bound distance of a lift, or of the pair (W, M) it lifts:
+    exact d_min when d_min < t, else a certificate that d_min >= t."""
     best, _, nodes, pruned = _branch_and_bound(code, t)
     return Distance(best, best < t, nodes, pruned)
 
 
-def min_weight_codeword(code, t: int) -> tuple[Distance, tuple[int, ...] | None]:
+def min_weight_codeword(code: SparseParityCheck | tuple[DegreeMatrix, int],
+                        t: int) -> tuple[Distance, tuple[int, ...] | None]:
     """Like :func:`min_distance_md` but also returns the witness support as
     column indices of the tailbiting layout (None for a lower bound)."""
     best, support, nodes, pruned = _branch_and_bound(code, t)

@@ -131,8 +131,8 @@ def reference_branch_and_bound(code, t: int) -> tuple[int, tuple[int, ...] | Non
     must return the same value and support."""
     if t < 2:
         raise ValueError("distance cap must be at least 2")
-    w, m = _resolve_code(code)
-    cb, c = w.n_rows, w.n_cols
+    w = _resolve_code(code)
+    cb, c, m = w.n_rows, w.n_cols, w.modulus
     col_synd, hitters = _column_tables(w, m)
     # the per-block rule reads block i of a syndrome as s & block_masks[i]
     block_masks = [((1 << m) - 1) << (i * m) for i in range(cb)]

@@ -20,8 +20,8 @@ from girthforge.bounds import d2_bruteforce, distance_cap, theorem2_lower_bound,
 from girthforge.girth import (certified_girth, collect_inequalities,
                               check_assignment_sorted, complexity_counts,
                               grow_trees, node_pair_count, GirthSystem)
-from girthforge.lifting import TailbitingCode, lift_circulant, lift_tailbiting, reorder_to_circulant
-from girthforge.matrices import (DegreeMatrix, emit_alist, emit_degree_matrix,
+from girthforge.lifting import lift_circulant, lift_tailbiting, reorder_to_circulant
+from girthforge.matrices import (DegreeMatrix, emit_alist, emit_degree_matrix, gf2_rank,
                                  parse_alist, parse_degree_matrix)
 from girthforge.mindist import Distance, min_distance_bruteforce, min_distance_md
 from girthforge.search import (SearchConfig, degree_matrix_to_assignment, search)
@@ -141,19 +141,19 @@ def test_criterion5_minimum_distances():
     results = []
     for name, want in exact_targets:
         entry = catalog.BY_NAME[name]
-        code = TailbitingCode(entry.degree_matrix(), entry.m)
-        res = min_distance_md(code, 26)
+        h = lift_tailbiting(entry.degree_matrix(), entry.m)
+        res = min_distance_md(h, 26)
         results.append((name, res, want))
         assert res == Distance(want, True), (name, res, want)
-        if code.k <= 28:
-            assert min_distance_bruteforce(code.h_tb) == want, name
+        if h.n_cols - gf2_rank(h) <= 28:
+            assert min_distance_bruteforce(h) == want, name
     # large-distance rows: certify d_min >= 12 with cap t=12
     lb_targets = ["g06_k4_ld", "g08_k4_ld", "g10_k4_ld", "g12_k4"]
     for name in lb_targets:
         entry = catalog.BY_NAME[name]
-        code = TailbitingCode(entry.degree_matrix(), entry.m)
+        h = lift_tailbiting(entry.degree_matrix(), entry.m)
         t_lb = time.time()
-        res = min_distance_md(code, 12)
+        res = min_distance_md(h, 12)
         assert res == Distance(12, False), (name, res)
         assert time.time() - t_lb < 600, name
     elapsed = time.time() - t0

@@ -34,6 +34,23 @@ def test_degree_matrix_distinguishes_no_edge_from_zero():
         DegreeMatrix(np.array([[-3, 0]]))
 
 
+@pytest.mark.parametrize("modulus", [2.5, 5.0, np.float64(5), True, np.bool_(True), "5", 0, -5])
+def test_degree_matrix_rejects_bad_modulus(modulus):
+    # a float, bool or string M is refused, not lifted: numpy used to fail
+    # inside the lift on 5.0 and to take 2.5 as a modulus
+    entries = np.array([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="modulus must be"):
+        DegreeMatrix(entries, modulus=modulus)
+    with pytest.raises(ValueError, match="modulus must be"):
+        lift_tailbiting(DegreeMatrix(entries), modulus)
+
+
+def test_degree_matrix_takes_numpy_integer_modulus():
+    w = DegreeMatrix(np.array([[0, 1], [1, 0]]), modulus=np.int32(5))
+    assert w.modulus == 5 and type(w.modulus) is int
+    assert w == DegreeMatrix(w.entries, modulus=5)
+
+
 # -- degree-matrix text format ------------------------------------------------
 
 def test_parse_degree_matrix_example():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from girthforge.lifting import TailbitingCode, lift_circulant, lift_tailbiting
+from girthforge.lifting import lift_circulant, lift_tailbiting
 from girthforge.matrices import NO_EDGE, DegreeMatrix, SparseParityCheck
 from girthforge.mindist import (Distance, min_distance_bruteforce, min_distance_md,
                                 min_weight_codeword)
@@ -15,9 +15,9 @@ from girthforge import catalog, gf2, mindist
 from conftest import reference_branch_and_bound, toggle_row
 
 
-def code_for(name: str) -> TailbitingCode:
+def code_for(name: str) -> SparseParityCheck:
     entry = catalog.BY_NAME[name]
-    return TailbitingCode(entry.degree_matrix(), entry.m)
+    return lift_tailbiting(entry.degree_matrix(), entry.m)
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -65,19 +65,19 @@ def test_g08_k4_ld_distance_from_two_engines():
     # k = 31 is past the oracle's default max_dim; its three disjoint
     # information sets stop it at message weight 7.  Branch and bound at the
     # CLI's cap returns a witness, which must be a codeword of that weight
-    code = code_for("g08_k4_ld")
-    assert min_distance_bruteforce(code.h_tb, max_dim=31) == 24
-    dist, support = min_weight_codeword(code, 26)
+    h = code_for("g08_k4_ld")
+    assert min_distance_bruteforce(h, max_dim=31) == 24
+    dist, support = min_weight_codeword(h, 26)
     assert (dist.value, dist.exact, len(set(support))) == (24, True, 24)
-    assert not (code.h_tb.to_dense()[:, list(support)].sum(axis=1) % 2).any()
+    assert not (h.to_dense()[:, list(support)].sum(axis=1) % 2).any()
 
 
 def test_md_and_bruteforce_agree_small():
     for name in ("g06_k4", "g06_k5", "g08_k4", "g06_k6"):
-        code = code_for(name)
-        md = min_distance_md(code, 26)
+        h = code_for(name)
+        md = min_distance_md(h, 26)
         assert md.exact
-        assert md.value == min_distance_bruteforce(code.h_tb)
+        assert md.value == min_distance_bruteforce(h)
 
 
 def test_branch_and_bound_restores_recursion_limit():
@@ -226,15 +226,15 @@ def test_tree_counters_pinned(name, t):
 
 
 def test_toy_code_both_engines(toy_degrees):
-    code = TailbitingCode(toy_degrees, 2)
-    md = min_distance_md(code, 10)
+    h = lift_tailbiting(toy_degrees, 2)
+    md = min_distance_md(h, 10)
     assert md.exact
-    assert md.value == min_distance_bruteforce(code.h_tb)
+    assert md.value == min_distance_bruteforce(h)
 
 
 def test_duplicate_columns_give_distance_two():
     w = DegreeMatrix(np.array([[1, 1], [0, 0], [2, 2]]), modulus=3)
-    assert min_distance_md(TailbitingCode(w, 3), 8) == Distance(2, True)
+    assert min_distance_md(lift_tailbiting(w, 3), 8) == Distance(2, True)
 
 
 def test_md_accepts_circulant_layout():
@@ -260,6 +260,22 @@ def test_md_rejects_non_circulant_blocks():
         min_distance_md(plain, 26)
 
 
+@pytest.mark.parametrize("engine", [min_distance_md, min_weight_codeword])
+def test_pair_modulus_checked_like_a_lift(engine):
+    # (W, M) goes through the same DegreeMatrix check as lift_tailbiting:
+    # g06_k4 has degree 4, so M = 3 would wrap it, and M = 0 has no blocks
+    entry = catalog.BY_NAME["g06_k4"]
+    w = entry.degree_matrix()
+    for m in (3, 0):
+        with pytest.raises(ValueError):
+            lift_tailbiting(w, m)
+        with pytest.raises(ValueError):
+            engine((w, m), 26)
+    # one W lifts at several M: any M above every degree is a code
+    m = entry.m + 1
+    assert engine((w, m), 26) == engine(lift_tailbiting(w, m), 26)
+
+
 def test_md_rejects_tiny_cap():
     with pytest.raises(ValueError):
         min_distance_md(code_for("g06_k4"), 1)
@@ -281,10 +297,10 @@ def test_md_and_bruteforce_agree_irregular_columns():
     w = DegreeMatrix(np.array([[0, 1, NO_EDGE, 2],
                                [1, NO_EDGE, 0, 3],
                                [2, 0, 1, 4]]), modulus=5)
-    code = TailbitingCode(w, 5)
-    md = min_distance_md(code, 12)
+    h = lift_tailbiting(w, 5)
+    md = min_distance_md(h, 12)
     assert md.exact
-    assert md.value == min_distance_bruteforce(code.h_tb)
+    assert md.value == min_distance_bruteforce(h)
 
 
 def test_md_certifies_bound():
@@ -356,10 +372,11 @@ def planted_pair_check_matrix(rng, n: int, k: int) -> SparseParityCheck:
 
 @pytest.mark.parametrize("block", [1 << 16, 1, 40])
 def test_bruteforce_weight_cut_is_not_too_tight(block, monkeypatch):
-    # high-rate codes have many light codewords, so the best often drops to
-    # 3 before the planted pair is met: a cut one weight too tight (front
-    # columns of weight < best - wt(b) - 1) then misses the pair and answers
-    # 3.  At the default block these codes fit in one block, so no cut bites
+    # these codes hold one information set (n < 2k), and high-rate codes
+    # have many light codewords, so the best often drops to 3 at message
+    # weight 1, before the planted pair is met at weight 2.  A stop one unit
+    # early (s*(w + 1) < best - 1) then ends the walk and answers 3.  Blocks
+    # of one and 40 elements split each weight's broadcast many ways
     monkeypatch.setattr(mindist, "_ENUM_BLOCK", block)
     for n, k in [(14, 9), (16, 10), (20, 12)]:
         rng = np.random.default_rng(n * 100 + k)
@@ -456,7 +473,7 @@ def test_enumeration_pins_cover_catalog():
 @pytest.mark.parametrize("name", sorted(ENUM_PINS))
 def test_bruteforce_pinned_on_catalog(name):
     expected = ENUM_PINS[name]
-    assert min_distance_bruteforce(code_for(name).h_tb) == expected
+    assert min_distance_bruteforce(code_for(name)) == expected
     assert catalog.BY_NAME[name].d_min == expected
 
 
@@ -465,7 +482,7 @@ def test_bruteforce_pinned_on_catalog(name):
 def test_md_agrees_with_bruteforce_random(seed, m):
     rng = np.random.default_rng(seed)
     w = DegreeMatrix(rng.integers(0, m, size=(3, 4)), modulus=m)
-    code = TailbitingCode(w, m)
-    md = min_distance_md(code, 26)
-    bf = min_distance_bruteforce(code.h_tb)
+    h = lift_tailbiting(w, m)
+    md = min_distance_md(h, 26)
+    bf = min_distance_bruteforce(h)
     assert md.exact and md.value == bf
