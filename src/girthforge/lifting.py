@@ -38,7 +38,6 @@ from .matrices import (
     DegreeMatrix,
     SparseParityCheck,
     _adopt,
-    csr_from_pairs,
 )
 
 
@@ -84,7 +83,8 @@ def lift_circulant(w: DegreeMatrix, m: int) -> SparseParityCheck:
 
 def reorder_to_circulant(
         h_tb: SparseParityCheck) -> tuple[SparseParityCheck, np.ndarray, np.ndarray]:
-    """Permute a tailbiting lift into circulant layout.
+    """The circulant lift of a tailbiting lift's degree matrix, with the
+    permutations that take the tailbiting layout to it.
 
     Returns (matrix, column permutation, row permutation) where position p of
     a permutation holds the source index: column p of the result is column
@@ -99,9 +99,4 @@ def reorder_to_circulant(
     c, cb, m = w.n_cols, w.n_rows, w.modulus
     col_perm = (np.arange(m) * c + np.arange(c)[:, None]).ravel()
     row_perm = (np.arange(m) * cb + np.arange(cb)[:, None]).ravel()
-    col_rank = (np.arange(c) * m + np.arange(m)[:, None]).ravel()  # inverse of col_perm
-    row_rank = (np.arange(cb) * m + np.arange(m)[:, None]).ravel()  # inverse of row_perm
-    rows = np.repeat(row_rank, np.diff(h_tb.indptr))
-    csr = csr_from_pairs(h_tb.n_rows, h_tb.n_cols, rows, col_rank[h_tb.indices])
-    return _adopt(h_tb.n_cols, *csr, (w, CIRCULANT)), col_perm, row_perm
-
+    return _lift(w, m, CIRCULANT), col_perm, row_perm

@@ -178,9 +178,9 @@ class SparseParityCheck:
     """Sparse binary matrix in CSR form: row r has its ones at the strictly
     increasing columns ``indices[indptr[r]:indptr[r + 1]]`` (read-only int64).
     Validation compares neighbouring indices within each row, and lifts emit
-    their rows already in order; transposes and layout reorders order the
-    ones by one int64 key per one (:func:`csr_from_pairs`), so
-    ``n_rows * n_cols`` must be below ``2**63``.
+    their rows already in order; a transpose orders the ones by one int64
+    key per one (:func:`csr_from_pairs`), so ``n_rows * n_cols`` must be
+    below ``2**63``.
 
     ``lift`` is ``(degree matrix, layout)`` on a tailbiting or circulant lift,
     the degree matrix's modulus being the lift's M, and None on any other

@@ -70,11 +70,6 @@ _ENUM_BLOCK = 1 << 16
 # nodes per block of the branch-and-bound stack; about depth blocks are live
 _BNB_BLOCK = 2048
 
-# a block and its temporaries span a multiple of this many nodes, so they
-# come in few sizes: numpy keeps freed arrays under 1 KB in a per-size cache,
-# and blocks of every size would fill it for good
-_PAD = 64
-
 _ONE = np.uint64(1)
 
 
@@ -135,11 +130,6 @@ def _flipped(synd: np.ndarray, word: np.ndarray, mask: np.ndarray) -> np.ndarray
     return synd
 
 
-def _padded(index: np.ndarray) -> np.ndarray:
-    """``index`` repeated out to a multiple of ``_PAD`` entries."""
-    return np.resize(index, -(-index.size // _PAD) * _PAD)
-
-
 def _branch_and_bound(code, t: int) -> tuple[int, tuple[int, ...] | None, int, int]:
     """Smallest zero-sum column subset below t columns, with its support
     (tailbiting column indices), or (t, None) when none exists; then the
@@ -157,45 +147,40 @@ def _branch_and_bound(code, t: int) -> tuple[int, tuple[int, ...] | None, int, i
     nodes = pruned = 0
     # a weight never exceeds the depth, which stays below t
     dtype = np.min_scalar_type(t)
-    # a block is (depth, live nodes, node-major syndromes, block weights,
-    # paths, best when pushed); its paths are a (depth, nodes) array of
-    # columns, roots in row 0, in the narrowest signed type that holds every
-    # column index.  Nodes past the live ones repeat live ones and are never
-    # expanded.
-    roots = _padded(np.arange(c))
-    synd = _flipped(np.zeros((roots.size, -(-w.n_rows * m // 64)), dtype=np.uint64),
-                    word.take(roots, axis=1), mask.take(roots, axis=1))
-    weights = (mask.take(roots, axis=1) != 0).astype(dtype)
-    path = roots[None].astype(np.min_scalar_type(-m * c))
-    stack = [(1, c, synd, weights, path, best)]
+    # a block is (depth, node-major syndromes, block weights, paths, best
+    # when pushed); its paths are a (depth, nodes) array of columns, roots in
+    # row 0, in the narrowest signed type that holds every column index.  The
+    # roots are the block-offset-zero columns 0..c-1.
+    synd = _flipped(np.zeros((c, -(-w.n_rows * m // 64)), dtype=np.uint64),
+                    word[:, :c], mask[:, :c])
+    path = np.arange(c, dtype=np.min_scalar_type(-m * c))[None]
+    stack = [(1, synd, (mask[:, :c] != 0).astype(dtype), path, best)]
     while stack:
-        k, n, synd, weights, path, pushed_at = stack.pop()
+        k, synd, weights, path, pushed_at = stack.pop()
         budget = best - 1 - k
         if budget <= 0:
-            pruned += n
+            pruned += path.shape[1]
             continue
         if best != pushed_at:
-            keep = np.flatnonzero(weights[:, :n].max(axis=0) <= budget)
-            pruned += n - keep.size
-            n, keep = keep.size, _padded(keep)
+            keep = np.flatnonzero(weights.max(axis=0) <= budget)
+            pruned += path.shape[1] - keep.size
             synd, weights = synd.take(keep, axis=0), weights.take(keep, axis=1)
             path = path.take(keep, axis=1)
-        nodes += n
         size, nw = synd.shape
+        nodes += size
         # the lowest set bit is the low bit of the first nonzero word, and
         # word ^ (word - 1) sets every bit up to and including it
         first = (synd != 0).argmax(axis=1)
         low = synd.ravel().take(np.arange(0, size * nw, nw) + first)
         cand = hitters.take(first * 64 + np.bitwise_count(low ^ (low - _ONE)) - 1, axis=1)
-        cand[:, n:] = -1
-        # drop padding (-1) and columns at or below the root, then columns on
-        # the path; the compare runs in the path's narrow type, which is cheaper
+        # drop the table's padding (-1) and columns at or below the root, then
+        # columns on the path; the compare runs in the path's narrow type,
+        # which is cheaper
         narrow = cand.astype(path.dtype)
         drop = narrow <= path[0]
         if k > 1:
             drop |= (narrow == path[1:, None]).any(axis=0)
         valid = np.flatnonzero(~drop.T)  # parent-major
-        count, valid = valid.size, _padded(valid)
         cand, par = cand.T.ravel().take(valid), valid // width
         # a column flips one bit in each block it meets, so a child's block
         # weight is its parent's plus one, or minus one where that bit is set
@@ -205,26 +190,24 @@ def _branch_and_bound(code, t: int) -> tuple[int, tuple[int, ...] | None, int, i
         kid_weights += kid_mask != 0
         kid_weights -= on
         kid_weights -= on
-        heaviest = kid_weights.max(axis=0)[:count]
+        heaviest = kid_weights.max(axis=0)
         if not heaviest.all():  # a zero child weighs 0 in every block
             first_zero = int(np.argmin(heaviest))
             best = k + 1
             support = tuple(sorted(path[:, par[first_zero]].tolist() + [int(cand[first_zero])]))
-            pruned += count - 1
+            pruned += cand.size - 1
             continue
         keep = np.flatnonzero(heaviest <= best - 2 - k)
-        pruned += count - keep.size
+        pruned += cand.size - keep.size
         for lo in range((keep.size - 1) // _BNB_BLOCK * _BNB_BLOCK, -1, -_BNB_BLOCK):
-            part = keep[lo:lo + _BNB_BLOCK]
-            sel = _padded(part)
+            sel = keep[lo:lo + _BNB_BLOCK]
             kid_par = par.take(sel)
             block = _flipped(synd.take(kid_par, axis=0), kid_word.take(sel, axis=1),
                              kid_mask.take(sel, axis=1))
             kid_path = np.empty((k + 1, sel.size), dtype=path.dtype)
             path.take(kid_par, axis=1, out=kid_path[:k])
             kid_path[k] = cand.take(sel)
-            stack.append((k + 1, part.size, block, kid_weights.take(sel, axis=1),
-                          kid_path, best))
+            stack.append((k + 1, block, kid_weights.take(sel, axis=1), kid_path, best))
     return best, support, nodes, pruned
 
 

@@ -4,9 +4,9 @@ exhaustive (3,4) scan.
 Every mode draws from the space ``_restricted_edges`` derives from the base
 (its zero mask pinned; on an all-ones base the first row also sorted), and
 the random sweep and column extension share one sampler,
-``sample_assignment``, and one M sweep, ``_sweeps``.  No mode looks below
-``bounds.lift_floor``, the smallest M at which a lift of the base can reach
-the target girth.
+``sample_assignment``, and one M sweep, ``_sweeps``.  Every mode starts at
+the M ``_first_m`` gives, never below ``bounds.lift_floor``, the smallest M
+at which a lift of the base can reach the target girth.
 
 Each mode is a generator that yields ``(tried, hit)`` per block of
 assignments: ``tried`` counts the block's rows and ``hit`` is ``(values, M)``
@@ -39,7 +39,8 @@ from .matrices import NO_EDGE, BaseMatrix, DegreeMatrix, FormatError, parse_degr
 
 
 class InfeasibleTarget(Exception):
-    """Target girth exceeds a structural bound of the base matrix."""
+    """Target girth exceeds a structural bound of the base matrix, or no M
+    up to ``m_max`` is left to search."""
 
 
 class TimeBudgetExceeded(Exception):
@@ -189,11 +190,19 @@ def _certify(system: GirthSystem, w: DegreeMatrix) -> int:
     return g_cert
 
 
-def _feasibility_check(base: BaseMatrix, g: int) -> None:
+def _first_m(base: BaseMatrix, g: int, m_lo: int, m_max: int) -> int:
+    """The first M a search of ``base`` for girth g sweeps: ``m_lo`` or the
+    base's ``lift_floor``, whichever is larger.  Raises InfeasibleTarget when
+    Theorem 3 caps the base's girth below g or that M lies above ``m_max``."""
     if g > 12 and theorem3_applies(base):
         raise InfeasibleTarget(
             f"base contains a 2x3 all-ones submatrix, so girth is capped at 12 "
             f"(requested {g})")
+    first = max(m_lo, lift_floor(base, g))
+    if first > m_max:
+        raise InfeasibleTarget(f"girth {g} is sought only at M >= {first} on this base, "
+                               f"above m_max={m_max}")
+    return first
 
 
 def _drive(system: GirthSystem, steps, deadline: float, seed: int) -> SearchResult | None:
@@ -227,12 +236,11 @@ def _sweeps(system: GirthSystem, m_lo: int, m_hi: int, per_m: int, draw):
                 yield _checked(system, draw(m, min(512, per_m - done)), m)
 
 
-def _run_shard(cfg: SearchConfig, base: BaseMatrix, shard_seed: int,
+def _run_shard(cfg: SearchConfig, base: BaseMatrix, m_lo: int, shard_seed: int,
                deadline: float) -> SearchResult | None:
     system = GirthSystem(base, cfg.girth)
     rng = np.random.default_rng(shard_seed)
     edges = _restricted_edges(base)
-    m_lo = max(cfg.m_min or 1, lift_floor(base, cfg.girth))
     steps = _sweeps(system, m_lo, cfg.m_max, cfg.attempts_per_m,
                     lambda m, size: sample_assignment(base, rng, m, size, edges=edges))
     return _drive(system, steps, deadline, cfg.seed)
@@ -247,20 +255,17 @@ def search(cfg: SearchConfig) -> SearchResult:
 
     Every shard sweeps M upwards from ``cfg.m_min`` or the base's
     ``lift_floor``, whichever is larger.  Raises InfeasibleTarget when a
-    structural bound rules the target out, the floor included, and
-    TimeBudgetExceeded when no certified result appears within the budget.
+    structural bound rules the target out or that start lies above
+    ``cfg.m_max``, and TimeBudgetExceeded when no certified result appears
+    within the budget.
     The ``cfg.jobs`` shards, one seed each, run on at most as many worker
     processes as there are usable cores, and all share one deadline.
     """
     base = resolve_base(cfg.base)
-    _feasibility_check(base, cfg.girth)
-    floor = lift_floor(base, cfg.girth)
-    if floor > cfg.m_max:
-        raise InfeasibleTarget(f"a lift of girth {cfg.girth} needs M >= {floor} on this base, "
-                               f"above m_max={cfg.m_max}")
+    m_lo = _first_m(base, cfg.girth, cfg.m_min or 1, cfg.m_max)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.jobs)]
     # the monotonic clock is system-wide, so worker processes can read it too
-    run = partial(_run_shard, cfg, base, deadline=time.monotonic() + cfg.budget_secs)
+    run = partial(_run_shard, cfg, base, m_lo, deadline=time.monotonic() + cfg.budget_secs)
     if cfg.jobs == 1:
         results = [run(seeds[0])]
     else:
@@ -279,16 +284,13 @@ def extend_column(w: DegreeMatrix, cfg: SearchConfig) -> SearchResult:
     [0, M) through ``sample_assignment``, ``cfg.attempts_per_m`` times per M,
     from the smallest M that the input's degrees and the new base's
     ``lift_floor`` allow, and the result is re-certified at the configured
-    girth.
+    girth.  Raises InfeasibleTarget as :func:`search` does.
     """
-    if (w.entries == NO_EDGE).any():
+    if w.has_no_edge():
         raise ValueError("column extension expects an all-ones base")
     j, k_old = w.entries.shape
     base_new = all_ones_base(j, k_old + 1)
-    _feasibility_check(base_new, cfg.girth)
-    m_lo = max(2, w.max_degree + 1, (cfg.m_min or 2), lift_floor(base_new, cfg.girth))
-    if m_lo > cfg.m_max:
-        raise ValueError(f"column extension starts at M={m_lo}, above m_max={cfg.m_max}")
+    m_lo = _first_m(base_new, cfg.girth, max(2, w.max_degree + 1, cfg.m_min or 2), cfg.m_max)
     system = GirthSystem(base_new, cfg.girth)
     rng = np.random.default_rng(cfg.seed)
     old = [jj < k_old for _, jj in base_new.edges()]
@@ -319,16 +321,17 @@ def exhaustive_34(g: int, m_max: int, m_min: int = 2) -> SearchResult | None:
     row/column permutations of known solutions).
     Each first row's admissible second rows are checked as one block, in
     enumeration order, so the first accepted row in that order wins.
+    Raises InfeasibleTarget as :func:`search` does.
     """
     base = all_ones_base(3, 4)
-    _feasibility_check(base, g)
+    m_lo = _first_m(base, g, max(2, m_min), m_max)
     system = GirthSystem(base, g)
     masked, row0 = _restricted_edges(base)
     # the edges neither pinned nor sorted: the second row's last three
     row1 = np.setdiff1d(np.arange(12), np.concatenate([masked, row0]))
 
     def blocks():
-        for m in range(max(2, m_min, lift_floor(base, g)), m_max + 1):
+        for m in range(m_lo, m_max + 1):
             seconds = np.array(list(itertools.product(range(m), repeat=3)), dtype=np.int64)
             # a row's rank under the descending-sort order, as a base-M number
             weights = np.array([m * m, m, 1], dtype=np.int64)

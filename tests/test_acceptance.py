@@ -108,6 +108,7 @@ def test_criterion3_lifting_golden(toy_degrees):
     ok = (np.array_equal(h_tb.to_dense(), TOY_TB)
           and np.array_equal(h_c.to_dense(), TOY_CIRC)
           and reordered == h_c
+          and np.array_equal(h_tb.to_dense()[row_perm][:, col_perm], TOY_CIRC)
           and (col_perm + 1).tolist() == [1, 5, 2, 6, 3, 7, 4, 8]
           and (row_perm + 1).tolist() == [1, 4, 2, 5, 3, 6])
     report("criterion 3 (lifting golden)", ok and elapsed < 1.0,

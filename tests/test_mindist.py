@@ -130,12 +130,11 @@ def test_block_engine_matches_recursion_on_catalog():
 
 
 # blocks of one and seven nodes split each expansion into many pushed blocks,
-# which exercises the pop order; a pad of one leaves every array unpadded
-@pytest.mark.parametrize("block,pad", [(1, 64), (7, 64), (7, 1), (2048, 64)])
-def test_block_engine_matches_recursion_on_random_matrices(block, pad, monkeypatch):
+# which exercises the pop order
+@pytest.mark.parametrize("block,seed", [(1, 164), (7, 764), (7, 701), (2048, 204864)])
+def test_block_engine_matches_recursion_on_random_matrices(block, seed, monkeypatch):
     monkeypatch.setattr(mindist, "_BNB_BLOCK", block)
-    monkeypatch.setattr(mindist, "_PAD", pad)
-    for w, m in random_degree_matrices(block * 100 + pad, 25):
+    for w, m in random_degree_matrices(seed, 25):
         for t in range(2, 14):
             assert block_engine((w, m), t) == reference_branch_and_bound((w, m), t), \
                 (w.entries.tolist(), m, t)

@@ -162,13 +162,14 @@ def test_extend_column_below_the_floor_is_refused(monkeypatch):
     # (3,5) at girth 10 has a Moore floor of M = 41, above g10_k4's degrees
     _no_checks(monkeypatch)
     w = catalog.BY_NAME["g10_k4"].degree_matrix()
-    with pytest.raises(ValueError, match="M=41, above m_max=40"):
+    with pytest.raises(InfeasibleTarget, match="M >= 41 .* above m_max=40"):
         extend_column(w, SearchConfig(base={}, girth=10, m_max=40, budget_secs=600.0))
 
 
 def test_exhaustive_34_below_the_floor_scans_nothing(monkeypatch):
     _no_checks(monkeypatch)
-    assert exhaustive_34(12, 20) is None
+    with pytest.raises(InfeasibleTarget, match="M >= 43 .* above m_max=20"):
+        exhaustive_34(12, 20)
 
 
 def test_search_parallel_shards_merge():
@@ -179,7 +180,7 @@ def test_search_parallel_shards_merge():
 def test_search_caps_workers_at_usable_cores(monkeypatch):
     # the shards run in-process on a recording executor, so no worker
     # process is started however many shards a config asks for
-    pools, deadlines = [], []
+    pools, starts, deadlines = [], [], []
 
     class Recorder:
         def __init__(self, max_workers):
@@ -197,9 +198,10 @@ def test_search_caps_workers_at_usable_cores(monkeypatch):
     search_module = sys.modules["girthforge.search"]
     run_one = search_module._run_shard
 
-    def run_shard(cfg, base, shard_seed, deadline):
+    def run_shard(cfg, base, m_lo, shard_seed, deadline):
+        starts.append(m_lo)
         deadlines.append(deadline)
-        return run_one(cfg, base, shard_seed, deadline)
+        return run_one(cfg, base, m_lo, shard_seed, deadline)
 
     monkeypatch.setattr(search_module, "ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(search_module, "_usable_cores", lambda: 2)
@@ -207,12 +209,13 @@ def test_search_caps_workers_at_usable_cores(monkeypatch):
     jobs = 5
     result = search(cfg34(girth=6, m_max=8, jobs=jobs, seed=4))
     assert pools == [2]
-    # every shard ran, on one shared deadline
+    # every shard ran from the (3,4) girth-6 floor of M = 4, on one shared deadline
+    assert starts == [4] * jobs
     assert len(deadlines) == jobs and len(set(deadlines)) == 1
     # the same shards, one seed each, as with one worker per shard
     shard_seeds = [int(s.generate_state(1)[0])
                    for s in np.random.SeedSequence(4).spawn(jobs)]
-    shards = [run_one(cfg34(girth=6, m_max=8, seed=4), all_ones_base(3, 4), s,
+    shards = [run_one(cfg34(girth=6, m_max=8, seed=4), all_ones_base(3, 4), 4, s,
                       deadlines[0] + 60) for s in shard_seeds]
     best = min(shards, key=lambda r: (r.m, tuple(r.degree.entries.ravel().tolist())))
     assert (result.m, result.degree, result.attempts) == (best.m, best.degree, best.attempts)
@@ -262,7 +265,7 @@ def test_extend_column_rejects_m_max_below_start():
     # g08_k4's largest degree is 6, so the extension cannot start below M=7;
     # at girth 6 the (3,5) Moore floor of M=5 lies below that
     w = catalog.BY_NAME["g08_k4"].degree_matrix()
-    with pytest.raises(ValueError, match="M=7, above m_max=6"):
+    with pytest.raises(InfeasibleTarget, match="M >= 7 .* above m_max=6"):
         extend_column(w, SearchConfig(base={}, girth=6, m_max=6, budget_secs=30.0))
 
 
