@@ -1,6 +1,7 @@
 """Structural bounds: base-graph girth, the 2x3 all-ones girth cap, the
 achievable-girth lower bound, the Moore floor on the tailbiting length M of
-a lift with a target girth, and the factorial minimum-distance cap.
+a lift with a target girth, Tanner's tree bound on the minimum distance and
+the factorial minimum-distance cap.
 """
 
 from __future__ import annotations
@@ -142,6 +143,30 @@ def d2_bruteforce(b: BaseMatrix, budget: int) -> int | None:
             if best is None or support < best:
                 best = support
     return best
+
+
+def tanner_tree_bound(j: int, g: int) -> int:
+    """Lower bound on d_min of any code whose Tanner graph has girth g and
+    every column of weight at least j: Tanner's bit-oriented tree bound
+    (Tanner, "Minimum-distance bounds by graph analysis", IEEE Trans. IT
+    47(2), 2001).
+
+    Every check that meets a codeword meets it at least twice.  So from one
+    bit of a codeword, each of its j checks leads to another bit of the
+    codeword, and each of those to j - 1 further checks and bits.  Below
+    depth g/2 the walk is a tree, so the bits it reaches are distinct:
+    1 + j + j(j-1) + ... + j(j-1)^((g-6)/4) when g/2 is odd, and
+    1 + j + ... + j(j-1)^((g-8)/4) + (j-1)^((g-4)/4) when g/2 is even.
+    For j = 3 that is 4, 6, 10, 14, 22, 30, 46 at g = 6, 8, ..., 18."""
+    if g % 2 != 0 or g < 4:
+        raise ValueError("girth must be even and at least 4")
+    if j < 1:
+        raise ValueError("column weight must be at least 1")
+    half = g // 2
+    bound = 1 + j * sum((j - 1) ** i for i in range((half - 1) // 2))
+    if half % 2 == 0:
+        bound += (j - 1) ** ((half - 2) // 2)
+    return bound
 
 
 def distance_cap(j: int, has_zero_entries: bool, c: int, b: int) -> int:

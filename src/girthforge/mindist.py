@@ -4,8 +4,19 @@ The branch-and-bound engine grows one syndrome tree per base column: the
 root syndrome is that column, every branch XORs in one further column that
 covers the lowest set bit of the partial syndrome, and a node dies when some
 M-row block of its syndrome weighs more than the remaining column budget
-(each column clears at most one bit per block).  Quasi-cyclicity makes the
-block-offset-zero columns a complete set of roots.
+(each column clears at most one bit per block).
+
+Roots.  Column t*c + j lies in block column t and base column j.  The
+roots are the block-offset-zero columns 0..c-1, and root j admits only the
+columns of base column j or above, other than itself.  No codeword is
+lost: take one, let j be the smallest base column it uses, and shift it by
+whole block columns, which maps codewords to codewords, until one of its
+base-column-j columns lands on column j.  The shifted codeword contains
+column j and only columns of base column >= j, so root j's tree reaches
+it.  Root 0 admits every column, and the trees of roots 1..c-1 hold only
+the codewords that avoid every lower base column.  The table of columns
+covering each check bit pads its short rows with -1, and numpy reads
+``-1 % c`` as base column c - 1, so the padding needs a drop of its own.
 
 Word layout.  Check bit i*M + r (row r of block i) is bit (i*M + r) % 64 of
 word (i*M + r) // 64, so a syndrome is ceil(cb*M/64) uint64 words and its
@@ -22,11 +33,11 @@ Block stack.  The engine walks the tree in blocks of at most ``_BNB_BLOCK``
 nodes of one depth, with no recursion.  It pops the top block, drops the
 nodes the rule cuts under the current best (which may have fallen since the
 push) and expands the rest at once.  A node's children are the columns
-covering its lowest set bit, ascending, that lie above its root and off its
-path; they come out parent-major.  A zero child is a codeword one column
-heavier than its parent.  The other children face the rule at their own
-budget, and the survivors are pushed in blocks with the first on top.  A
-block of depth k carries its nodes' paths as one (k, nodes) array of
+covering its lowest set bit, ascending, that its root admits and that lie
+off its path; they come out parent-major.  A zero child is a codeword one
+column heavier than its parent.  The other children face the rule at their
+own budget, and the survivors are pushed in blocks with the first on top.
+A block of depth k carries its nodes' paths as one (k, nodes) array of
 columns, roots in row 0, so a candidate is tested against its whole path
 in one compare, and a child's path is its parent's column of that array
 with the child's column under it.
@@ -173,11 +184,12 @@ def _branch_and_bound(code, t: int) -> tuple[int, tuple[int, ...] | None, int, i
         first = (synd != 0).argmax(axis=1)
         low = synd.ravel().take(np.arange(0, size * nw, nw) + first)
         cand = hitters.take(first * 64 + np.bitwise_count(low ^ (low - _ONE)) - 1, axis=1)
-        # drop the table's padding (-1) and columns at or below the root, then
-        # columns on the path; the compare runs in the path's narrow type,
-        # which is cheaper
+        # drop the table's padding (-1), which ``% c`` would read as base
+        # column c - 1, columns of a base column below the root's, and then
+        # columns on the path, root included; the compares run in the path's
+        # narrow type, which is cheaper
         narrow = cand.astype(path.dtype)
-        drop = narrow <= path[0]
+        drop = (narrow < 0) | (narrow % c < path[0]) | (narrow == path[0])
         if k > 1:
             drop |= (narrow == path[1:, None]).any(axis=0)
         valid = np.flatnonzero(~drop.T)  # parent-major

@@ -128,7 +128,18 @@ def reference_branch_and_bound(code, t: int) -> tuple[int, tuple[int, ...] | Non
     """Smallest zero-sum column subset below t columns, with its support
     (tailbiting column indices), or (t, None) when none exists: one Python
     call per tree node, syndromes as Python ints.  ``mindist``'s block engine
-    must return the same value and support."""
+    must return the same value and support.
+
+    It keeps the wider index rule on purpose (``cid <= root`` drops a
+    column): root r admits every column above r, where the block engine's
+    root j admits only columns of base column >= j.  So the A/B tests
+    compare two different trees, the engine's being this one with whole
+    subtrees cut off, which leaves the remaining leaves in the same
+    preorder.  Both return the first leaf of the minimum weight d in their
+    preorder, and that leaf is the same: if the first one here, under root
+    r, used a column of base column j < r, its shift onto column j would be
+    a weight-d leaf under root j, which comes earlier.  So its path uses
+    base columns >= r only, and the engine's tree keeps it."""
     if t < 2:
         raise ValueError("distance cap must be at least 2")
     w = _resolve_code(code)

@@ -5,8 +5,8 @@ import pytest
 
 from girthforge.bases import CANONICAL_STS, all_ones_base, sts_base
 from girthforge.bounds import (OverBudgetError, base_girth, d2_bruteforce,
-                               distance_cap, lift_floor, theorem2_lower_bound,
-                               theorem3_applies)
+                               distance_cap, lift_floor, tanner_tree_bound,
+                               theorem2_lower_bound, theorem3_applies)
 from girthforge.girth import GirthSystem
 from girthforge.matrices import NO_EDGE, BaseMatrix
 from girthforge.search import _restricted_edges
@@ -89,6 +89,19 @@ def test_distance_cap_holds_on_catalog():
         if entry.d_min is not None:
             assert entry.d_min <= distance_cap(3, w.has_no_edge(), w.n_cols,
                                                w.n_cols - w.n_rows), entry.name
+
+
+def test_tanner_tree_bound_values():
+    assert [tanner_tree_bound(3, g) for g in range(6, 20, 2)] == [4, 6, 10, 14, 22, 30, 46]
+    assert [tanner_tree_bound(4, g) for g in (6, 8, 10)] == [5, 8, 17]
+    # with two ones a column a codeword is a union of cycles, g/2 columns at least
+    assert [tanner_tree_bound(2, g) for g in range(4, 20, 2)] == list(range(2, 10))
+
+
+@pytest.mark.parametrize("j,g", [(3, 7), (3, 2), (0, 8)])
+def test_tanner_tree_bound_rejects_bad_input(j, g):
+    with pytest.raises(ValueError):
+        tanner_tree_bound(j, g)
 
 
 def test_certified_girth_respects_theorem3_cap():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from girthforge.bounds import tanner_tree_bound
+from girthforge.girth import girth_bfs_oracle
 from girthforge.lifting import lift_circulant, lift_tailbiting
 from girthforge.matrices import NO_EDGE, DegreeMatrix, SparseParityCheck
 from girthforge.mindist import (Distance, min_distance_bruteforce, min_distance_md,
@@ -207,21 +209,67 @@ def test_distance_counters_shrink_with_the_cap():
     assert low.pruned > 0 and high.pruned > 0
 
 
+# a row-irregular base: base row 0 misses base column 4, so the table of
+# the columns covering each check bit pads block 0's bits with -1, which an
+# all-ones or triple-system base never does
+PIN_CODES = {
+    "irregular_m9": (DegreeMatrix([[6, 8, 5, 6, NO_EDGE, 2], [0, 2, 2, 7, 8, 0],
+                                   [4, 7, 1, 7, 1, 4]], modulus=9), 9),
+}
+
+
+def pinned_code(name):
+    """(W, M) of a pinned literal or of a catalog code."""
+    if name in PIN_CODES:
+        return PIN_CODES[name]
+    entry = catalog.BY_NAME[name]
+    return entry.degree_matrix(), entry.m
+
+
 # (value, exact, nodes, pruned) of min_distance_md: the counters pin the
 # tree the engine walks, not only its answer, so a change to how a node
 # finds its path must expand and cut exactly the same nodes
 TREE_PINS = {
-    ("g10_k4", 26): (14, True, 196_002, 373_077),
-    ("g12_k4", 26): (24, True, 659_268, 1_272_034),
-    ("g12_k4", 12): (12, False, 491, 986),
-    ("g10_k4_ld", 12): (12, False, 526, 1_050),
+    ("g10_k4", 26): (14, True, 193_579, 368_242),
+    ("g12_k4", 26): (24, True, 202_073, 390_664),
+    ("g12_k4", 12): (12, False, 161, 282),
+    ("g10_k4_ld", 12): (12, False, 166, 292),
+    ("irregular_m9", 14): (4, True, 57, 133),
 }
 
 
 @pytest.mark.parametrize("name,t", sorted(TREE_PINS))
 def test_tree_counters_pinned(name, t):
-    dist = min_distance_md(code_for(name), t)
+    dist = min_distance_md(pinned_code(name), t)
     assert (dist.value, dist.exact, dist.nodes, dist.pruned) == TREE_PINS[name, t]
+
+
+def test_answer_from_a_later_root():
+    # base columns 2 and 3 are equal, and no shift of base column 0 or 1
+    # equals a shift of another, so every weight-2 codeword is a pair of
+    # columns t*c + 2, t*c + 3 and avoids base column 0: root 2 finds it
+    w = DegreeMatrix([[0, 0, 0, 0], [0, 1, 2, 2], [0, 3, 1, 1]], modulus=7)
+    value, support = block_engine((w, 7), 10)
+    assert (value, support) == reference_branch_and_bound((w, 7), 10) == (2, (2, 3))
+    assert all(col % w.n_cols >= 1 for col in support)
+    assert min_distance_bruteforce(lift_tailbiting(w, 7)) == 2
+
+
+def test_distances_meet_tanner_tree_bound():
+    # the tree bound holds for any code of that girth and lightest column,
+    # so no published d and no distance an engine pins may fall below it
+    def floor(w: DegreeMatrix, girth: int) -> int:
+        return tanner_tree_bound(int((w.entries != NO_EDGE).sum(axis=0).min()), girth)
+
+    published = [e for e in catalog.CATALOG if e.d_min is not None]
+    assert len(published) > 40
+    for entry in published:
+        assert entry.d_min >= floor(entry.degree_matrix(), entry.girth), entry.name
+    exact = {name: d for name, (d, is_exact, _) in WITNESS_PINS.items() if is_exact}
+    exact.update({name: d for (name, _), (d, is_exact, _, _) in TREE_PINS.items() if is_exact})
+    for name, d in exact.items():
+        w, m = pinned_code(name)
+        assert d >= floor(w, girth_bfs_oracle(lift_tailbiting(w, m))), name
 
 
 def test_toy_code_both_engines(toy_degrees):
