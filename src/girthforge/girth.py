@@ -654,59 +654,80 @@ def girth_bfs_oracle(h: SparseParityCheck, cap: int = 32,
     search; None if no cycle of length <= cap exists.
 
     Vertices 0..n_rows-1 are constraints, the rest symbols.  By default every
-    vertex is a BFS start, which is exact for any graph; for lifted matrices
-    one start per block orbit of one side suffices (see
-    :func:`qc_start_vertices`).  A start that is not an integer (a float or a
-    bool) or lies outside [0, n_rows + n_cols) raises ValueError.
+    vertex of the side with fewer vertices (the constraints on a tie) is a
+    BFS start.  That is exact for any Tanner graph: every edge joins the two
+    sides, so every cycle passes vertices of both, and a BFS from a vertex
+    on a shortest cycle finds its length.  For lifted matrices one start per
+    block orbit of one side suffices (see :func:`qc_start_vertices`).  A
+    start that is not an integer (a float or a bool) or lies outside
+    [0, n_rows + n_cols) raises ValueError.
 
-    Starts advance in chunks, one level L per step.  The per-vertex search
-    (Itai & Rodeh) closes L + dist(x) + 1 at each visited non-parent neighbour
-    x of a level-L vertex u: in a bipartite graph, 2L + 2 for x at L + 1
-    reached twice, or 2L for x at L - 1 when u was.  So the one rule used here,
-    a vertex reached twice closes 2L + 2, has the same minimum.  A start
-    visits each vertex and adjacency slot at most once, so _BFS_BLOCK bounds
-    a chunk's distances and every level's gathered neighbours.
+    The starts of each side advance in chunks, one level L per step, so a
+    chunk's level L lies wholly on one side: constraints expand through the
+    rows of h, symbols through the rows of ``h.transpose()``, and no merged
+    adjacency is built.  The per-vertex search (Itai & Rodeh) closes
+    L + dist(x) + 1 at each visited non-parent neighbour x of a level-L
+    vertex u: in a bipartite graph, 2L + 2 for x at L + 1 reached twice, or
+    2L for x at L - 1 when u was.  So the one rule used here, a vertex
+    reached twice closes 2L + 2, has the same minimum, and a visited
+    neighbour at any level but L - 1 raises AssertionError.  A start visits
+    each vertex and adjacency slot at most once, so _BFS_BLOCK bounds a
+    chunk's distances and every level's gathered neighbours.  One distance
+    array serves every chunk: after a chunk, only the keys it visited are
+    reset.
     """
-    n_v = h.n_rows + h.n_cols
+    n_r, n_v = h.n_rows, h.n_rows + h.n_cols
     if start_vertices is None:
-        starts = np.arange(n_v)
+        starts = np.arange(n_r) if n_r <= h.n_cols else np.arange(n_r, n_v)
     elif all(map(_is_integer, start_vertices)):
-        starts = np.asarray(start_vertices, dtype=np.int64)
+        starts = np.sort(np.asarray(start_vertices, dtype=np.int64))  # constraints first
     else:
         raise ValueError("start vertices must be integers")
-    if starts.size and (starts.min() < 0 or starts.max() >= n_v):
+    if starts.size and (starts[0] < 0 or starts[-1] >= n_v):
         raise ValueError(f"start vertices must lie in [0, {n_v})")
-    t = h.transpose()  # constraints list their symbols, then symbols their constraints
-    nbrs = np.empty(2 * h.indices.size, dtype=np.int64)
-    np.add(h.indices, h.n_rows, out=nbrs[:h.indices.size])
-    nbrs[h.indices.size:] = t.indices
-    deg = np.concatenate((np.diff(h.indptr), np.diff(t.indptr)))
-    del t  # the levels below read only nbrs and deg
-    slot_end = np.cumsum(deg)
-    per_chunk = max(1, _BFS_BLOCK // (1 + n_v + nbrs.size))
+    t = h.transpose()
+    # per side: its CSR row starts, row ends and indices, its first vertex, the other's
+    sides = ((h.indptr[:-1], h.indptr[1:], h.indices, 0, n_r),
+             (t.indptr[:-1], t.indptr[1:], t.indices, n_r, 0))
+    cut = int(np.count_nonzero(starts < n_r))
+    per_chunk = max(1, _BFS_BLOCK // (1 + n_v + 2 * h.indices.size))
+    dist = np.full(min(per_chunk, max(cut, starts.size - cut)) * n_v, -1, dtype=np.int32)
     best = cap + 2
-    for vert in np.split(starts, range(per_chunk, starts.size, per_chunk)):
-        key = vert + n_v * np.arange(vert.size)  # (start, vertex) -> flat key
-        dist = np.full(vert.size * n_v, -1, dtype=np.int32)
-        level = 0
-        while key.size and 2 * level + 2 < best:  # level L closes only 2L + 2
-            dist[key] = level
-            cnt = deg[vert]
-            ends = np.cumsum(cnt)
-            row_base = np.repeat(key - vert, cnt)
-            vert = nbrs[np.arange(ends[-1]) + np.repeat(slot_end[vert] - ends, cnt)]
-            key = row_base + vert
-            seen = dist[key]
-            if seen.max(initial=-1) >= level:
-                raise AssertionError("odd cycle on a bipartite graph")
-            key, vert = key[seen < 0], vert[seen < 0]
-            # a key reached twice keeps one entry's stamp; the other entry reads a mismatch
-            dist[key] = stamp = np.arange(key.size, dtype=np.int32)
-            once = dist[key] == stamp
-            if not once.all():
-                best = min(best, 2 * level + 2)
-                key, vert = key[once], vert[once]
-            level += 1
+    for side, side_starts in enumerate((starts[:cut], starts[cut:])):
+        for lo in range(0, side_starts.size, per_chunk):
+            vert = side_starts[lo:lo + per_chunk]
+            key = vert + n_v * np.arange(vert.size)  # (start, vertex) -> flat key
+            visited = []
+            level = 0
+            while key.size and 2 * level + 2 < best:  # level L closes only 2L + 2
+                dist[key] = level
+                visited.append(key)
+                row_start, row_end, indices, first, other = sides[(side + level) % 2]
+                row = vert - first if first else vert
+                end = row_end[row]
+                cnt = end - row_start[row]
+                ends = np.cumsum(cnt)
+                row_base = np.repeat(key - vert, cnt)
+                vert = indices[np.arange(ends[-1]) + np.repeat(end - ends, cnt)]
+                if other:
+                    vert += other
+                key = row_base + vert
+                seen = dist[key]
+                fresh = seen < 0
+                old = seen.size - np.count_nonzero(fresh)  # each must sit at level L - 1
+                if old and (not level or np.count_nonzero(seen == level - 1) != old):
+                    raise AssertionError("a visited neighbour is not on the level before")
+                key, vert = key[fresh], vert[fresh]
+                # a key reached twice keeps one entry's stamp; the other entry reads a mismatch
+                dist[key] = stamp = np.arange(key.size, dtype=np.int32)
+                once = dist[key] == stamp
+                if np.count_nonzero(once) < key.size:
+                    best = min(best, 2 * level + 2)
+                    key, vert = key[once], vert[once]
+                level += 1
+            visited.append(key)  # the last level's stamps
+            for key in visited:
+                dist[key] = -1
     return None if best > cap else best
 
 
@@ -739,6 +760,6 @@ def qc_start_vertices(h: SparseParityCheck) -> list[int]:
 
 def certified_girth(h: SparseParityCheck, cap: int = 32) -> int | None:
     """Girth via the BFS oracle, from orbit starts on a lift and from every
-    vertex on any other matrix."""
+    vertex of the smaller side on any other matrix."""
     starts = None if h.lift is None else qc_start_vertices(h)
     return girth_bfs_oracle(h, cap=cap, start_vertices=starts)

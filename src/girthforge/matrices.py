@@ -163,14 +163,30 @@ class DegreeMatrix:
         return hash((self.modulus, self.entries.tobytes()))
 
 
+_DECODE_BLOCK = 1 << 16  # sorted keys decoded per step of csr_from_pairs
+
+
 def csr_from_pairs(n_rows: int, n_cols: int, rows, cols) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``(indptr, indices)`` of distinct ones at ``(rows, cols)`` in any order and
-    shape, by one in-place sort of the int64 keys ``row * n_cols + col``."""
-    keys = (rows * n_cols + cols).ravel()
+    """CSR ``(indptr, indices)`` of distinct ones at ``(rows, cols)``, integer
+    arrays of one shape in any order, by one in-place sort of the int64 keys
+    ``row * n_cols + col``.
+
+    The keys are built and sorted in place, then decoded into the column
+    indices block by block, each block's sorted rows counted into the row
+    lengths.  The key array is returned as ``indices``, and no other
+    temporary is longer than a block."""
+    keys = np.multiply(rows, n_cols, dtype=np.int64)
+    keys += cols
+    keys = keys.ravel()
     keys.sort()
-    rows = keys // n_cols
-    keys -= rows * n_cols  # now the columns
-    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows)))), keys
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    for lo in range(0, keys.size, _DECODE_BLOCK):
+        block = keys[lo:lo + _DECODE_BLOCK]
+        row = block // n_cols  # nondecreasing: a block spans rows row[0]..row[-1]
+        indptr[row[0] + 1:row[-1] + 2] += np.bincount(row - row[0])
+        row *= n_cols
+        block -= row  # now the columns
+    return np.cumsum(indptr, out=indptr), keys
 
 
 @dataclass(frozen=True)
@@ -178,9 +194,10 @@ class SparseParityCheck:
     """Sparse binary matrix in CSR form: row r has its ones at the strictly
     increasing columns ``indices[indptr[r]:indptr[r + 1]]`` (read-only int64).
     Validation compares neighbouring indices within each row, and lifts emit
-    their rows already in order; a transpose orders the ones by one int64
-    key per one (:func:`csr_from_pairs`), so ``n_rows * n_cols`` must be
-    below ``2**63``.
+    their rows already in order.  A transpose sorts one int64 key per one in
+    place (:func:`csr_from_pairs`), so beside its output it holds one int64
+    temporary as long as ``indices``, the row of each one, and ``n_rows *
+    n_cols`` must be below ``2**63``.
 
     ``lift`` is ``(degree matrix, layout)`` on a tailbiting or circulant lift,
     the degree matrix's modulus being the lift's M, and None on any other

@@ -758,6 +758,26 @@ def test_oracle_matches_per_vertex_reference(monkeypatch):
                     assert girth_bfs_oracle(h, cap, starts) == expected, (h, cap, starts)
 
 
+def test_oracle_memory_stays_within_three_matrices():
+    # g18_k5 (n = 271,760, 815,280 ones) is the largest corpus lift.  The
+    # oracle holds h.transpose() and per-start state the size of the ball,
+    # and building the transpose holds the row of each one beside its keys:
+    # about 2.5x h.indices.nbytes in all
+    import tracemalloc
+
+    entry = catalog.BY_NAME["g18_k5"]
+    h = lift_tailbiting(entry.degree_matrix(), entry.m)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        girth = certified_girth(h)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert girth == entry.girth == 18
+    assert peak <= 3 * h.indices.nbytes
+
+
 @pytest.mark.parametrize("name", ["g06_k4", "g10_k4", "g12_k4"])
 def test_oracle_finds_no_cycle_below_the_girth(name):
     entry = catalog.BY_NAME[name]

@@ -8,7 +8,7 @@ from girthforge.lifting import lift_tailbiting
 from girthforge.matrices import (NO_EDGE, BaseMatrix, DegreeMatrix, FormatError,
                                  SparseParityCheck, emit_alist, emit_degree_matrix,
                                  gf2_rank, parse_alist, parse_degree_matrix)
-from girthforge import catalog
+from girthforge import catalog, matrices
 
 from conftest import TOY_TB
 
@@ -212,6 +212,22 @@ def test_transpose_matches_dense_random(data):
     t = h.transpose()
     assert np.array_equal(t.to_dense(), dense.T)
     assert t == SparseParityCheck.from_dense(dense.T) and t.transpose() == h
+
+
+def test_csr_from_pairs_decodes_across_blocks(monkeypatch):
+    # blocks of 1-5 sorted keys split rows at every offset, and empty rows
+    # lie inside, before and after a block
+    rng = np.random.default_rng(37)
+    for block in (1, 2, 3, 5):
+        monkeypatch.setattr(matrices, "_DECODE_BLOCK", block)
+        for _ in range(20):
+            dense = (rng.random((int(rng.integers(1, 9)), int(rng.integers(1, 9))))
+                     < rng.uniform(0.1, 0.9)).astype(np.uint8)
+            rows, cols = np.nonzero(dense)
+            order = rng.permutation(rows.size)
+            indptr, indices = matrices.csr_from_pairs(*dense.shape, rows[order], cols[order])
+            assert SparseParityCheck(dense.shape[1], indptr, indices) == \
+                SparseParityCheck.from_dense(dense)
 
 
 # -- alist --------------------------------------------------------------------
