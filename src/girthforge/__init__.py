@@ -22,6 +22,6 @@ from .mindist import Distance, min_distance_bruteforce, min_distance_md
 from .bounds import (base_girth, d2_bruteforce, distance_cap,
                      theorem2_lower_bound, theorem3_applies)
 from .search import (InfeasibleTarget, SearchConfig, SearchResult,
-                     TimeBudgetExceeded, exhaustive_34, extend_column, search)
+                     TimeBudgetExceeded, exhaustive, extend_column, search)
 
 __version__ = "0.1.0"

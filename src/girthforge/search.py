@@ -1,5 +1,5 @@
 """Voltage-assignment search: a random sweep over M, column extension and an
-exhaustive (3,4) scan.
+exhaustive scan of 3 x k all-ones bases.
 
 Every mode draws from the space ``_restricted_edges`` derives from the base
 (its zero mask pinned; on an all-ones base the first row also sorted), and
@@ -311,38 +311,38 @@ def extend_column(w: DegreeMatrix, cfg: SearchConfig) -> SearchResult:
     return result
 
 
-def exhaustive_34(g: int, m_max: int, m_min: int = 2) -> SearchResult | None:
-    """Exhaustive scan of restricted (3,4) degree matrices, smallest M first,
-    from ``m_min`` or the base's ``lift_floor``, whichever is larger.
-
-    The space is ``_restricted_edges``' (zeros on the first column and last
-    row, first free row non-decreasing) with one more cut: the second row
-    below the first when both are sorted in decreasing order (kills
-    row/column permutations of known solutions).
-    Each first row's admissible second rows are checked as one block, in
-    enumeration order, so the first accepted row in that order wins.
-    Raises InfeasibleTarget as :func:`search` does.
+def exhaustive(k: int, g: int, m_max: int) -> SearchResult | None:
+    """Exhaustive scan of the 3 x k all-ones base, smallest M first from its
+    ``lift_floor`` (at least 2); None proves no M up to ``m_max`` has girth g.
+    Gauge zeros sit on column 0 and the last row.  Permuting columns 1..k-1
+    keeps them, and so does swapping rows 0 and 1.  So the first free row is
+    non-decreasing and the second's descending sort b is at most the first's,
+    a (``<=``): if a != b the assignment or its row swap is kept, if a == b
+    both are, so every class keeps a representative, ties included.  Each M
+    costs an M^(k-1)-row table; each first row's second rows are one block,
+    checked in enumeration order.  Raises InfeasibleTarget as :func:`search` does.
     """
-    base = all_ones_base(3, 4)
-    m_lo = _first_m(base, g, max(2, m_min), m_max)
+    base = all_ones_base(3, k)
+    m_lo = _first_m(base, g, 2, m_max)
     system = GirthSystem(base, g)
     masked, row0 = _restricted_edges(base)
-    # the edges neither pinned nor sorted: the second row's last three
-    row1 = np.setdiff1d(np.arange(12), np.concatenate([masked, row0]))
+    row1 = np.setdiff1d(np.arange(base.entries.size), np.concatenate([masked, row0]))
 
     def blocks():
         for m in range(m_lo, m_max + 1):
-            seconds = np.array(list(itertools.product(range(m), repeat=3)), dtype=np.int64)
+            seconds = np.array(list(itertools.product(range(m), repeat=row1.size)), dtype=np.int64)
             # a row's rank under the descending-sort order, as a base-M number
-            weights = np.array([m * m, m, 1], dtype=np.int64)
+            weights = m ** np.arange(row0.size - 1, -1, -1, dtype=np.int64)
             second_keys = -np.sort(-seconds, axis=1) @ weights
-            for first in itertools.combinations_with_replacement(range(m), 3):
-                second = seconds[second_keys < np.array(first[::-1]) @ weights]
-                if second.shape[0] == 0:
-                    continue
-                block = np.zeros((second.shape[0], 12), dtype=np.int64)
-                block[:, row0] = first
-                block[:, row1] = second
+            for first in itertools.combinations_with_replacement(range(m), row0.size):
+                second = seconds[second_keys <= np.array(first[::-1]) @ weights]
+                block = np.zeros((second.shape[0], base.entries.size), dtype=np.int64)
+                block[:, row0], block[:, row1] = first, second
                 yield _checked(system, block, m)
 
     return _drive(system, blocks(), math.inf, 0)
+
+
+def exhaustive_34(g: int, m_max: int) -> SearchResult | None:
+    """:func:`exhaustive` on the (3,4) all-ones base, the name bench/ runs."""
+    return exhaustive(4, g, m_max)

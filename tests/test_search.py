@@ -12,7 +12,7 @@ from girthforge.lifting import lift_tailbiting
 from girthforge.matrices import NO_EDGE, BaseMatrix, DegreeMatrix
 from girthforge.search import (InfeasibleTarget, SearchConfig,
                                SearchResult, TimeBudgetExceeded, _restricted_edges,
-                               degree_matrix_to_assignment, exhaustive_34,
+                               degree_matrix_to_assignment, exhaustive, exhaustive_34,
                                extend_column, resolve_base,
                                sample_assignment, search)
 from girthforge import catalog
@@ -341,7 +341,8 @@ def test_exhaustive_34_finds_published_minimum():
 
 
 def test_exhaustive_34_returns_none_below_the_minimum():
-    # the (3,4) girth-8 minimum is M=9, so the scan up to 8 runs out of blocks
+    # the (3,4) girth-8 minimum is M=9: the scan keeps a representative of
+    # every assignment class, so running out of blocks up to M=8 proves it
     assert exhaustive_34(8, 8) is None
 
 
@@ -398,10 +399,16 @@ _CODE_BASE_VALUES = [0, 2, 1, 0, 0, 3, 4, 1, 0, 0, 1, 2, 0, 0, 4, 4, 0, 1, 0, 1,
 
 @pytest.mark.parametrize("run,m,attempts,values", [
     (_pinned_extension, 15, 25600, [0, 1, 4, 6, 12, 0, 5, 2, 3, 7, 0, 0, 0, 0, 0]),
-    (lambda: exhaustive_34(6, 6), 5, 1466, [0, 1, 2, 4, 0, 3, 1, 2, 0, 0, 0, 0]),
-    (lambda: exhaustive_34(8, 16), 9, 58080, [0, 1, 3, 7, 0, 2, 6, 5, 0, 0, 0, 0]),
+    (lambda: exhaustive_34(6, 6), 5, 1616, [0, 1, 2, 4, 0, 3, 1, 2, 0, 0, 0, 0]),
+    (lambda: exhaustive_34(8, 16), 9, 59240, [0, 1, 3, 7, 0, 2, 6, 5, 0, 0, 0, 0]),
+    # g06_k5 sits at M=5 with free rows {1,2,3,4} and {3,1,4,2}: equal
+    # multisets, so a strict row-swap cut drops them and reports M=6
+    (lambda: exhaustive(5, 6, 6), 5, 11723, [0, 1, 2, 3, 4, 0, 2, 4, 1, 3, 0, 0, 0, 0, 0]),
+    (lambda: exhaustive(6, 6, 7), 7, 2745270,
+     degree_matrix_to_assignment(catalog.BY_NAME["g06_k6"].degree_matrix()).tolist()),
     (_pinned_code_base, 5, 15872, _CODE_BASE_VALUES),
-], ids=["extend_column", "exhaustive_g6", "exhaustive_g8", "code_base"])
+], ids=["extend_column", "exhaustive_g6", "exhaustive_g8", "exhaustive_k5_g6",
+        "exhaustive_k6_g6", "code_base"])
 def test_scan_mode_outcomes_pinned(run, m, attempts, values):
     # every scan mode keeps its draws, its scan order and its attempt count
     result = run()
