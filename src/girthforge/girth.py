@@ -24,12 +24,21 @@ first witness.  Inequalities are deduplicated on exact word-major keys: a
 difference row maps injectively to a few int64 words, stored word by word.
 A hash of the words serves only as the sort key that brings equal keys
 together; no key is dropped before its words compare equal.
+
+Once the global first occurrences are known the keys are dropped: an
+:class:`InequalitySet` holds the trees, one int64 witness (t, u, v) per row
+and a bool mask of the rows whose pair difference is negated.  Its int8
+coefficient rows are built from those on first access, in chunks of at most
+``_ROW_CHUNK`` rows within one tree's slice, so :func:`complexity_counts`,
+which needs only N_T and N_L, never builds a row, and :class:`GirthSystem`
+writes each chunk straight into its support-sorted matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -128,22 +137,56 @@ def grow_trees(b: BaseMatrix, g: int) -> list[PathTree]:
     return [_grow_tree(sides, j, g // 2 - 1) for j in range(b.n_cols)]
 
 
+# rows per chunk when coefficient rows are built from witnesses: 1 MB of
+# int8 on a 64-edge base, so a chunk's gathers stay small beside the matrix
+_ROW_CHUNK = 1 << 14
+
+
 @dataclass(frozen=True)
 class InequalitySet:
     """The unique voltage inequalities `coeffs @ voltages != 0` over base
     edges, one row per unique closed walk, in first-witness order.
 
-    ``coeffs`` is int8 (N_L, n_edges), each row sign-normalized so that its
-    first nonzero coefficient is positive; ``witness`` is int64 (N_L, 3) and
-    holds the first node pair that produced each row as (tree index,
-    node u, node v).
+    ``witness`` is int64 (N_L, 3) and holds the first node pair that
+    produced each row as (tree index, node u, node v), ordered by tree;
+    ``negate`` marks the rows whose difference voltages[u] - voltages[v]
+    has a negative first nonzero coefficient.  With the trees, that is all
+    the set holds.  ``coeffs``, int8 (N_L, n_edges) with each row
+    sign-normalized so that its first nonzero coefficient is positive, is
+    built from them on first access and kept.
     """
 
-    coeffs: np.ndarray
+    trees: tuple[PathTree, ...]
     witness: np.ndarray
+    negate: np.ndarray
 
     def __len__(self) -> int:
-        return self.coeffs.shape[0]
+        return self.witness.shape[0]
+
+    @property
+    def n_edges(self) -> int:
+        return self.trees[0].voltages.shape[1] if self.trees else 0
+
+    def row_chunks(self) -> Iterator[tuple[int, int, np.ndarray]]:
+        """(lo, hi, coefficient rows lo:hi) in row order, chunks of at most
+        ``_ROW_CHUNK`` rows, each within one tree's slice of the witnesses."""
+        bounds = _tree_bounds(self.witness[:, 0], len(self.trees))
+        for tree, start, stop in zip(self.trees, bounds[:-1], bounds[1:]):
+            for lo in range(start, stop, _ROW_CHUNK):
+                hi = min(lo + _ROW_CHUNK, stop)
+                u, v, negate = self.witness[lo:hi, 1], self.witness[lo:hi, 2], self.negate[lo:hi]
+                # a negated row is the difference taken the other way round;
+                # coefficients are bounded by the tree depth, so int8 cannot overflow
+                rows = np.take(tree.voltages, np.where(negate, v, u), axis=0)
+                rows -= np.take(tree.voltages, np.where(negate, u, v), axis=0)
+                yield lo, hi, rows
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        coeffs = np.empty((len(self), self.n_edges), dtype=np.int8)
+        for lo, hi, rows in self.row_chunks():
+            coeffs[lo:hi] = rows
+        return coeffs
 
 
 def _dfs_rank(tree: PathTree) -> np.ndarray:
@@ -238,8 +281,10 @@ def _candidate_pairs(tree: PathTree,
     position[by_group] = np.arange(by_group.size)
     later = np.searchsorted(key, key, side="right")[position] - position - 1
     u = np.repeat(node, later)
-    first = np.repeat(position + 1 - (np.cumsum(later) - later), later)
-    return u, node[by_group][np.arange(u.size) + first]
+    # v's index in by_group, pair by pair: int32 like the node numbers
+    v = np.repeat((position + 1 - (np.cumsum(later) - later)).astype(np.int32), later)
+    v += np.arange(u.size, dtype=np.int32)
+    return u, node[by_group][v]
 
 
 def _key_weights(trees: Sequence[PathTree]) -> np.ndarray:
@@ -298,15 +343,19 @@ def _first_occurrences(keys: np.ndarray) -> np.ndarray:
     mixed &= ~index_bits
     mixed |= np.arange(n, dtype=np.uint64)
     mixed.sort()
-    order = (mixed & index_bits).astype(np.intp)
+    order = np.bitwise_and(mixed, index_bits).view(np.intp)
     mixed >>= np.uint64(low)
     same_run = mixed[1:] == mixed[:-1]
+    del mixed
+    w = np.empty(n, dtype=np.int64)  # one gather buffer serves every word
     for word in keys:
-        w = word[order]
+        # order is in range: "clip" changes nothing and spares take's buffered copy
+        np.take(word, order, out=w, mode="clip")
         differ = w[1:] != w[:-1]
         differ &= same_run
         if differ.any():
             return _first_occurrences_exact(keys)
+    del w
     first = np.ones(n, dtype=bool)
     first[order[1:][same_run]] = False
     return np.flatnonzero(first)
@@ -324,24 +373,26 @@ def _first_occurrences_exact(keys: np.ndarray) -> np.ndarray:
     return np.sort(perm[new_run])
 
 
-def _tree_unique_inequalities(t_idx: int, tree: PathTree, weights: np.ndarray,
-                              earlier: np.ndarray):
+def _tree_unique_inequalities(tree: PathTree, weights: np.ndarray, earlier: np.ndarray):
     """Per-tree canonical word-major inequality keys, kept in
-    pair-enumeration order, with the sign that made each key canonical and
-    the first witness (t_idx, u, v) as three arrays."""
+    pair-enumeration order, with the mask of keys negated to make them
+    canonical and the first witness (u, v) as two arrays."""
     u_nodes, v_nodes = _candidate_pairs(tree, earlier)
     # one contiguous row per word: two 1-D gathers per word build the keys
     node_keys = np.ascontiguousarray((tree.voltages.astype(np.int64) @ weights).T)
     keys = np.empty((weights.shape[1], u_nodes.size), dtype=np.int64)
     for word, node_word in zip(keys, node_keys):
         np.subtract(node_word[u_nodes], node_word[v_nodes], out=word)
-    sign = np.sign(keys[0])
+    # canonical sign: first nonzero coefficient positive
+    negate = keys[0] < 0
+    undecided = keys[0] == 0
     for word in keys[1:]:
-        sign = np.where(sign == 0, np.sign(word), sign)
-    keys *= sign  # canonical sign: first nonzero coefficient positive
+        negate |= undecided & (word < 0)
+        undecided &= word == 0
+    del undecided
+    np.negative(keys, out=keys, where=negate)
     order = _first_occurrences(keys)
-    return (keys[:, order], sign[order].astype(np.int8),
-            np.full(order.size, t_idx, dtype=np.int32), u_nodes[order], v_nodes[order])
+    return keys[:, order], negate[order], u_nodes[order], v_nodes[order]
 
 
 def _tree_bounds(tree_index: np.ndarray, n_trees: int) -> np.ndarray:
@@ -384,24 +435,29 @@ def collect_inequalities(trees: Sequence[PathTree]) -> InequalitySet:
     So the kept pairs are an in-order subsequence of the full enumeration
     that holds every first witness, and coeffs, witnesses, N_L and N_T are
     those of the full enumeration.
+
+    Per tree the builder holds the kept pairs' keys, their negation mask
+    and their witness nodes, cut to the tree's first occurrences, then all
+    trees' at once for the global dedup.  The keys go as soon as the global
+    first occurrences are known; the witnesses are written straight into
+    the result's int64 array.  No coefficient row is built here: the result
+    builds them from the witnesses on first access to ``coeffs``.
     """
     if not trees:
-        return InequalitySet(np.zeros((0, 0), dtype=np.int8),
-                             np.zeros((0, 3), dtype=np.int64))
+        return InequalitySet((), np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=bool))
     weights = _key_weights(trees)
-    blocks = [_tree_unique_inequalities(t_idx, tree, weights, earlier)
-              for t_idx, (tree, earlier) in enumerate(zip(trees, _earlier_symbols(trees)))]
-    keys, sign, t, u, v = (np.concatenate(parts, axis=-1) for parts in zip(*blocks))
+    blocks = [_tree_unique_inequalities(tree, weights, earlier)
+              for tree, earlier in zip(trees, _earlier_symbols(trees))]
+    ends = np.cumsum([block[2].size for block in blocks])  # of each tree's keys
+    keys, negate, u, v = (np.concatenate(parts, axis=-1) for parts in zip(*blocks))
     del blocks
     order = _first_occurrences(keys)  # global first occurrences, in order
-    sign, t, u, v = sign[order], t[order], u[order], v[order]
-    # coefficients are bounded by the tree depth, so int8 cannot overflow
-    coeffs = np.empty((order.size, weights.shape[0]), dtype=np.int8)
-    bounds = _tree_bounds(t, len(trees))
-    for tree, lo, hi in zip(trees, bounds[:-1], bounds[1:]):
-        volts = tree.voltages
-        coeffs[lo:hi] = (volts[u[lo:hi]] - volts[v[lo:hi]]) * sign[lo:hi, None]
-    return InequalitySet(coeffs, np.column_stack((t, u, v)).astype(np.int64))
+    del keys
+    witness = np.empty((order.size, 3), dtype=np.int64)
+    witness[:, 0] = np.searchsorted(ends, order, side="right")
+    witness[:, 1] = u[order]
+    witness[:, 2] = v[order]
+    return InequalitySet(tuple(trees), witness, negate[order])
 
 
 def reduce_trees(trees: Sequence[PathTree],
@@ -485,12 +541,16 @@ class GirthSystem:
 
     The int8 inequality rows of ``collect_inequalities`` are stacked once
     into an (N_L, n_edges) matrix, stably sorted by support size so that the
-    shortest cycles come first; that matrix is all the system keeps.  Every
-    check casts a block of assignments to the narrowest float type that
-    holds its values exactly (float32 or float64, below), then evaluates
-    that matrix on it in chunks of about ``_CHUNK_BYTES`` of values, each
-    chunk's rows cast to the same type for the product (at most
-    ``_CAST_BYTES``), dropping the assignments a chunk rejects.
+    shortest cycles come first; that matrix is all the system keeps.  It is
+    filled straight from the witnesses in chunks of rows: one pass counts
+    each row's support, a stable argsort gives each row its place, and a
+    second pass writes each chunk into its sorted rows, so no unsorted copy
+    of the matrix is built.  Every check casts a block of assignments to the
+    narrowest float type that holds its values exactly (float32 or float64,
+    below), then evaluates that matrix on it in chunks of about
+    ``_CHUNK_BYTES`` of values, each chunk's rows cast to the same type for
+    the product (at most ``_CAST_BYTES``), dropping the assignments a chunk
+    rejects.
 
     Every row is a closed walk of length at most g - 2 and counts its signed
     edge traversals, so its L1 norm is at most g - 2.  On a block whose
@@ -513,9 +573,17 @@ class GirthSystem:
     def __init__(self, base: BaseMatrix, g: int):
         self.base = base
         self.g = g
-        coeffs = collect_inequalities(grow_trees(base, g)).coeffs
-        order = np.argsort(np.count_nonzero(coeffs, axis=1), kind="stable")
-        self._matrix = coeffs[order]
+        ineqs = collect_inequalities(grow_trees(base, g))
+        # the narrowest type that holds n_edges: numpy's stable sort radix-sorts 8 and 16 bits
+        support = np.empty(len(ineqs), dtype=np.min_scalar_type(ineqs.n_edges))
+        for lo, hi, rows in ineqs.row_chunks():
+            support[lo:hi] = (rows != 0).sum(axis=1, dtype=support.dtype)
+        dest = np.empty(len(ineqs), dtype=np.intp)  # each row's place in the matrix
+        dest[np.argsort(support, kind="stable")] = np.arange(len(ineqs))
+        del support
+        self._matrix = np.empty((len(ineqs), ineqs.n_edges), dtype=np.int8)
+        for lo, hi, rows in ineqs.row_chunks():
+            self._matrix[dest[lo:hi]] = rows
 
     @property
     def n_edges(self) -> int:

@@ -311,6 +311,16 @@ def extend_column(w: DegreeMatrix, cfg: SearchConfig) -> SearchResult:
     return result
 
 
+def _product_rows(m: int, width: int) -> np.ndarray:
+    """The rows of ``itertools.product(range(m), repeat=width)`` in order, as
+    one int64 array: the base-m digits of 0 .. m^width - 1, last column
+    fastest, with no Python tuple built."""
+    place = m ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    rows = np.arange(m ** width, dtype=np.int64)[:, None] // place
+    rows %= m
+    return rows
+
+
 def exhaustive(k: int, g: int, m_max: int) -> SearchResult | None:
     """Exhaustive scan of the 3 x k all-ones base, smallest M first from its
     ``lift_floor`` (at least 2); None proves no M up to ``m_max`` has girth g.
@@ -330,7 +340,7 @@ def exhaustive(k: int, g: int, m_max: int) -> SearchResult | None:
 
     def blocks():
         for m in range(m_lo, m_max + 1):
-            seconds = np.array(list(itertools.product(range(m), repeat=row1.size)), dtype=np.int64)
+            seconds = _product_rows(m, row1.size)
             # a row's rank under the descending-sort order, as a base-M number
             weights = m ** np.arange(row0.size - 1, -1, -1, dtype=np.int64)
             second_keys = -np.sort(-seconds, axis=1) @ weights

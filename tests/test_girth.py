@@ -1,15 +1,16 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from girthforge.bases import all_ones_base, sts_base, CANONICAL_STS
+from girthforge.bases import all_ones_base, shorten_sts_base, sts_base, CANONICAL_STS
 from girthforge import girth as girth_module
 from girthforge.bounds import _walk_counts
-from girthforge.girth import (GirthSystem, certified_girth, check_assignment_sorted,
+from girthforge.girth import (GirthSystem, InequalitySet, certified_girth, check_assignment_sorted,
                               collect_inequalities, complexity_counts, free_girth,
                               girth_bfs_oracle, grow_trees, node_pair_count,
                               qc_start_vertices, reduce_trees)
@@ -657,6 +658,76 @@ def test_pruned_pairs_have_rows_of_earlier_trees(base_name, g):
     assert dropped or g == 6  # sts9 has no 4-cycles, so nothing drops at g=6
 
 
+@pytest.mark.parametrize("chunk", [1, 3, girth_module._ROW_CHUNK])
+@pytest.mark.parametrize("g", [8, 10])
+@pytest.mark.parametrize("base_name", sorted(_STAGED_BASES))
+def test_rows_built_in_chunks_match_one_block(base_name, g, chunk, monkeypatch):
+    # rows are built from the witnesses in chunks of at most _ROW_CHUNK rows
+    # inside one tree's slice; any chunk size gives the same coefficients
+    # and the same support-sorted matrix
+    base = _STAGED_BASES[base_name]
+    trees = grow_trees(base, g)
+    ineqs = collect_inequalities(trees)
+    coeffs = np.array([_reference_row(trees[t], u, v) for t, u, v in ineqs.witness.tolist()],
+                      dtype=np.int8)
+    monkeypatch.setattr(girth_module, "_ROW_CHUNK", chunk)
+    first = collect_inequalities(trees)
+    first_coeffs = first.coeffs  # read before len() and witness
+    assert len(first) == len(ineqs) and np.array_equal(first.witness, ineqs.witness)
+    assert first_coeffs.tobytes() == coeffs.tobytes() == ineqs.coeffs.tobytes()
+    assert first.coeffs is first_coeffs  # built once
+    order = np.argsort(np.count_nonzero(coeffs, axis=1), kind="stable")
+    matrix = GirthSystem(base, g)._matrix
+    assert matrix.dtype == np.int8 and matrix.tobytes() == coeffs[order].tobytes()
+
+
+def test_complexity_counts_build_no_row(monkeypatch):
+    # N_T and N_L need only the witnesses: no coefficient row is built
+    chunks = []
+    row_chunks = InequalitySet.row_chunks
+
+    def spy(self):
+        chunks.append(len(self))
+        return row_chunks(self)
+
+    monkeypatch.setattr(InequalitySet, "row_chunks", spy)
+    assert complexity_counts(all_ones_base(3, 5), 10) == (286, 645)
+    assert complexity_counts(all_ones_base(3, 4), 12) == (269, 519)
+    assert chunks == []
+    assert collect_inequalities(grow_trees(all_ones_base(3, 4), 12)).coeffs.shape == (519, 12)
+    assert chunks == [519]  # the spy sees the rows that coeffs builds
+
+
+def _traced_peak(build):
+    """(result, tracemalloc peak of build() above the memory traced before it)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_complexity_counts_memory_of_largest_cell():
+    # (3,12) at g = 12, the largest table cell: 251,889 inequalities of 36
+    # edges would take 9.1 MB as int8 rows; the counts build none, and the
+    # dedup keeps one gather buffer and drops its hash before the gathers
+    counts, peak = _traced_peak(lambda: complexity_counts(all_ones_base(3, 12), 12))
+    assert counts == (9457, 251889)
+    assert peak <= 22e6
+
+
+def test_girth_system_build_memory_within_matrix_bound():
+    # 959,667 rows of 60 edges, 57.6 MB: the matrix is filled in chunks
+    # straight from the witnesses, so no unsorted copy of it is built
+    base = shorten_sts_base(sts_base(CANONICAL_STS[13]), 6)
+    system, peak = _traced_peak(lambda: GirthSystem(base, 18))
+    assert system._matrix.shape == (959667, 60)
+    assert peak <= 2.3 * system._matrix.nbytes
+
+
 def test_lift_girth_at_least_base_girth():
     # the lifted graph covers the base graph, so girth can only grow
     from girthforge.bases import sts_base, CANONICAL_STS
@@ -763,17 +834,9 @@ def test_oracle_memory_stays_within_three_matrices():
     # oracle holds h.transpose() and per-start state the size of the ball,
     # and building the transpose holds the row of each one beside its keys:
     # about 2.5x h.indices.nbytes in all
-    import tracemalloc
-
     entry = catalog.BY_NAME["g18_k5"]
     h = lift_tailbiting(entry.degree_matrix(), entry.m)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        girth = certified_girth(h)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    girth, peak = _traced_peak(lambda: certified_girth(h))
     assert girth == entry.girth == 18
     assert peak <= 3 * h.indices.nbytes
 

@@ -10,8 +10,8 @@ from girthforge.bases import all_ones_base, zero_voltage_mask
 from girthforge.girth import GirthSystem, certified_girth
 from girthforge.lifting import lift_tailbiting
 from girthforge.matrices import NO_EDGE, BaseMatrix, DegreeMatrix
-from girthforge.search import (InfeasibleTarget, SearchConfig,
-                               SearchResult, TimeBudgetExceeded, _restricted_edges,
+from girthforge.search import (InfeasibleTarget, SearchConfig, SearchResult,
+                               TimeBudgetExceeded, _product_rows, _restricted_edges,
                                degree_matrix_to_assignment, exhaustive, exhaustive_34,
                                extend_column, resolve_base,
                                sample_assignment, search)
@@ -344,6 +344,15 @@ def test_exhaustive_34_returns_none_below_the_minimum():
     # the (3,4) girth-8 minimum is M=9: the scan keeps a representative of
     # every assignment class, so running out of blocks up to M=8 proves it
     assert exhaustive_34(8, 8) is None
+
+
+@pytest.mark.parametrize("width", [1, 3, 6])
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_product_rows_match_itertools_product(m, width):
+    # the exhaustive scan's second-row table, rows in product order
+    rows = _product_rows(m, width)
+    assert rows.dtype == np.int64 and rows.shape == (m ** width, width)
+    assert rows.tolist() == [list(row) for row in itertools.product(range(m), repeat=width)]
 
 
 def test_extend_column_rejects_bases_with_holes():
