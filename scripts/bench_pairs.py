@@ -17,6 +17,12 @@ pairs the change wins and each side's quartiles.  ``--traced W=N`` adds N
 same way over the ``per_layer`` metrics, so a per-layer number rests on N
 runs a side, not on one.  Each run's full result, or its exit code and error
 tail, is kept as well.
+
+Before the first run every ``__pycache__`` under each side's ``src`` is
+removed.  ``bench/run.py`` writes no bytecode, so a cached ``.pyc`` older
+than its source would be recompiled in every run of the side that holds it
+and charged to that side's ``setup_s``; with no cache on either side, both
+compile alike.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -75,6 +82,15 @@ def plan(counts: list[tuple[str, int]]) -> list[tuple[str, int, int, str]]:
     pair p at seed SEED0 + p."""
     return [(workload, pair, SEED0 + pair, side) for workload, count in counts
             for pair, order in schedule(count) for side in order]
+
+
+def clear_bytecode(root: Path) -> list[str]:
+    """Remove every ``__pycache__`` under ``root/src``; the removed
+    directories, relative to ``root``."""
+    caches = sorted(root.glob("src/**/__pycache__"))
+    for cache in caches:
+        shutil.rmtree(cache)
+    return [str(cache.relative_to(root)) for cache in caches]
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -139,6 +155,7 @@ def main(argv: list[str]) -> int:
         return {"workload": workload, "pair": pair, "seed": seed, "side": side,
                 "trace": trace, "result": result}
 
+    cleared = {side: clear_bytecode(root) for side, root in roots.items()}
     runs = [record(*run, 0) for run in plan(args.pairs)]
     traced = [record(*run, 1) for run in plan(args.traced)]
     report = {
@@ -148,6 +165,9 @@ def main(argv: list[str]) -> int:
                    f"--seconds {spec['run_seconds']} --trace T",
         "order": f"pairs and traced runs interleaved; parent first in even pairs, "
                  f"change first in odd pairs; seed {SEED0} + pair",
+        "bytecode": {"rule": "every src/**/__pycache__ of both sides removed "
+                              "before the first run; runs write no bytecode",
+                     "removed": cleared},
         "cores": len(os.sched_getaffinity(0)),
         "numpy": np.__version__,
         "python": platform.python_version(),

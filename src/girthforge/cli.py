@@ -226,7 +226,10 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("min-distance", help="exact minimum distance of a degree-matrix file")
     p.add_argument("file")
-    p.add_argument("--cap", type=_int_at_least(2), default=26)
+    p.add_argument("--cap", type=_int_at_least(2), default=26,
+                   help="prove d exactly below this weight, else d >= cap; "
+                        "a cap far above d costs little, as the search deepens "
+                        "its cap from 16 in doublings")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check with codeword enumeration (dimension <= 28)")
     p.set_defaults(func=cmd_min_distance)

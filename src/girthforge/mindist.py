@@ -56,6 +56,14 @@ leaf's own column:
 So the first weight-d leaf found is the first in preorder, and after it
 only a lighter leaf could change the answer, and none exists.
 
+Cap schedule.  A pass at cap t costs the tree cut at t even when d is far
+below t, so the engine runs one pass at each cap 16, 32, 64, ... below t,
+then one at t, and stops at the first that finds a codeword (iterative
+deepening on the cap).  A pass at a cap u <= d finds none and proves
+d >= u; the witness argument above holds at any cap above d, so the first
+pass that finds a codeword returns the same weight and support as a
+single pass at t.  A cap of 16 or less is one pass.
+
 The independent oracle for dimensions up to 28 is Brouwer-Zimmermann
 enumeration.  It takes s pairwise disjoint information sets of the
 nullspace basis, greedily from the left, and enumerates the codewords of
@@ -88,7 +96,8 @@ _ONE = np.uint64(1)
 class Distance:
     """``exact`` means value is d_min; otherwise d_min >= value is certified.
     ``nodes`` counts the tree nodes branch and bound expanded and ``pruned``
-    the nodes its weight rule cut; neither takes part in ``==``."""
+    the nodes its weight rule cut, each summed over the passes of its cap
+    schedule; neither takes part in ``==``."""
 
     value: int
     exact: bool
@@ -144,12 +153,27 @@ def _flipped(synd: np.ndarray, word: np.ndarray, mask: np.ndarray) -> np.ndarray
 def _branch_and_bound(code, t: int) -> tuple[int, tuple[int, ...] | None, int, int]:
     """Smallest zero-sum column subset below t columns, with its support
     (tailbiting column indices), or (t, None) when none exists; then the
-    nodes expanded and the nodes the weight rule cut."""
+    nodes expanded and the nodes the weight rule cut, summed over the
+    passes at caps 16, 32, ... below t and at t, up to the first that finds
+    a codeword."""
     if t < 2:
         raise ValueError("distance cap must be at least 2")
     w = _resolve_code(code)
+    tables = _column_tables(w, w.modulus)
+    nodes = pruned = 0
+    for cap in [16 << i for i in range(max(0, (t - 1).bit_length() - 4))] + [t]:
+        best, support, n, p = _walk(w, tables, cap)
+        nodes, pruned = nodes + n, pruned + p
+        if best < cap:
+            break
+    return best, support, nodes, pruned
+
+
+def _walk(w: DegreeMatrix, tables, t: int) -> tuple[int, tuple[int, ...] | None, int, int]:
+    """One pass of :func:`_branch_and_bound` at cap t over the
+    :func:`_column_tables` of ``w``."""
     m, c = w.modulus, w.n_cols
-    word, mask, hitters = _column_tables(w, m)
+    word, mask, hitters = tables
     width = hitters.shape[0]
     empty = ~mask[:, :c].any(axis=0)
     if empty.any():  # a column with no edge is a codeword of weight one

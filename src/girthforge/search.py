@@ -24,7 +24,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from functools import partial
 
@@ -269,6 +268,8 @@ def search(cfg: SearchConfig) -> SearchResult:
     if cfg.jobs == 1:
         results = [run(seeds[0])]
     else:
+        # imported here: it pulls in multiprocessing, which one shard never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, _usable_cores())) as pool:
             results = list(pool.map(run, seeds))
     found = [r for r in results if r is not None]

@@ -103,3 +103,43 @@ def test_unknown_workload_rejected_before_any_run(tmp_path, monkeypatch, capsys)
         assert exc.value.code == 2
         assert "unknown workloads" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _checkout(root: Path) -> Path:
+    """A checkout with a bench entry point and stale bytecode in and out of src."""
+    (root / "bench" / "__pycache__").mkdir(parents=True)
+    (root / "bench" / "run.py").write_text("")
+    (root / "bench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"stale")
+    for pkg in ("src/pkg/__pycache__", "src/pkg/sub/__pycache__"):
+        (root / pkg).mkdir(parents=True)
+        (root / pkg / "mod.cpython-311.pyc").write_bytes(b"stale")
+    (root / "src" / "pkg" / "mod.py").write_text("")
+    return root
+
+
+def test_bytecode_under_src_cleared_on_both_sides_before_any_run(tmp_path, monkeypatch):
+    # a cached .pyc older than its source is recompiled in every run when
+    # runs write no bytecode, so both sides start with none under src
+    bench_pairs = _script()
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    spec = (SCRIPT.parent.parent / "BENCHMARK.json").read_text()
+    (change / "BENCHMARK.json").write_text(spec)
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
+    seen = []
+
+    def fake_run(root, workload, seed, seconds, trace):
+        seen.append([str(p.relative_to(root)) for p in sorted(root.rglob("__pycache__"))])
+        names = json.loads(spec)["end_to_end"]
+        return {"correct": True,
+                "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in names}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(parent), "--out", str(out), "--change", "x",
+                             "--pairs", "search_34=1"]) == 0
+    # only the caches under src go; the .py source and bench's cache stay
+    assert seen == [["bench/__pycache__"]] * 2
+    assert (parent / "src" / "pkg" / "mod.py").is_file()
+    removed = ["src/pkg/__pycache__", "src/pkg/sub/__pycache__"]
+    assert json.loads(out.read_text())["bytecode"]["removed"] == {"parent": removed,
+                                                                  "change": removed}

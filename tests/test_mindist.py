@@ -201,12 +201,49 @@ def test_distance_counters_stay_out_of_equality():
     assert str(Distance(12, False, nodes=5)) == ">= 12"
 
 
+def single_pass(code, t):
+    """One pass of the block engine at cap t, with no cap schedule."""
+    w = mindist._resolve_code(code)
+    return mindist._walk(w, mindist._column_tables(w, w.modulus), t)
+
+
 def test_distance_counters_shrink_with_the_cap():
-    # a lower cap prunes from the first node on, so fewer nodes are expanded
-    low, high = (min_distance_md(code_for("g10_k4"), t) for t in (15, 26))
-    assert low == high == Distance(14, True)
-    assert 0 < low.nodes < high.nodes
-    assert low.pruned > 0 and high.pruned > 0
+    # a lower cap prunes from the first node on, so one pass expands fewer nodes
+    low, high = (single_pass(code_for("g10_k4"), t) for t in (15, 26))
+    assert low[:2] == high[:2] and low[0] == 14
+    assert 0 < low[2] < high[2]
+    assert low[3] > 0 and high[3] > 0
+
+
+def test_schedule_counters_do_not_grow_with_a_cap_above_d():
+    # g10_k4 has d = 14: caps 15 and 16 are one pass, and at cap 26 the
+    # cap-16 pass finds the codeword, so all three walk the same tree
+    counts = [min_distance_md(code_for("g10_k4"), t) for t in (15, 16, 26)]
+    assert {(d.value, d.exact, d.nodes, d.pruned) for d in counts} == {(14, True, 2_123, 4_024)}
+
+
+# at caps 17..33 the schedule runs a pass at 16, one at 32 when t > 32, and
+# one at t; both seeds hold codes with d >= 16, which a later pass finds,
+# and codes with no codeword below 33, which run every pass
+@pytest.mark.parametrize("block,seed", [(7, 1739), (2048, 1735)])
+def test_cap_schedule_matches_one_pass(block, seed, monkeypatch):
+    monkeypatch.setattr(mindist, "_BNB_BLOCK", block)
+    later = found_later = 0
+    for w, m in random_degree_matrices(seed, 25):
+        below = {cap: single_pass((w, m), cap) for cap in (16, 32)}
+        for t in range(17, 34):
+            best, support, nodes, pruned = mindist._branch_and_bound((w, m), t)
+            at_t = single_pass((w, m), t)
+            assert (best, support) == at_t[:2], (w.entries.tolist(), m, t)
+            passes = []
+            for cap, run in [(cap, below[cap]) for cap in (16, 32) if cap < t] + [(t, at_t)]:
+                passes.append(run)
+                if run[0] < cap:
+                    break
+            assert (nodes, pruned) == (sum(p[2] for p in passes), sum(p[3] for p in passes))
+            later += len(passes) > 1
+            found_later += len(passes) > 1 and best < t
+    assert found_later > 0 and later > found_later
 
 
 # a row-irregular base: base row 0 misses base column 4, so the table of
@@ -226,7 +263,7 @@ def pinned_code(name):
     return entry.degree_matrix(), entry.m
 
 
-# (value, exact, nodes, pruned) of min_distance_md: the counters pin the
+# (value, exact, nodes, pruned) of one pass at the cap: the counters pin the
 # tree the engine walks, not only its answer, so a change to how a node
 # finds its path must expand and cut exactly the same nodes
 TREE_PINS = {
@@ -240,8 +277,24 @@ TREE_PINS = {
 
 @pytest.mark.parametrize("name,t", sorted(TREE_PINS))
 def test_tree_counters_pinned(name, t):
+    best, _, nodes, pruned = single_pass(pinned_code(name), t)
+    assert (best, best < t, nodes, pruned) == TREE_PINS[name, t]
+
+
+# (value, exact, nodes, pruned) of min_distance_md, its counters summed over
+# the passes of the cap schedule: at (g12_k4, 18) the cap-16 pass finds
+# nothing and the cap-18 pass proves d >= 18
+SCHEDULE_PINS = {
+    ("g10_k4", 26): (14, True, 2_123, 4_024),
+    ("g12_k4", 26): (24, True, 203_557, 393_444),
+    ("g12_k4", 18): (18, False, 6_273, 11_929),
+}
+
+
+@pytest.mark.parametrize("name,t", sorted(SCHEDULE_PINS))
+def test_schedule_counters_pinned(name, t):
     dist = min_distance_md(pinned_code(name), t)
-    assert (dist.value, dist.exact, dist.nodes, dist.pruned) == TREE_PINS[name, t]
+    assert (dist.value, dist.exact, dist.nodes, dist.pruned) == SCHEDULE_PINS[name, t]
 
 
 def test_answer_from_a_later_root():

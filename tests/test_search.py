@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from girthforge.search import (InfeasibleTarget, SearchConfig, SearchResult,
                                degree_matrix_to_assignment, exhaustive, exhaustive_34,
                                extend_column, resolve_base,
                                sample_assignment, search)
+import girthforge
 from girthforge import catalog
 
 
@@ -177,6 +182,17 @@ def test_search_parallel_shards_merge():
     assert result.girth >= 8 and result.m <= 16
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool pulls in multiprocessing, so only a search with jobs > 1
+    # imports it, and neither the package nor the CLI pays for it at start
+    code = ("import sys, girthforge, girthforge.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    src = str(Path(girthforge.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "False"
+
+
 def test_search_caps_workers_at_usable_cores(monkeypatch):
     # the shards run in-process on a recording executor, so no worker
     # process is started however many shards a config asks for
@@ -203,7 +219,7 @@ def test_search_caps_workers_at_usable_cores(monkeypatch):
         deadlines.append(deadline)
         return run_one(cfg, base, m_lo, shard_seed, deadline)
 
-    monkeypatch.setattr(search_module, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(search_module, "_usable_cores", lambda: 2)
     monkeypatch.setattr(search_module, "_run_shard", run_shard)
     jobs = 5
